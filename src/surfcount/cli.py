@@ -96,14 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("host")
     p.add_argument("--work-cap", type=int, default=counting.DEFAULT_WORK_CAP)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("hom", help="homomorphisms from H to G")
     p.add_argument("pattern")
     p.add_argument("host")
     p.add_argument("--injective", action="store_true")
     p.add_argument("--work-cap", type=int, default=counting.DEFAULT_WORK_CAP)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("census", help="full census record for a surface")
     _add_surface_flags(p)
@@ -138,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="k4-sphere",
                    help="seed embedding for split-growth")
     p.add_argument("--work-cap", type=int, default=counting.DEFAULT_WORK_CAP)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("genus", help="Euler genus of an embedding")
     p.add_argument("embedding")
@@ -188,12 +185,11 @@ def _run(args) -> None:
         sys.stdout.write(spqrk.serialize_spqrk(tree))
     elif cmd == "count":
         c = counting.count_copies(_load_graph(args.pattern), _load_graph(args.host),
-                                  work_cap=args.work_cap, threads=args.threads)
+                                  work_cap=args.work_cap)
         print(json.dumps({"count": str(c)}) if args.json else c)
     elif cmd == "hom":
         fn = counting.count_injective_hom if args.injective else counting.count_hom
-        c = fn(_load_graph(args.pattern), _load_graph(args.host),
-               work_cap=args.work_cap, threads=args.threads)
+        c = fn(_load_graph(args.pattern), _load_graph(args.host), work_cap=args.work_cap)
         print(json.dumps({"count": str(c)}) if args.json else c)
     elif cmd in ("census", "table"):
         name, genus, members, complete = _surface_list(args)
@@ -233,8 +229,7 @@ def _run(args) -> None:
         else:
             seed = _seed_embedding(args.seed)
             gen = lambda n: constructions.split_growth(seed, n).graph
-        rep = counting.scaling_exponent(h, sizes, gen, work_cap=args.work_cap,
-                                        threads=args.threads)
+        rep = counting.scaling_exponent(h, sizes, gen, work_cap=args.work_cap)
         if args.json:
             print(json.dumps(rep.as_dict(), sort_keys=True))
         else:

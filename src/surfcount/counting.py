@@ -1,191 +1,267 @@
 """Exact counting of copies, homomorphisms, and cliques, plus the
 homomorphism inequalities and the empirical scaling-exponent fit.
 
-All counts are Python integers (arbitrary precision). The expensive
-searches honor a work cap measured in backtracking nodes and abort with a
-partial-progress report when it is exceeded. Counting may fan the
-top-level branch set out over a thread pool; per-branch counts combine by
-addition, so results do not depend on the worker count.
+All counts are Python integers (arbitrary precision). Copies and injective
+maps are counted through the homomorphism basis, so the work grows with
+the host and the pattern's width, not with the number of maps counted:
+
+- hom(F, G) is a dynamic program over the pattern's search order. Its
+  states map the images of the frontier, the mapped vertices that still
+  have unmapped neighbors, to the number of partial maps that reach them
+  (treewidth DP, Diaz-Serna-Thilikos 2002).
+- inj(H, G) is the sum over spasm classes F of c_F * hom(F, G). The spasm
+  of H is the set of quotients of H by partitions of V(H) into independent
+  blocks, and c_F sums the Moebius value prod_B (-1)^(|B|-1) (|B|-1)! over
+  the partitions whose quotient is isomorphic to F (Curticapean-Dell-Marx,
+  STOC 2017).
+- copies(H, G) is inj(H, G) / |Aut(H)|, exact because Aut(H) acts freely
+  on injective maps.
+
+One work cap bounds a whole call: every partition enumerated and every DP
+step spends from the same budget. On overrun, CapExceeded reports how many
+spasm classes were counted out of the total.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import PreconditionError, CapExceeded
-from .graph import Graph, automorphisms, connected_components
+from .errors import CapExceeded, InternalInvariantError, PreconditionError
+from .graph import Graph, connected_components, count_isomorphisms, is_isomorphic
 
 DEFAULT_WORK_CAP = 10**9
 
 
 def _search_order(h: Graph) -> list[int]:
-    """Vertex order for backtracking: degree-descending seed per component,
-    then neighbors-first so every later vertex has a mapped anchor when one
-    exists."""
+    """Vertex order for the DP, one component after another, largest first.
+
+    Each component starts at a vertex of maximum degree; every later vertex
+    has a placed neighbor, and among those the one that leaves the fewest
+    placed vertices with unplaced neighbors (the DP frontier) comes next,
+    ties going to higher degree, then lower index."""
     order: list[int] = []
+    unplaced = [len(a) for a in h.adj]  # unplaced neighbors of each vertex
     placed = [False] * h.n
+
+    def place(v: int) -> None:
+        placed[v] = True
+        order.append(v)
+        for w in h.adj[v]:
+            unplaced[w] -= 1
+
     for comp in sorted(connected_components(h), key=lambda c: (-len(c), c)):
-        seed = max(comp, key=lambda v: (h.degree(v), -v))
-        frontier = [seed]
-        placed[seed] = True
-        order.append(seed)
-        while frontier:
-            candidates = [
-                v for v in comp
-                if not placed[v] and any(placed[w] for w in h.adj[v])
-            ]
-            if not candidates:
-                break
-            nxt = max(candidates, key=lambda v: (h.degree(v), -v))
-            placed[nxt] = True
-            order.append(nxt)
-            frontier = [nxt]
-        for v in comp:  # isolated-in-component leftovers
-            if not placed[v]:
-                placed[v] = True
-                order.append(v)
+        place(max(comp, key=lambda v: (h.degree(v), -v)))
+        for _ in range(len(comp) - 1):
+            candidates = [v for v in comp
+                          if not placed[v] and unplaced[v] < h.degree(v)]
+            # frontier growth if v is placed next: v itself if it keeps an
+            # unplaced neighbor, minus the placed neighbors v finishes
+            nxt = min(candidates, key=lambda v: (
+                (unplaced[v] > 0) - sum(1 for w in h.adj[v]
+                                        if placed[w] and unplaced[w] == 1),
+                -h.degree(v), v))
+            place(nxt)
     return order
 
 
 class _Budget:
-    __slots__ = ("left", "cap")
+    """The work cap of one call, in DP steps, shared by every stage of it.
+
+    ``done`` and ``total`` track spasm classes counted; ``total`` is None
+    while the spasm is still being enumerated."""
+
+    __slots__ = ("left", "cap", "done", "total")
 
     def __init__(self, cap: int):
         self.cap = cap
         self.left = cap
+        self.done = 0
+        self.total: int | None = None
 
-    def spend(self, amount: int, partial: int) -> None:
+    def spend(self, amount: int) -> None:
         self.left -= amount
         if self.left < 0:
-            raise CapExceeded(
-                "work_cap",
-                f"counting aborted after {self.cap} backtracking nodes"
-                f" (partial count {partial})",
-                progress=partial,
-            )
+            self.exceeded()
+
+    def exceeded(self) -> None:
+        where = ("while enumerating the spasm" if self.total is None
+                 else f"with {self.done} of {self.total} spasm classes counted")
+        raise CapExceeded(
+            "work_cap",
+            f"counting aborted after {self.cap} DP steps {where}",
+            progress=(self.done, self.total),
+        )
 
 
-def _count_maps(
-    h: Graph,
-    g: Graph,
-    injective: bool,
-    work_cap: int,
-    leaf_filter=None,
-    first_candidates: list[int] | None = None,
-) -> int:
-    """Core backtracking over adjacency-preserving maps V(h) -> V(g).
+def _projector(kept: list[int], width: int):
+    """Function taking a frontier-image tuple of length ``width`` to the
+    tuple of its entries at positions ``kept``."""
+    if kept == list(range(width)):
+        return lambda key: key
+    if not kept:
+        return lambda key: ()
+    if len(kept) == 1:
+        k = kept[0]
+        return lambda key: (key[k],)
+    return itemgetter(*kept)
 
-    ``leaf_filter(image)`` may veto leaves (used for copy counting).
-    ``first_candidates`` restricts the image of the first ordered vertex
-    (used to partition work across threads).
+
+def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
+    """hom(h, g) by a DP over ``_search_order(h)``.
+
+    After each vertex, the states map the tuple of images of the frontier
+    to the number of partial homomorphisms reaching it. Candidates for a
+    vertex are the common neighbors of its anchors' images (all of V(g)
+    without anchors). A vertex with no later neighbor leaves the frontier at
+    once: it multiplies each state by its candidate count and adds no state.
+    One DP step is one state visited or one candidate entered as a state.
     """
     order = _search_order(h)
     pos = [0] * h.n
     for i, v in enumerate(order):
         pos[v] = i
-    # earlier-mapped neighbors of each ordered vertex
-    anchors: list[list[int]] = []
+    last = [max((pos[w] for w in h.adj[v]), default=-1) for v in range(h.n)]
+    adj = g.adj
+    everything = range(g.n)
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 1}
     for i, v in enumerate(order):
-        anchors.append([w for w in h.adj[v] if pos[w] < i])
-    image = [-1] * h.n
-    used = [False] * g.n
-    budget = _Budget(work_cap)
-    count = 0
-    all_vertices = list(range(g.n))
-
-    def rec(i: int) -> None:
-        nonlocal count
-        if i == h.n:
-            if leaf_filter is None or leaf_filter(image):
-                count += 1
-            return
-        v = order[i]
-        anc = anchors[i]
-        if anc:
-            base = g.adj[image[anc[0]]]
-            cands = [c for c in base if all(c in g.adj[image[w]] for w in anc[1:])]
-        else:
-            cands = first_candidates if (i == 0 and first_candidates is not None) else all_vertices
-        budget.spend(len(cands) if cands else 1, count)
-        for c in cands:
-            if injective and used[c]:
-                continue
-            image[v] = c
-            if injective:
-                used[c] = True
-            rec(i + 1)
-            if injective:
-                used[c] = False
-            image[v] = -1
-
-    rec(0)
-    return count
+        slot = {w: k for k, w in enumerate(frontier)}
+        anchors = [slot[w] for w in h.adj[v] if pos[w] < i]
+        first, rest = (anchors[0], anchors[1:]) if anchors else (None, [])
+        kept = [k for k, w in enumerate(frontier) if last[w] > i]
+        project = _projector(kept, len(frontier))
+        frontier = [frontier[k] for k in kept]
+        stays = last[v] > i
+        if stays:
+            frontier.append(v)
+        nxt: dict[tuple[int, ...], int] = {}
+        left = budget.left
+        for key, cnt in states.items():
+            if first is None:
+                cands = everything
+            else:
+                cands = adj[key[first]]
+                for a in rest:
+                    cands = cands & adj[key[a]]
+            left -= 1 + len(cands) if stays else 1
+            if left < 0:
+                budget.left = left
+                budget.exceeded()
+            base = project(key)
+            if stays:
+                for c in cands:
+                    nk = base + (c,)
+                    nxt[nk] = nxt.get(nk, 0) + cnt
+            elif cands:
+                nxt[base] = nxt.get(base, 0) + cnt * len(cands)
+        budget.left = left
+        states = nxt
+    return sum(states.values())
 
 
-def _threaded_total(h: Graph, g: Graph, threads: int, one_chunk) -> int:
-    chunks: list[list[int]] = [[] for _ in range(threads)]
-    for c in range(g.n):
-        chunks[c % threads].append(c)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(one_chunk, [ch for ch in chunks if ch]))
+def _class_key(f: Graph) -> tuple:
+    """Isomorphism invariant of a quotient: the sorted (degree, sorted
+    neighbor degrees) pairs of its vertices."""
+    return tuple(sorted((len(a), tuple(sorted(len(f.adj[w]) for w in a)))
+                        for a in f.adj))
 
 
-def count_injective_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP,
-                        threads: int = 1) -> int:
-    """Number of injective adjacency-preserving maps V(h) -> V(g)."""
-    if h.n > g.n:
-        return 0
-    if threads > 1:
-        return _threaded_total(
-            h, g, threads,
-            lambda ch: _count_maps(h, g, True, work_cap, first_candidates=ch))
-    return _count_maps(h, g, injective=True, work_cap=work_cap)
+def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
+    """The spasm of h with its Moebius coefficients: one ``(F, c_F)`` per
+    isomorphism class of quotients of h by partitions of V(h) into
+    independent blocks, classes with c_F = 0 left out.
 
-
-def count_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP,
-              threads: int = 1) -> int:
-    """Number of adjacency-preserving maps V(h) -> V(g)."""
-    if g.n == 0:
-        return 1 if h.n == 0 else 0
-    if threads > 1:
-        return _threaded_total(
-            h, g, threads,
-            lambda ch: _count_maps(h, g, False, work_cap, first_candidates=ch))
-    return _count_maps(h, g, injective=False, work_cap=work_cap)
-
-
-def count_copies(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP,
-                 threads: int = 1) -> int:
-    """Number of subgraphs of g isomorphic to h (vertex-and-edge subsets).
-
-    Counted by enumerating injective embeddings and keeping exactly one
-    representative per automorphism orbit (the lexicographically least
-    image tuple), so each subgraph is counted once.
-    """
-    if h.n > g.n:
-        return 0
-    auts = automorphisms(h)
-    nontrivial = [a for a in auts if any(a[i] != i for i in range(h.n))]
-
-    def leaf_filter(image: list[int]) -> bool:
-        if not nontrivial:
-            return True
-        for a in nontrivial:
-            for i in range(h.n):
-                x, y = image[a[i]], image[i]
-                if x != y:
-                    if x < y:
-                        return False  # a permuted tuple is lexicographically less
+    Partitions are enumerated iteratively as restricted growth strings, one
+    DP step each; a quotient joins the class of the first representative
+    it is isomorphic to among those sharing its ``_class_key``."""
+    n = h.n
+    nbr_mask = [sum(1 << w for w in h.adj[v]) for v in range(n)]
+    edges = list(h.edges)
+    blocks: list[int] = []  # vertex masks of the open blocks
+    where = [-1] * n  # block of each placed vertex; -1 before its first try
+    classes: dict[tuple, list[list]] = {}
+    found: list[list] = []  # [F, c_F] in discovery order
+    v = 0
+    while v >= 0:
+        if v == n:
+            budget.spend(1)
+            quotient = {(min(where[a], where[b]), max(where[a], where[b]))
+                        for a, b in edges}
+            mu = 1
+            for mask in blocks:
+                size = mask.bit_count()
+                mu *= (-1) ** (size - 1) * math.factorial(size - 1)
+            f = Graph.build(len(blocks), quotient)
+            bucket = classes.setdefault(_class_key(f), [])
+            for entry in bucket:
+                if is_isomorphic(f, entry[0]):
+                    entry[1] += mu
                     break
-        return True
+            else:
+                entry = [f, mu]
+                bucket.append(entry)
+                found.append(entry)
+            v -= 1
+            continue
+        b = where[v]
+        if b >= 0:  # take v back out of the block it was tried in
+            blocks[b] &= ~(1 << v)
+            if not blocks[b]:
+                blocks.pop()  # v had opened it, so it is the last block
+        b += 1
+        while b < len(blocks) and blocks[b] & nbr_mask[v]:
+            b += 1
+        if b > len(blocks):  # every block, and a new one, has been tried
+            where[v] = -1
+            v -= 1
+            continue
+        if b == len(blocks):
+            blocks.append(0)
+        blocks[b] |= 1 << v
+        where[v] = b
+        v += 1
+    return [(f, c) for f, c in found if c]
 
-    if threads > 1:
-        return _threaded_total(
-            h, g, threads,
-            lambda ch: _count_maps(h, g, True, work_cap, leaf_filter, first_candidates=ch))
-    return _count_maps(h, g, injective=True, work_cap=work_cap, leaf_filter=leaf_filter)
+
+def _count_injective(h: Graph, g: Graph, work_cap: int) -> int:
+    """inj(h, g) as the spasm sum, all of it under one budget."""
+    if h.n > g.n:
+        return 0
+    budget = _Budget(work_cap)
+    spasm = _spasm(h, budget)
+    budget.total = len(spasm)
+    total = 0
+    for f, coeff in spasm:
+        total += coeff * _hom_dp(f, g, budget)
+        budget.done += 1
+    return total
+
+
+def count_injective_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
+    """Number of injective adjacency-preserving maps V(h) -> V(g)."""
+    return _count_injective(h, g, work_cap)
+
+
+def count_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
+    """Number of adjacency-preserving maps V(h) -> V(g). For progress on
+    overrun, h is its own single spasm class."""
+    budget = _Budget(work_cap)
+    budget.total = 1
+    return _hom_dp(h, g, budget)
+
+
+def count_copies(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
+    """Number of subgraphs of g isomorphic to h (vertex-and-edge subsets):
+    injective maps divided by |Aut(h)|, which acts freely on them."""
+    inj = _count_injective(h, g, work_cap)
+    aut = count_isomorphisms(h, h)
+    if inj % aut:
+        raise InternalInvariantError(
+            f"{inj} injective maps do not split into orbits of |Aut(H)| = {aut}")
+    return inj // aut
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +365,7 @@ def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:
     triangles >= 2m - 4n + 4 + 4c - 4genus (c = component count).
 
     The homomorphism form (6x the triangle form, with c=1) is evaluated
-    alongside and asserted consistent with a separately computed hom count.
+    alongside and checked against a separately computed hom count.
     """
     if genus < 0:
         raise PreconditionError("Euler genus must be non-negative")
@@ -297,10 +373,14 @@ def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:
     c = len(connected_components(g))
     rhs = 2 * g.m - 4 * g.n + 4 + 4 * c - 4 * genus
     hom3 = count_hom(_K3, g)
-    assert hom3 == 6 * t, "triangle count and hom(K3) routes disagree"
+    if hom3 != 6 * t:
+        raise InternalInvariantError(
+            f"triangle count and hom(K3) routes disagree: 6*{t} != {hom3}")
     hom_rhs = 6 * count_hom(_K2, g) - 24 * count_hom(_K1, g) + 48 - 24 * genus
     # the hom form is six times the connected (c=1) triangle form
-    assert hom_rhs == 6 * (2 * g.m - 4 * g.n + 8 - 4 * genus)
+    if hom_rhs != 6 * (2 * g.m - 4 * g.n + 8 - 4 * genus):
+        raise InternalInvariantError(
+            "hom form of the genus triangle bound is not six times the triangle form")
     return GenusTriangleReport(t, rhs, t >= rhs, hom3, hom_rhs)
 
 
@@ -325,8 +405,8 @@ class ScalingReport:
         }
 
 
-def scaling_exponent(h: Graph, sizes, generator, work_cap: int = DEFAULT_WORK_CAP,
-                     threads: int = 1) -> ScalingReport:
+def scaling_exponent(h: Graph, sizes, generator,
+                     work_cap: int = DEFAULT_WORK_CAP) -> ScalingReport:
     """Least-squares slope of log(copy count) against log(host order).
 
     ``generator(n)`` must return a host graph with at most n vertices; the
@@ -338,7 +418,7 @@ def scaling_exponent(h: Graph, sizes, generator, work_cap: int = DEFAULT_WORK_CA
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise PreconditionError("need at least 3 strictly increasing sizes")
     hosts = [generator(n) for n in sizes]
-    counts = [count_copies(h, host, work_cap=work_cap, threads=threads) for host in hosts]
+    counts = [count_copies(h, host, work_cap=work_cap) for host in hosts]
     zero_at = [n for n, c in zip(sizes, counts) if c == 0]
     if zero_at:
         raise PreconditionError(

@@ -31,3 +31,7 @@ class CapExceeded(SurfcountError):
         self.cap_name = cap_name
         self.progress = progress
         super().__init__(message)
+
+
+class InternalInvariantError(SurfcountError):
+    """A result failed an internal consistency check: a bug, not bad input."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -234,65 +234,61 @@ def remove_internal_edges(g: Graph, vertices: Iterable[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _isomorphism_count(h: Graph, g: Graph, collect: list | None = None) -> int:
-    """Count edge-and-non-edge-preserving bijections V(h) -> V(g).
-
-    When ``collect`` is given, each bijection is appended to it as a tuple
-    ``phi`` with ``phi[i]`` the image of i.
-    """
+def _isomorphisms(h: Graph, g: Graph) -> Iterator[tuple[int, ...]]:
+    """Yield each edge-and-non-edge-preserving bijection V(h) -> V(g) as a
+    tuple ``phi`` with ``phi[i]`` the image of i."""
     if h.n != g.n or h.m != g.m:
-        return 0
+        return
     if sorted(len(a) for a in h.adj) != sorted(len(a) for a in g.adj):
-        return 0
+        return
     n = h.n
+    hadj, gadj = h.adj, g.adj
+    gdeg = [len(a) for a in gadj]
     # Order h's vertices by degree descending, then index, to prune early.
-    order = sorted(range(n), key=lambda v: (-h.degree(v), v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    order = sorted(range(n), key=lambda v: (-len(hadj[v]), v))
+    # per position: the earlier vertices, and one earlier neighbor if any
+    earlier = [order[:i] for i in range(n)]
+    anchor = [next((w for w in order[:i] if w in hadj[v]), -1)
+              for i, v in enumerate(order)]
+    everything = range(n)
     image: list[int] = [-1] * n
     used = [False] * n
-    count = 0
 
-    def rec(i: int) -> None:
-        nonlocal count
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            count += 1
-            if collect is not None:
-                collect.append(tuple(image))
+            yield tuple(image)
             return
         v = order[i]
-        dv = h.degree(v)
-        for c in range(n):
-            if used[c] or g.degree(c) != dv:
+        hv = hadj[v]
+        dv = len(hv)
+        a = anchor[i]
+        for c in (gadj[image[a]] if a >= 0 else everything):
+            if used[c] or gdeg[c] != dv:
                 continue
-            ok = True
-            for w in range(n):
-                if pos[w] < i:
-                    if h.has_edge(v, w) != g.has_edge(c, image[w]):
-                        ok = False
-                        break
-            if ok:
+            gc = gadj[c]
+            if all((w in hv) == (image[w] in gc) for w in earlier[i]):
                 image[v] = c
                 used[c] = True
-                rec(i + 1)
+                yield from rec(i + 1)
                 used[c] = False
                 image[v] = -1
 
-    rec(0)
-    return count
+    yield from rec(0)
 
 
 def count_isomorphisms(h: Graph, g: Graph) -> int:
     """Number of isomorphisms h -> g; count_isomorphisms(h, h) is |Aut(h)|."""
-    return _isomorphism_count(h, g)
+    return sum(1 for _ in _isomorphisms(h, g))
+
+
+def is_isomorphic(h: Graph, g: Graph) -> bool:
+    """True iff h and g are isomorphic; stops at the first isomorphism."""
+    return next(_isomorphisms(h, g), None) is not None
 
 
 def automorphisms(h: Graph) -> list[tuple[int, ...]]:
     """All automorphisms of h as image tuples."""
-    maps: list[tuple[int, ...]] = []
-    _isomorphism_count(h, h, collect=maps)
-    return maps
+    return list(_isomorphisms(h, h))
 
 
 # ---------------------------------------------------------------------------

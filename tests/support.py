@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from surfcount.graph import Graph, add_clique, induced_subgraph
+from surfcount.graph import Graph, add_clique, automorphisms, induced_subgraph
 from surfcount.planarity import is_planar
 
 
@@ -58,6 +58,88 @@ def random_connected_graph(rng: random.Random, n: int, extra_p: float) -> Graph:
             if (i, j) not in edges and rng.random() < extra_p:
                 edges.add((i, j))
     return Graph.build(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Backtracking map counter: the oracle for the homomorphism-basis counts
+# ---------------------------------------------------------------------------
+
+
+def _backtrack_maps(h: Graph, g: Graph, injective: bool, leaf_filter=None) -> int:
+    """Visit every adjacency-preserving map V(h) -> V(g) one at a time.
+
+    Vertices are taken in breadth-first order per component, so each has
+    an earlier mapped neighbor when one exists; ``leaf_filter(image)`` may
+    veto complete maps."""
+    order: list[int] = []
+    seen = [False] * h.n
+    for s in range(h.n):
+        if not seen[s]:
+            seen[s] = True
+            order.append(s)
+            k = len(order) - 1
+            while k < len(order):
+                for w in sorted(h.adj[order[k]]):
+                    if not seen[w]:
+                        seen[w] = True
+                        order.append(w)
+                k += 1
+    pos = {v: i for i, v in enumerate(order)}
+    anchors = [[w for w in h.adj[v] if pos[w] < i] for i, v in enumerate(order)]
+    image = [-1] * h.n
+    used = [False] * g.n
+    count = 0
+
+    def rec(i: int) -> None:
+        nonlocal count
+        if i == h.n:
+            if leaf_filter is None or leaf_filter(image):
+                count += 1
+            return
+        v = order[i]
+        anc = anchors[i]
+        if anc:
+            cands = [c for c in g.adj[image[anc[0]]]
+                     if all(c in g.adj[image[w]] for w in anc[1:])]
+        else:
+            cands = range(g.n)
+        for c in cands:
+            if injective and used[c]:
+                continue
+            image[v] = c
+            used[c] = True
+            rec(i + 1)
+            used[c] = False
+        image[v] = -1
+
+    rec(0)
+    return count
+
+
+def backtrack_hom(h: Graph, g: Graph) -> int:
+    return _backtrack_maps(h, g, injective=False)
+
+
+def backtrack_injective(h: Graph, g: Graph) -> int:
+    return _backtrack_maps(h, g, injective=True)
+
+
+def backtrack_copies(h: Graph, g: Graph) -> int:
+    """Injective maps, keeping one per automorphism orbit: the image tuple
+    that no automorphism makes lexicographically smaller."""
+    nontrivial = [a for a in automorphisms(h) if any(a[i] != i for i in range(h.n))]
+
+    def least_in_orbit(image: list[int]) -> bool:
+        for a in nontrivial:
+            for i in range(h.n):
+                x, y = image[a[i]], image[i]
+                if x != y:
+                    if x < y:
+                        return False  # a permuted tuple is lexicographically less
+                    break
+        return True
+
+    return _backtrack_maps(h, g, injective=True, leaf_filter=least_in_orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,9 @@ def test_count_and_hom(capsys, tmp_path, k5_file):
     assert code == 0 and out.strip() == "80"  # 5*4*4
     code, out, _ = run(capsys, "--json", "count", str(p3), k5_file)
     assert json.loads(out) == {"count": "30"}
+    code, out, err = run(capsys, "count", "--work-cap", "3", str(p3), k5_file)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "DP steps" in err and "spasm" in err
 
 
 def test_table_sphere(capsys):
@@ -159,6 +162,18 @@ def test_scaling_cli(capsys, tmp_path):
     assert code == 0
     kv = dict(ln.split("=") for ln in out.strip().splitlines())
     assert 1.5 <= float(kv["slope"]) <= 2.5
+
+
+def test_scaling_cli_past_planarity_cap(capsys, tmp_path):
+    """Blowup hosts above the 512-vertex planarity cap are built and counted."""
+    p3 = tmp_path / "p3.g"
+    p3.write_text(serialize_graph(path_graph(3)))
+    code, out, err = run(capsys, "scaling", "--graph", str(p3),
+                         "--generator", "tree-blowup", "--sizes", "200,400,800")
+    assert code == 0, err
+    kv = dict(ln.split("=") for ln in out.strip().splitlines())
+    assert kv["hosts"] == "197,397,797"
+    assert abs(float(kv["slope"]) - 2) <= 0.3
 
 
 def test_deterministic_output(capsys, p5_file):

@@ -1,10 +1,22 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from support import random_graph
+from support import (
+    backtrack_copies,
+    backtrack_hom,
+    backtrack_injective,
+    random_connected_graph,
+    random_graph,
+)
+from surfcount import counting
+from surfcount.cli import main
 from surfcount.counting import (
+    _Budget,
+    _hom_dp,
+    _spasm,
     check_genus_triangle_bound,
     check_goodman,
     count_cliques,
@@ -15,13 +27,17 @@ from surfcount.counting import (
     scaling_exponent,
     total_cliques,
 )
-from surfcount.errors import CapExceeded, PreconditionError
+from surfcount.errors import CapExceeded, InternalInvariantError, PreconditionError
 from surfcount.graph import (
     Graph,
     complete_graph,
+    connected_components,
     count_isomorphisms,
     cycle_graph,
+    disjoint_union,
+    is_isomorphic,
     path_graph,
+    serialize_graph,
 )
 
 OCTAHEDRON = Graph.build(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
@@ -125,18 +141,145 @@ def test_hom_dominates_injective():
             assert count_injective_hom(h, g) == 0
 
 
-def test_threads_agree():
-    h = path_graph(4)
-    g = complete_graph(7)
-    assert count_copies(h, g, threads=3) == count_copies(h, g)
-    assert count_hom(h, g, threads=2) == count_hom(h, g)
-    assert count_injective_hom(h, g, threads=4) == count_injective_hom(h, g)
+def _oracle_pattern(rng, kind):
+    """A pattern of 0-6 vertices: plain random, two components, or a
+    connected part plus isolated vertices."""
+    if kind == "random":
+        return random_graph(rng, rng.randint(0, 6), rng.choice([0.3, 0.5, 0.8]))
+    if kind == "disconnected":
+        a = rng.randint(2, 4)
+        return disjoint_union(random_connected_graph(rng, a, 0.4),
+                              random_connected_graph(rng, rng.randint(1, 6 - a), 0.4))
+    isolated = rng.randint(1, 3)
+    core = random_connected_graph(rng, rng.randint(1, 6 - isolated), 0.4)
+    return disjoint_union(core, Graph.build(isolated, []))
+
+
+def _oracle_cost(h, g):
+    """Upper bound on the leaves the backtracking copy oracle visits: per
+    component, a root image and a neighbor for each later vertex, times the
+    automorphisms its leaf filter tries."""
+    top = max((g.degree(v) for v in range(g.n)), default=0)
+    cost = count_isomorphisms(h, h)
+    for comp in connected_components(h):
+        cost *= g.n * top ** (len(comp) - 1)
+    return cost
+
+
+def test_against_backtracking_oracle():
+    """hom, inj and copies against the old one-map-at-a-time counter on 200
+    seeded pairs, hosts up to 14 vertices. Pairs whose oracle run would
+    pass 3*10^5 leaves are redrawn, so the sample is checked to still hold
+    every kind of pattern and large hosts."""
+    rng = random.Random(0x5A5)
+    seen = {"disconnected": 0, "isolated": 0, "empty": 0, "host>8": 0}
+    checked = 0
+    while checked < 200:
+        h = _oracle_pattern(rng, rng.choice(["random", "disconnected", "isolated"]))
+        g = random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.35, 0.5]))
+        if _oracle_cost(h, g) > 300_000:
+            continue
+        checked += 1
+        seen["disconnected"] += len(connected_components(h)) > 1
+        seen["isolated"] += any(h.degree(v) == 0 for v in range(h.n)) and h.n > 1
+        seen["empty"] += h.n == 0
+        seen["host>8"] += g.n > 8
+        assert count_hom(h, g) == backtrack_hom(h, g), (sorted(h.edges), h.n, sorted(g.edges), g.n)
+        assert count_injective_hom(h, g) == backtrack_injective(h, g)
+        assert count_copies(h, g) == backtrack_copies(h, g)
+    assert min(seen.values()) >= 5 and seen["host>8"] >= 50, seen
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def test_spasm_one_entry_per_class():
+    """The spasm of P9 has one entry per isomorphism class of quotients by
+    independent partitions whose Moebius values do not cancel, each with
+    that class's coefficient, and no two entries are isomorphic. The
+    classes are rebuilt here from all 21147 set partitions."""
+    h = path_graph(9)
+    classes: dict = {}  # (order, size, degree sequence) -> [[quotient, coefficient]]
+    for part in _set_partitions(list(range(9))):
+        block = {v: b for b, vs in enumerate(part) for v in vs}
+        if any(block[u] == block[v] for u, v in h.edges):
+            continue
+        q = Graph.build(len(part), {(min(block[u], block[v]), max(block[u], block[v]))
+                                    for u, v in h.edges})
+        mu = 1
+        for vs in part:
+            mu *= (-1) ** (len(vs) - 1) * math.factorial(len(vs) - 1)
+        bucket = classes.setdefault(
+            (q.n, q.m, tuple(sorted(q.degree(v) for v in range(q.n)))), [])
+        for entry in bucket:
+            if is_isomorphic(q, entry[0]):
+                entry[1] += mu
+                break
+        else:
+            bucket.append([q, mu])
+    expected = [(q, c) for bucket in classes.values() for q, c in bucket if c]
+    spasm = _spasm(h, _Budget(10**9))
+    assert len(spasm) == len(expected)
+    for f, coeff in spasm:
+        assert [c for q, c in expected if is_isomorphic(f, q)] == [coeff]
+    for i, (f, _) in enumerate(spasm):
+        for f2, _ in spasm[i + 1:]:
+            assert not is_isomorphic(f, f2)
 
 
 def test_work_cap():
     with pytest.raises(CapExceeded) as err:
         count_copies(path_graph(4), complete_graph(9), work_cap=10)
     assert err.value.progress is not None
+
+
+def test_work_cap_is_a_total():
+    """One budget spans the spasm enumeration and every class's DP: the
+    summed steps of the parts are exactly enough, one fewer is not, and the
+    overrun reports the classes counted out of the total."""
+    h, g = path_graph(5), cycle_graph(9)
+    budget = _Budget(10**9)
+    spasm = _spasm(h, budget)
+    need = budget.cap - budget.left
+    for f, _ in spasm:
+        part = _Budget(10**9)
+        _hom_dp(f, g, part)
+        need += part.cap - part.left
+    assert len(spasm) > 1
+    assert count_injective_hom(h, g, work_cap=need) == backtrack_injective(h, g)
+    with pytest.raises(CapExceeded) as err:
+        count_injective_hom(h, g, work_cap=need - 1)
+    assert err.value.progress == (len(spasm) - 1, len(spasm))
+    with pytest.raises(CapExceeded) as err:
+        count_copies(h, g, work_cap=3)
+    assert err.value.progress == (0, None)  # still enumerating the spasm
+    part = _Budget(10**9)
+    assert _hom_dp(h, g, part) == count_hom(h, g, work_cap=part.cap - part.left)
+    with pytest.raises(CapExceeded) as err:
+        count_hom(h, g, work_cap=part.cap - part.left - 1)
+    assert err.value.progress == (0, 1)
+
+
+def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):
+    """A wrong |Aut(H)| is caught by an explicit check, not an assert, and
+    the CLI reports it in one line with exit 1."""
+    monkeypatch.setattr(counting, "count_isomorphisms", lambda a, b: 7)
+    with pytest.raises(InternalInvariantError):
+        count_copies(path_graph(3), complete_graph(4))
+    pattern, host = tmp_path / "p3.g", tmp_path / "k4.g"
+    pattern.write_text(serialize_graph(path_graph(3)))
+    host.write_text(serialize_graph(complete_graph(4)))
+    assert main(["count", str(pattern), str(host)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_goodman():

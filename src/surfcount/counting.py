@@ -13,13 +13,14 @@ the host and the pattern's width, not with the number of maps counted:
   of H is the set of quotients of H by partitions of V(H) into independent
   blocks, and c_F sums the Moebius value prod_B (-1)^(|B|-1) (|B|-1)! over
   the partitions whose quotient is isomorphic to F (Curticapean-Dell-Marx,
-  STOC 2017).
+  STOC 2017). Isolated vertices of H stay out of the spasm: they take any
+  of the host vertices left over, a falling factorial.
 - copies(H, G) is inj(H, G) / |Aut(H)|, exact because Aut(H) acts freely
-  on injective maps.
+  on injective maps; |Aut(H)| comes from H's components.
 
-One work cap bounds a whole call: every partition enumerated and every DP
-step spends from the same budget. On overrun, CapExceeded reports how many
-spasm classes were counted out of the total.
+One work cap bounds a whole call: every partition, DP step and automorphism
+enumerated spends from the same budget. On overrun, CapExceeded reports how
+many spasm classes were counted out of the total.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .graph import Graph, connected_components, count_isomorphisms, is_isomorphic
+from .graph import (Graph, _isomorphisms, connected_components, induced_subgraph,
+                    is_isomorphic)
 
 DEFAULT_WORK_CAP = 10**9
 
@@ -226,23 +228,48 @@ def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
     return [(f, c) for f, c in found if c]
 
 
-def _count_injective(h: Graph, g: Graph, work_cap: int) -> int:
-    """inj(h, g) as the spasm sum, all of it under one budget."""
+def _count_injective(h: Graph, g: Graph, budget: _Budget) -> int:
+    """inj(h, g): the spasm sum for h without its isolated vertices, times
+    the ways to place those injectively in the host vertices left over."""
     if h.n > g.n:
         return 0
-    budget = _Budget(work_cap)
+    core = [v for v in range(h.n) if h.adj[v]]
+    isolated = h.n - len(core)
+    if isolated:
+        h = induced_subgraph(h, core)
     spasm = _spasm(h, budget)
     budget.total = len(spasm)
     total = 0
     for f, coeff in spasm:
         total += coeff * _hom_dp(f, g, budget)
         budget.done += 1
+    return total * math.perm(g.n - h.n, isolated)
+
+
+def _automorphism_count(h: Graph, budget: _Budget) -> int:
+    """|Aut(h)|: k components isomorphic to C contribute |Aut(C)|^k * k!.
+    Each automorphism of a class representative costs one step."""
+    classes: list[list] = []  # [component, copies]
+    for comp in connected_components(h):
+        c = induced_subgraph(h, comp)
+        entry = next((e for e in classes if is_isomorphic(c, e[0])), None)
+        if entry is None:
+            classes.append([c, 1])
+        else:
+            entry[1] += 1
+    total = 1
+    for c, k in classes:
+        aut = 0
+        for _ in _isomorphisms(c, c):
+            budget.spend(1)
+            aut += 1
+        total *= aut ** k * math.factorial(k)
     return total
 
 
 def count_injective_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
     """Number of injective adjacency-preserving maps V(h) -> V(g)."""
-    return _count_injective(h, g, work_cap)
+    return _count_injective(h, g, _Budget(work_cap))
 
 
 def count_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
@@ -256,8 +283,9 @@ def count_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
 def count_copies(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
     """Number of subgraphs of g isomorphic to h (vertex-and-edge subsets):
     injective maps divided by |Aut(h)|, which acts freely on them."""
-    inj = _count_injective(h, g, work_cap)
-    aut = count_isomorphisms(h, h)
+    budget = _Budget(work_cap)
+    inj = _count_injective(h, g, budget)
+    aut = _automorphism_count(h, budget)
     if inj % aut:
         raise InternalInvariantError(
             f"{inj} injective maps do not split into orbits of |Aut(H)| = {aut}")

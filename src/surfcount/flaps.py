@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapExceeded, PreconditionError
-from .graph import Graph, add_clique, as_vertex_set, induced_subgraph, is_connected
+from .errors import CapExceeded, InternalInvariantError, PreconditionError
+from .graph import (
+    Graph, add_clique, as_vertex_set, connected_components, induced_subgraph, is_connected)
 from .planarity import is_planar
 
 DEFAULT_FLAP_SIZE_CAP = 16
@@ -76,10 +77,7 @@ def is_flap(h: Graph, sep: Separation) -> bool:
 
 def has_any_separation(h: Graph) -> bool:
     """Does H admit any separation of order at most 2?"""
-    for x in _cut_sets(h):
-        if len(_components_without(h, x)) >= 2:
-            return True
-    return False
+    return any(len(connected_components(h, x)) >= 2 for x in _cut_sets(h))
 
 
 def _cut_sets(h: Graph):
@@ -90,27 +88,6 @@ def _cut_sets(h: Graph):
         yield pair
 
 
-def _components_without(h: Graph, removed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    banned = set(removed)
-    seen = set(banned)
-    comps = []
-    for start in range(h.n):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for w in h.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-                    comp.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
     """All canonical flap candidates: (X, S) with S a single component of
     H - X, non-empty complement, and planar clique-completed side. Ordered
@@ -119,7 +96,7 @@ def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
         raise PreconditionError("need at least 2 vertices")
     out: list[Separation] = []
     for x in _cut_sets(h):
-        comps = _components_without(h, x)
+        comps = connected_components(h, x)
         if len(comps) < 2:
             continue
         for s in comps:
@@ -212,7 +189,9 @@ def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
         if has_any_separation(h):
             # every small separation has both clique-completed sides
             # non-planar, which forces the graph itself non-planar
-            assert not is_planar(h)
+            if is_planar(h):
+                raise InternalInvariantError(
+                    "planar graph with a small separation but no flap candidate")
             return 0
         return 1 if is_planar(h) else 0
     return len(_max_packing(_interior_candidates(cands, h)))
@@ -278,7 +257,8 @@ def maximum_flap_family(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> list
         if not any(q != pos and sides[pos] < sides[q] for q in range(len(pool))):
             first = cand
             break
-    assert first is not None
+    if first is None:
+        raise InternalInvariantError("no candidate flap is maximal by side inclusion")
     packing = _max_packing(items, forced=interior_index[first.s])
     by_interior: dict[int, Separation] = {}
     for cand in cands:

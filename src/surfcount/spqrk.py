@@ -11,10 +11,10 @@ node edge is virtual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain
 
-from .errors import CapExceeded, PreconditionError
-from .graph import Graph, is_connected
+from .errors import CapExceeded, InternalInvariantError, PreconditionError
+from .graph import Graph, articulation_points, connected_components, is_connected
 
 REAL = "R"
 VIRTUAL = "V"
@@ -43,50 +43,28 @@ class SpqrkTree:
         return adj
 
 
-def _is_three_connected(g: Graph) -> bool:
-    if g.n < 4:
-        return False
-    for r in (1, 2):
-        for cut in combinations(range(g.n), r):
-            banned = set(cut)
-            start = next(v for v in range(g.n) if v not in banned)
-            stack, seen = [start], {start} | banned
-            while stack:
-                v = stack.pop()
-                for w in g.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) < g.n:
-                return False
-    return True
-
-
-def _is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)) and is_connected(g)
-
-
-def _cut_vertices(g: Graph) -> list[int]:
-    out = []
-    for v in range(g.n):
-        if g.n <= 2:
-            break
-        banned = {v}
-        start = next(u for u in range(g.n) if u != v)
-        stack, seen = [start], {start, v}
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < g.n:
-            out.append(v)
-    return out
+def _separating_pair(g: Graph) -> tuple[int, int] | None:
+    """For a 2-connected g that is not a cycle: None if g is 3-connected,
+    else the lexicographically first pair x < y, both of degree at least 3,
+    whose removal disconnects g. The y that pair with x are the
+    articulation points of g - x."""
+    pairs = ((x, y) for x in range(g.n) for y in articulation_points(g, (x,)) if y > x)
+    first = next(pairs, None)
+    if first is None:
+        return None
+    for x, y in chain((first,), pairs):
+        if g.degree(x) >= 3 and g.degree(y) >= 3:
+            return x, y
+    raise InternalInvariantError("2-connected non-cycle graph must have a degree-3 cutset")
 
 
 class _Builder:
-    """Recursive construction over subgraphs carrying original indices."""
+    """Worklist construction over subgraphs carrying original indices.
+
+    A piece that splits adds its Q or P node, then its children in order,
+    each child's subtree whole before the next. After a child's subtree,
+    the tree edge from the split node to its anchor in that subtree is
+    linked, so nodes and links come in the order of a recursive build."""
 
     def __init__(self):
         self.nodes: list[SpqrkNode] = []
@@ -96,142 +74,101 @@ class _Builder:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def build(self, vertices: tuple[int, ...], edges: frozenset[tuple[int, int]]) -> list[int]:
-        """Build the subtree for the sub(multi)graph on ``vertices`` with
-        ``edges`` (original indices). Returns the indices of the nodes
-        created, in creation order."""
-        start = len(self.nodes)
+    def build(self, vertices: tuple[int, ...], edges) -> None:
+        """Build the tree of the graph on ``vertices`` with ``edges``
+        (original indices). The stack holds pieces still to place, as
+        (vertices, edges, split node or None, shared cut), and links still
+        to make, as (split node, shared cut, first node of the child)."""
+        work: list[tuple] = [(vertices, edges, None, ())]
+        while work:
+            item = work.pop()
+            if len(item) == 3:
+                parent, shared, first = item
+                child_nodes = range(first, len(self.nodes))
+                if self.nodes[parent].kind == "P":
+                    anchor = self._flip_real_to_virtual(child_nodes, shared)
+                else:
+                    anchor = self._q_anchor(child_nodes, shared[0])
+                self.links.append((parent, anchor))
+                continue
+            vertices, edges, parent, shared = item
+            if parent is not None:
+                work.append((parent, shared, len(self.nodes)))
+            work.extend(reversed(self._piece(vertices, edges)))
+
+    def _piece(self, vertices: tuple[int, ...], edges) -> list[tuple]:
+        """Add the node of one piece, or the split node of a piece that
+        splits, and return the children's pieces in order."""
         index = {v: i for i, v in enumerate(vertices)}
         local = Graph.build(len(vertices), [(index[u], index[v]) for u, v in edges])
-
-        def orig(e: tuple[int, int]) -> tuple[int, int]:
-            u, v = vertices[e[0]], vertices[e[1]]
-            return (u, v) if u < v else (v, u)
-
-        if _is_three_connected(local):
-            self.add_node(SpqrkNode("R", vertices, [(*orig(e), REAL) for e in sorted(local.edges)]))
-        elif _is_cycle(local):
-            self.add_node(SpqrkNode("S", vertices, [(*orig(e), REAL) for e in sorted(local.edges)]))
-        elif local.n <= 2:
-            self.add_node(SpqrkNode("K", vertices, [(*orig(e), REAL) for e in sorted(local.edges)]))
-        elif not _cut_vertices(local) and local.n >= 3:
-            self._split_two_cut(vertices, local)
+        cuts = articulation_points(local)
+        if cuts:
+            return self._split(vertices, local, (cuts[0],))
+        if local.n <= 2:
+            kind = "K"
+        elif all(local.degree(v) == 2 for v in range(local.n)):
+            kind = "S"
         else:
-            self._split_cut_vertex(vertices, local)
-        return list(range(start, len(self.nodes)))
+            pair = _separating_pair(local)
+            if pair is not None:
+                return self._split(vertices, local, pair)
+            kind = "R"
+        edges = [(vertices[u], vertices[v], REAL) for u, v in sorted(local.edges)]
+        self.add_node(SpqrkNode(kind, vertices, edges))
+        return []
 
-    # -- 2-connected with a degree-3 cutset: P node -------------------------
+    def _split(self, vertices: tuple[int, ...], local: Graph,
+               cut: tuple[int, ...]) -> list[tuple]:
+        """Add the Q node of a cut vertex or the P node of a separating
+        pair (local indices) and return one piece per component of
+        local - cut: the component with the cut, and the edges with an end
+        in the component plus, under a P node, the pair's edge."""
+        shared = tuple(vertices[v] for v in cut)
+        comps = connected_components(local, cut)
+        if len(cut) == 1:
+            split = self.add_node(SpqrkNode("Q", shared, []))
+            extra = ()
+        else:
+            p_edges = [(*shared, VIRTUAL) for _ in comps]
+            if local.has_edge(*cut):
+                p_edges.append((*shared, REAL))
+            split = self.add_node(SpqrkNode("P", shared, p_edges))
+            extra = (shared,)
+        where = [-1] * local.n
+        pieces = []
+        for k, comp in enumerate(comps):
+            for v in comp:
+                where[v] = k
+            pieces.append((tuple(sorted(vertices[v] for v in comp + cut)), set(extra),
+                           split, shared))
+        for u, v in local.edges:
+            k = where[u] if where[u] >= 0 else where[v]
+            if k >= 0:  # vertices are sorted, so u < v keeps its order
+                pieces[k][1].add((vertices[u], vertices[v]))
+        return pieces
 
-    def _split_two_cut(self, vertices: tuple[int, ...], local: Graph) -> None:
-        cut = None
-        for x, y in combinations(range(local.n), 2):
-            if local.degree(x) < 3 or local.degree(y) < 3:
-                continue
-            banned = {x, y}
-            start = next(v for v in range(local.n) if v not in banned)
-            stack, seen = [start], {start} | banned
-            while stack:
-                v = stack.pop()
-                for w in local.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) < local.n:
-                cut = (x, y)
-                break
-        assert cut is not None, "2-connected non-cycle graph must have a degree-3 cutset"
-        x, y = cut
-        ox, oy = vertices[x], vertices[y]
-        if ox > oy:
-            ox, oy = oy, ox
-        comps = _components_excluding(local, {x, y})
-        has_xy = local.has_edge(x, y)
-        p_edges: list[tuple[int, int, str]] = [(ox, oy, VIRTUAL) for _ in comps]
-        if has_xy:
-            p_edges.append((ox, oy, REAL))
-        p_index = self.add_node(SpqrkNode("P", (ox, oy), p_edges))
-        for comp in comps:
-            comp_orig = tuple(sorted(vertices[v] for v in comp) )
-            sub_vertices = tuple(sorted(set(comp_orig) | {ox, oy}))
-            sub_edges = set()
-            comp_set = set(comp_orig)
-            for u, v in _orig_edges(local, vertices):
-                if (u in comp_set or v in comp_set) and u in sub_vertices and v in sub_vertices:
-                    sub_edges.add((u, v) if u < v else (v, u))
-            xy_added = (min(ox, oy), max(ox, oy))
-            sub_edges.add(xy_added)
-            child_nodes = self.build(sub_vertices, frozenset(sub_edges))
-            anchor = self._flip_real_to_virtual(child_nodes, xy_added)
-            self.links.append((p_index, anchor))
+    def _q_anchor(self, node_ids: range, ox: int) -> int:
+        """The node of a Q node's child subtree that holds the cut vertex
+        ``ox``: the only one, or else the first P node among them."""
+        containing = [i for i in node_ids if ox in self.nodes[i].vertices]
+        if len(containing) == 1:
+            return containing[0]
+        for i in containing:
+            if self.nodes[i].kind == "P":
+                return i
+        raise InternalInvariantError(f"multiplied vertex {ox} lies in no P node")
 
-    # -- has a cut vertex: Q node -------------------------------------------
-
-    def _split_cut_vertex(self, vertices: tuple[int, ...], local: Graph) -> None:
-        cuts = _cut_vertices(local)
-        assert cuts, "connected, not 2-connected graph must have a cut vertex"
-        x = cuts[0]
-        ox = vertices[x]
-        q_index = self.add_node(SpqrkNode("Q", (ox,), []))
-        comps = _components_excluding(local, {x})
-        for comp in comps:
-            comp_orig = set(vertices[v] for v in comp)
-            sub_vertices = tuple(sorted(comp_orig | {ox}))
-            sub_edges = frozenset(
-                (u, v) for u, v in _orig_edges(local, vertices)
-                if u in sub_vertices and v in sub_vertices and (u in comp_orig or v in comp_orig)
-            )
-            child_nodes = self.build(sub_vertices, sub_edges)
-            containing = [i for i in child_nodes if ox in self.nodes[i].vertices]
-            if len(containing) == 1:
-                anchor = containing[0]
-            else:
-                p_nodes = [i for i in containing if self.nodes[i].kind == "P"]
-                assert p_nodes, "multiplied vertex must lie in some P node"
-                anchor = p_nodes[0]  # first in construction order
-            self.links.append((q_index, anchor))
-
-    def _flip_real_to_virtual(self, node_ids: list[int], edge: tuple[int, int]) -> int:
+    def _flip_real_to_virtual(self, node_ids: range, edge: tuple[int, int]) -> int:
         """Within the given nodes, find the unique node holding ``edge`` as a
         real edge, flip that occurrence to virtual, and return the node id."""
-        hits = []
-        for i in node_ids:
-            node = self.nodes[i]
-            for j, (u, v, flag) in enumerate(node.edges):
-                if flag == REAL and (u, v) == edge:
-                    hits.append((i, j))
-        assert len(hits) == 1, f"edge {edge} should be real in exactly one node, got {len(hits)}"
+        hits = [(i, j) for i in node_ids
+                for j, e in enumerate(self.nodes[i].edges) if e == (*edge, REAL)]
+        if len(hits) != 1:
+            raise InternalInvariantError(
+                f"edge {edge} should be real in exactly one node, got {len(hits)}")
         i, j = hits[0]
-        u, v, _ = self.nodes[i].edges[j]
-        self.nodes[i].edges[j] = (u, v, VIRTUAL)
+        self.nodes[i].edges[j] = (*edge, VIRTUAL)
         return i
-
-
-def _components_excluding(g: Graph, banned: set[int]) -> list[tuple[int, ...]]:
-    """Connected components of g - banned, in g's own indexing."""
-    seen = set(banned)
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        stack, comp = [start], [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-                    comp.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _orig_edges(local: Graph, vertices: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    for u, v in local.edges:
-        a, b = vertices[u], vertices[v]
-        out.append((a, b) if a < b else (b, a))
-    return out
 
 
 def spqrk_build(g: Graph) -> SpqrkTree:
@@ -364,16 +301,15 @@ def serialize_spqrk(tree: SpqrkTree) -> str:
     adj = tree.adjacency()
     lines: list[str] = []
     seen = set()
-
-    def emit(i: int, depth: int) -> None:
+    stack = [(0, 0)]  # (node, depth), children pushed in reverse order
+    while stack:
+        i, depth = stack.pop()
+        if i in seen:
+            continue
         seen.add(i)
         node = tree.nodes[i]
         vs = "{" + ",".join(map(str, node.vertices)) + "}"
         es = " ".join(f"{u}-{v}[{flag}]" for u, v, flag in node.edges)
         lines.append("  " * depth + f"{node.kind} {vs}" + (f" {es}" if es else ""))
-        for j in sorted(adj[i]):
-            if j not in seen:
-                emit(j, depth + 1)
-
-    emit(0, 0)
+        stack.extend((j, depth + 1) for j in sorted(adj[i], reverse=True) if j not in seen)
     return "\n".join(lines) + "\n"

@@ -290,6 +290,14 @@ def _components_without(g: Graph, removed: tuple[int, ...]) -> list[frozenset[in
     return comps
 
 
+def brute_cut_vertices(g: Graph, removed: tuple[int, ...] = ()) -> list[int]:
+    """Vertices of g - removed whose deletion leaves more components,
+    found by deleting each one in turn and counting components."""
+    base = len(_components_without(g, removed))
+    return [v for v in range(g.n) if v not in removed
+            and len(_components_without(g, removed + (v,))) > base]
+
+
 def literal_flap_interiors(g: Graph) -> tuple[bool, set[frozenset[int]]]:
     """(some separation exists, set of interiors S that are flap sides for
     some cut set X), enumerating unions of components and every X of size

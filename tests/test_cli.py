@@ -179,3 +179,13 @@ def test_scaling_cli_past_planarity_cap(capsys, tmp_path):
 def test_deterministic_output(capsys, p5_file):
     runs = {run(capsys, "spqrk", p5_file)[1] for _ in range(3)}
     assert len(runs) == 1
+
+
+def test_spqrk_deep_path(capsys, tmp_path):
+    """A 600-vertex path nests 599 pieces deep; the tree still comes out
+    whole, one line per node, with nothing on stderr."""
+    p = tmp_path / "p600.g"
+    p.write_text(serialize_graph(path_graph(600)))
+    code, out, err = run(capsys, "spqrk", str(p))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1197

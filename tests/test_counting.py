@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -268,10 +269,35 @@ def test_work_cap_is_a_total():
     assert err.value.progress == (0, 1)
 
 
+def test_isolated_vertices_and_automorphisms_are_cheap():
+    """Isolated pattern vertices are placed by a falling factorial and
+    |Aut(H)| is a product over component classes, so nine isolated
+    vertices need neither 21147 spasm partitions nor 9! automorphisms."""
+    start = time.perf_counter()
+    assert count_copies(Graph.build(9, []), complete_graph(12)) == 220
+    assert time.perf_counter() - start < 0.05
+    h = disjoint_union(disjoint_union(cycle_graph(4), cycle_graph(4)), Graph.build(3, []))
+    g = random_graph(random.Random(8), 11, 0.6)
+    assert count_copies(h, g) * count_isomorphisms(h, h) == count_injective_hom(h, g)
+
+
+def test_automorphisms_spend_the_work_cap():
+    """Each automorphism of K1,8 enumerated costs one step of the same
+    budget as the spasm and its DPs: a cap that covers those but not all
+    8! = 40320 automorphisms is exceeded."""
+    star, host = Graph.build(9, [(0, i) for i in range(1, 9)]), complete_graph(9)
+    budget = _Budget(10**9)
+    counting._count_injective(star, host, budget)
+    need = budget.cap - budget.left + math.factorial(8)
+    assert count_copies(star, host, work_cap=need) == 9
+    with pytest.raises(CapExceeded):
+        count_copies(star, host, work_cap=need - 1)
+
+
 def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):
     """A wrong |Aut(H)| is caught by an explicit check, not an assert, and
     the CLI reports it in one line with exit 1."""
-    monkeypatch.setattr(counting, "count_isomorphisms", lambda a, b: 7)
+    monkeypatch.setattr(counting, "_automorphism_count", lambda h, budget: 7)
     with pytest.raises(InternalInvariantError):
         count_copies(path_graph(3), complete_graph(4))
     pattern, host = tmp_path / "p3.g", tmp_path / "k4.g"

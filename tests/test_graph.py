@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from support import _components_without, brute_cut_vertices, random_graph
 from surfcount.errors import ParseError, PreconditionError
 from surfcount.graph import (
     Graph,
     add_clique,
+    articulation_points,
     automorphisms,
     complete_graph,
     connected_components,
@@ -75,6 +79,31 @@ def test_connected_components():
     assert connected_components(g) == [(0,), (1, 2)]
     p5_minus_mid = induced_subgraph(path_graph(5), [0, 1, 3, 4])
     assert connected_components(p5_minus_mid) == [(0, 1), (2, 3)]
+
+
+def test_connectivity_against_brute_force():
+    """articulation_points and connected_components with 0-2 removed
+    vertices against deleting each vertex and counting components, on 300
+    seeded graphs: every order from 0 to 14, sparse ones with isolated
+    vertices and several components, and dense ones."""
+    rng = random.Random(1973)
+    seen = {"n<=2": 0, "isolated": 0, "disconnected": 0, "cut": 0}
+    for i in range(300):
+        n = i % 15
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
+        removed = tuple(rng.sample(range(n), min(n, i % 3)))
+        comps = connected_components(g, removed)
+        assert comps == [tuple(sorted(c)) for c in _components_without(g, removed)]
+        cuts = articulation_points(g, removed)
+        assert cuts == brute_cut_vertices(g, removed), (n, sorted(g.edges), removed)
+        seen["n<=2"] += n <= 2
+        seen["isolated"] += any(len(c) == 1 for c in comps)
+        seen["disconnected"] += len(comps) > 1
+        seen["cut"] += bool(cuts)
+    assert min(seen.values()) >= 20, seen
+    assert articulation_points(path_graph(5)) == [1, 2, 3]
+    assert articulation_points(path_graph(5), (2,)) == []
+    assert articulation_points(cycle_graph(6), (0,)) == [2, 3, 4]
 
 
 def test_contract_edge():

@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +100,60 @@ def test_serialization():
     assert lines[0].startswith("P {0,1}")
     assert all("[R]" in ln or "[V]" in ln for ln in lines)
     assert lines[1].startswith("  ")  # indented children
+
+
+def test_deep_path_needs_no_recursion():
+    """Building and serializing a 400-vertex path, whose tree is 796
+    levels deep, fits in 100 frames above the caller's."""
+    g = path_graph(400)
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack())
+    sys.setrecursionlimit(depth + 100)
+    try:
+        tree = spqrk_build(g)
+        text = serialize_spqrk(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(tree.nodes) == 797 and len(text.splitlines()) == 797
+    assert text.splitlines()[-1] == "  " * 795 + "K {398,399} 398-399[R]"
+
+
+GOLDEN = Path(__file__).parent / "data" / "spqrk_golden.txt"
+
+
+def _grid(k):
+    return Graph.build(k * k, [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+                       + [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)])
+
+
+def _wheel(rim):
+    return Graph.build(rim + 1, [(0, i) for i in range(1, rim + 1)]
+                       + [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+def _necklace(beads):
+    """K4s in a ring, bead i's vertex 3 joined to bead i+1's vertex 0."""
+    edges = [(4 * b + i, 4 * b + j) for b in range(beads)
+             for i in range(4) for j in range(i + 1, 4)]
+    edges += [(4 * b + 3, 4 * ((b + 1) % beads)) for b in range(beads)]
+    return Graph.build(4 * beads, edges)
+
+
+def golden_text():
+    """Serialized trees of the golden graphs, each after a ``# name`` line."""
+    rng = random.Random(4711)
+    graphs = [(f"random{i}", random_connected_graph(rng, rng.randint(1, 16),
+                                                    rng.choice([0.0, 0.1, 0.2, 0.35])))
+              for i in range(100)]
+    graphs += [("grid6", _grid(6)), ("wheel30", _wheel(30)),
+               ("necklace8", _necklace(8)), ("path60", path_graph(60))]
+    return "".join(f"# {name}\n{serialize_spqrk(spqrk_build(g))}" for name, g in graphs)
+
+
+def test_golden_trees():
+    assert golden_text() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    # rewrites the golden file; only for an intended change of the trees
+    GOLDEN.write_text(golden_text())

@@ -62,6 +62,14 @@ def _surface_list(args) -> tuple[str, int, list[embedding.EmbeddedGraph], bool]:
     return args.name or f"genus{args.genus}", args.genus, extra, args.complete
 
 
+def _size_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_surface_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surface", choices=["sphere", "n1", "custom"], default="custom")
     p.add_argument("--genus", type=int, default=None)
@@ -132,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--generator", choices=["tree-blowup", "paste", "split-growth"],
                    required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated, increasing")
+    p.add_argument("--sizes", type=_size_list, required=True,
+                   help="comma-separated, increasing")
     p.add_argument("--seed", default="k4-sphere",
                    help="seed embedding for split-growth")
     p.add_argument("--work-cap", type=int, default=counting.DEFAULT_WORK_CAP)
@@ -220,7 +229,6 @@ def _run(args) -> None:
             rep = counting.check_genus_triangle_bound(g, args.genus)
             _emit_kv(rep.as_dict(), args.json)
     elif cmd == "scaling":
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
         h = _load_graph(args.graph)
         if args.generator == "tree-blowup":
             gen = lambda n: constructions.tree_blowup(h, n)
@@ -229,7 +237,7 @@ def _run(args) -> None:
         else:
             seed = _seed_embedding(args.seed)
             gen = lambda n: constructions.split_growth(seed, n).graph
-        rep = counting.scaling_exponent(h, sizes, gen, work_cap=args.work_cap)
+        rep = counting.scaling_exponent(h, args.sizes, gen, work_cap=args.work_cap)
         if args.json:
             print(json.dumps(rep.as_dict(), sort_keys=True))
         else:

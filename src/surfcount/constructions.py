@@ -8,8 +8,8 @@ vertex by vertex while preserving its clique-count excesses.
 
 from __future__ import annotations
 
-from .embedding import EmbeddedGraph, is_triangulation, split_triangle, trace_faces
-from .errors import PreconditionError
+from .embedding import EmbeddedGraph, _split_walk, is_triangulation, trace_faces
+from .errors import InternalInvariantError, PreconditionError
 from .flaps import flap_number, forest_mis, is_tree, maximum_flap_family, tree_beta
 from .graph import Graph, induced_subgraph, is_connected
 
@@ -99,7 +99,8 @@ def _maximum_low_degree_stable_set(t: Graph) -> list[int]:
         if len(chosen) + 1 + forest_mis(t, trial) == target:
             chosen.append(v)
             removed |= {v} | set(t.adj[v])
-    assert len(chosen) == target
+    if len(chosen) != target:
+        raise InternalInvariantError("greedy stable set fell short of the tree's beta")
     return chosen
 
 
@@ -142,6 +143,6 @@ def split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:
         raise PreconditionError(f"target {n} below seed order {seed.n}")
     eg = seed
     while eg.n < n:
-        face = min(tuple(sorted(w.vertex_set())) for w in trace_faces(eg))
-        eg = split_triangle(eg, face)
+        walk = min(trace_faces(eg), key=lambda w: sorted(w.vertices))
+        eg = _split_walk(eg, walk)
     return eg

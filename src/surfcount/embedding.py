@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CapExceeded, ParseError, PreconditionError
+from .errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
 from .graph import Graph, connected_components, is_connected
 from .planarity import is_planar
 
@@ -48,9 +48,6 @@ class FacialWalk:
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
-
-    def edge_multiset(self) -> tuple[Edge, ...]:
-        return tuple(sorted(_norm(u, v) for u, v in self.steps))
 
     def is_triangle(self) -> bool:
         return len(self.steps) == 3 and len(self.vertex_set()) == 3
@@ -108,40 +105,31 @@ class EmbeddedGraph:
 
 def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
     """The complete face set. Deterministic: faces sorted by their least
-    traversal state."""
-    states: set[State] = set()
-    for u, v in eg.graph.edges:
-        for s in (1, -1):
-            states.add((u, v, s))
-            states.add((v, u, s))
-    orbits: list[list[State]] = []
-    orbit_of: dict[State, int] = {}
-    remaining = sorted(states)
-    for start in remaining:
-        if start in orbit_of:
+    traversal state. Each face's orbit is traced from its least state, then
+    the reverse traversal from that state's mirror, so every state is seen
+    once."""
+    seen: set[State] = set()
+    faces: list[FacialWalk] = []
+    for start in sorted((p, q, s) for u, v in eg.graph.edges
+                        for p, q in ((u, v), (v, u)) for s in (1, -1)):
+        if start in seen:
             continue
         orbit = [start]
-        orbit_of[start] = len(orbits)
         cur = eg.next_state(start)
         while cur != start:
             orbit.append(cur)
-            orbit_of[cur] = len(orbits)
             cur = eg.next_state(cur)
-        orbits.append(orbit)
-
-    def mirror(state: State) -> State:
-        u, v, sign = state
-        return (v, u, -sign * eg.sign(u, v))
-
-    faces: list[FacialWalk] = []
-    claimed = [False] * len(orbits)
-    for i, orbit in enumerate(orbits):
-        if claimed[i]:
-            continue
-        j = orbit_of[mirror(orbit[0])]
-        assert j != i and not claimed[j] and len(orbits[j]) == len(orbit), \
-            "face orbits must pair off by traversal direction"
-        claimed[i] = claimed[j] = True
+        seen.update(orbit)
+        u, v, sign = start
+        cur = back = (v, u, -sign * eg.sign(u, v))
+        size = 0
+        while cur not in seen:
+            seen.add(cur)
+            size += 1
+            cur = eg.next_state(cur)
+        if cur != back or size != len(orbit):
+            raise InternalInvariantError(
+                "face orbits must pair off by traversal direction")
         faces.append(FacialWalk(tuple((u, v) for u, v, _ in orbit)))
     return faces
 
@@ -152,7 +140,8 @@ def euler_genus(eg: EmbeddedGraph) -> int:
         raise PreconditionError("Euler genus needs a connected graph")
     f = len(trace_faces(eg)) if eg.m > 0 else 1
     g = 2 - eg.n + eg.m - f
-    assert g >= 0, "face tracing produced an impossible face count"
+    if g < 0:
+        raise InternalInvariantError("face tracing produced an impossible face count")
     return g
 
 
@@ -302,7 +291,8 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
             f"the two faces at ({v},{w}) are not the two triangles through it")
     arc = rot_w[2:-1]  # w's neighbors strictly between x and y
     rot_v = _rotate_to(eg.rotations[v], w)  # (w, y, ..., x) cyclically
-    assert rot_v[1] == y and rot_v[-1] == x, "face corners disagree at v"
+    if rot_v[1] != y or rot_v[-1] != x:
+        raise InternalInvariantError("face corners disagree at v")
     rest = rot_v[2:-1]  # v's neighbors strictly between y and x
     # v's new rotation, cyclically (x, arc, y, rest)
     merged = list(arc) + [y] + rest + [x]
@@ -401,45 +391,31 @@ def split_triangle(eg: EmbeddedGraph, face: tuple[int, int, int]) -> EmbeddedGra
     fs = frozenset(face)
     if len(fs) != 3:
         raise PreconditionError("face must have three distinct vertices")
-    hit = None
     for walk in trace_faces(eg):
         if walk.is_triangle() and walk.vertex_set() == fs:
-            hit = walk
-            break
-    if hit is None:
-        raise PreconditionError(f"{tuple(sorted(fs))} is not a facial triangle")
-    # normalize the three face edges to positive signs; a facial walk
-    # always has positive total sign, so switches at the face vertices
-    # suffice
-    a, b, c = hit.vertices
-    for _ in range(3):
-        changed = False
-        for (p, q) in ((a, b), (b, c), (c, a)):
-            if eg.sign(p, q) < 0:
-                other = next(z for z in (a, b, c) if z not in (p, q))
-                if eg.sign(p, other) < 0:
-                    eg = switch_vertex(eg, p)
-                else:
-                    eg = switch_vertex(eg, q)
-                changed = True
-                break
-        if not changed:
-            break
-    if any(eg.sign(p, q) < 0 for p, q in ((a, b), (b, c), (c, a))):
-        raise PreconditionError("could not normalize face signs")
-    # find the corner orientation at one vertex: v with successor x -> y
-    for (x, v, y) in ((a, b, c), (b, c, a), (c, a, b)):
+            return _split_walk(eg, walk)
+    raise PreconditionError(f"{tuple(sorted(fs))} is not a facial triangle")
+
+
+def _split_walk(eg: EmbeddedGraph, walk: FacialWalk) -> EmbeddedGraph:
+    """Split the facial triangle traced as ``walk``, a face of ``eg``."""
+    a, b, c = walk.vertices
+    sides = ((a, b), (b, c), (c, a))
+    # a facial walk has positive total sign, so zero or two of its edges
+    # are negative; switching the vertex they share makes all three positive
+    negative = [e for e in sides if eg.sign(*e) < 0]
+    if len(negative) == 2:
+        (shared,) = set(negative[0]) & set(negative[1])
+        eg = switch_vertex(eg, shared)
+    if any(eg.sign(p, q) < 0 for p, q in sides):
+        raise InternalInvariantError("could not normalize face signs")
+    # a corner x -> v -> y with y next after x in v's rotation; the face
+    # may run either way round, so the reversed corners come second
+    for x, v, y in ((a, b, c), (b, c, a), (c, a, b), (c, b, a), (b, a, c), (a, c, b)):
         rot = eg.rotations[v]
-        i = rot.index(x)
-        if rot[(i + 1) % len(rot)] == y:
+        if rot[(rot.index(x) + 1) % len(rot)] == y:
             return split_path(eg, x, v, y)
-    # the face may run the other way around
-    for (x, v, y) in ((c, b, a), (b, a, c), (a, c, b)):
-        rot = eg.rotations[v]
-        i = rot.index(x)
-        if rot[(i + 1) % len(rot)] == y:
-            return split_path(eg, x, v, y)
-    raise PreconditionError("no corner of the face is rotation-consecutive")
+    raise InternalInvariantError("no corner of the face is rotation-consecutive")
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +542,7 @@ def _is_bipartite(g: Graph) -> bool:
     return True
 
 
-def min_genus_search(g: Graph, cap: int = MIN_GENUS_VERTEX_CAP,
-                     tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[int, EmbeddedGraph]:
+def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[int, EmbeddedGraph]:
     """Minimum Euler genus over all signed rotation systems, with one
     witness embedding. Backtracks over rotations and cotree edge signs
     (spanning-tree edges can be fixed positive up to switching), pruning
@@ -576,7 +551,7 @@ def min_genus_search(g: Graph, cap: int = MIN_GENUS_VERTEX_CAP,
 
     Hard caps: 8 vertices, 18 edges. ``tries`` caps the number of
     embeddings traced."""
-    if g.n > cap or g.n > MIN_GENUS_VERTEX_CAP:
+    if g.n > MIN_GENUS_VERTEX_CAP:
         raise CapExceeded("size_cap", f"min_genus_search vertex cap is {MIN_GENUS_VERTEX_CAP}")
     if g.m > MIN_GENUS_EDGE_CAP:
         raise CapExceeded("size_cap", f"min_genus_search edge cap is {MIN_GENUS_EDGE_CAP}")
@@ -590,7 +565,7 @@ def min_genus_search(g: Graph, cap: int = MIN_GENUS_VERTEX_CAP,
             index = {v: i for i, v in enumerate(comp)}
             sub = Graph.build(len(comp), [(index[u], index[v]) for u, v in g.edges
                                           if u in index and v in index])
-            genus, emb = min_genus_search(sub, cap=cap, tries=tries)
+            genus, emb = min_genus_search(sub, tries=tries)
             total += genus
             for i, v in enumerate(comp):
                 rotations[v] = tuple(comp[u] for u in emb.rotations[i])

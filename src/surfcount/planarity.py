@@ -247,15 +247,16 @@ class _LRTest:
             self.stack.append(p)
 
 
-def is_planar(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def is_planar(g: Graph) -> bool:
     """True iff g embeds in the sphere.
 
-    Correct for all inputs up to ``size_cap`` vertices (default 512);
-    larger inputs raise CapExceeded. Disconnected inputs are fine: the
+    Correct for all inputs up to DEFAULT_SIZE_CAP vertices (512); larger
+    inputs raise CapExceeded. Disconnected inputs are fine: the
     DFS forest covers every component.
     """
-    if g.n > size_cap:
-        raise CapExceeded("size_cap", f"is_planar cap is {size_cap} vertices, got {g.n}")
+    if g.n > DEFAULT_SIZE_CAP:
+        raise CapExceeded("size_cap",
+                          f"is_planar cap is {DEFAULT_SIZE_CAP} vertices, got {g.n}")
     if g.n <= 4:
         return True
     if g.m > 3 * g.n - 6:

@@ -189,3 +189,12 @@ def test_spqrk_deep_path(capsys, tmp_path):
     code, out, err = run(capsys, "spqrk", str(p))
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 1197
+
+
+def test_scaling_bad_sizes_is_usage_error(capsys, tmp_path):
+    k2 = tmp_path / "k2.g"
+    k2.write_text(serialize_graph(complete_graph(2)))
+    code, out, err = run(capsys, "scaling", "--graph", str(k2),
+                         "--generator", "tree-blowup", "--sizes", "10,x,30")
+    assert code == 2 and out == ""
+    assert "--sizes" in err and "Traceback" not in err

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from support import random_connected_graph, random_tree
+from surfcount import constructions, embedding
 from surfcount.constructions import lower_bound_graph, split_growth, tree_blowup
 from surfcount.counting import count_cliques, count_copies
 from surfcount.embedding import euler_genus, is_triangulation
@@ -10,7 +11,7 @@ from surfcount.errors import PreconditionError
 from surfcount.flaps import flap_number, tree_beta
 from surfcount.graph import complete_graph, disjoint_union, path_graph
 from surfcount.planarity import is_planar
-from surfcount.surfaces import projective_k6, sphere_irreducible
+from surfcount.surfaces import load_bundled, projective_k6, sphere_irreducible
 
 
 def test_paste_p3():
@@ -118,3 +119,19 @@ def test_split_growth_excess_invariance():
 def test_split_growth_errors():
     with pytest.raises(PreconditionError):
         split_growth(sphere_irreducible(), 3)
+
+
+def test_split_growth_traces_once_per_step(monkeypatch):
+    """One face trace checks the seed and one picks each split face: 57
+    for the 56 steps from K4 to 60 vertices."""
+    calls = []
+
+    def counted(eg):
+        calls.append(eg.n)
+        return trace(eg)
+
+    trace = embedding.trace_faces
+    monkeypatch.setattr(embedding, "trace_faces", counted)
+    monkeypatch.setattr(constructions, "trace_faces", counted)
+    assert split_growth(load_bundled("k4_sphere"), 60).n == 60
+    assert len(calls) == 57

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from surfcount import embedding
+from surfcount.cli import main
 from surfcount.counting import count_cliques
 from surfcount.embedding import (
     EmbeddedGraph,
@@ -19,7 +21,7 @@ from surfcount.embedding import (
     switch_vertex,
     trace_faces,
 )
-from surfcount.errors import CapExceeded, ParseError, PreconditionError
+from surfcount.errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
 from surfcount.graph import Graph, complete_graph
 from surfcount.surfaces import (
     PROJECTIVE_K6_FACES,
@@ -264,3 +266,84 @@ def test_fixture_projective_irreducible_7():
     missing = set((i, j) for i in range(7) for j in range(i + 1, 7)) - set(eg.graph.edges)
     assert missing == {(0, 1), (0, 2), (1, 2)}
     assert [count_cliques(eg.graph, s) for s in (3, 4, 5, 6)] == [22, 13, 3, 0]
+
+
+def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):
+    """Too many faces give a negative genus, which an explicit check
+    catches; the CLI reports it in one line with exit 1."""
+    k4 = sphere_irreducible()
+    path = tmp_path / "k4.emb"
+    path.write_text(serialize_embedding(k4))
+    trace = embedding.trace_faces
+    monkeypatch.setattr(embedding, "trace_faces", lambda eg: trace(eg) * 2)
+    with pytest.raises(InternalInvariantError):
+        euler_genus(k4)
+    assert main(["genus", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+GOLDEN = DATA / "embedding_golden.txt"
+
+
+def _k3_sphere():
+    """K3 on the sphere: two triangular faces, every corner of degree 2."""
+    return EmbeddedGraph.build(complete_graph(3), [(1, 2), (0, 2), (0, 1)])
+
+
+def _switched(rng, eg):
+    for v in rng.sample(range(eg.n), rng.randint(1, eg.n)):
+        eg = switch_vertex(eg, v)
+    return eg
+
+
+def _walks_text(eg):
+    return "".join(" ".join(f"{u}>{v}" for u, v in w.steps) + "\n" for w in trace_faces(eg))
+
+
+def golden_text():
+    """Growth, face walks and splits, each after a ``# name`` line. Growth
+    to each size continues the growth to the previous size, which gives
+    the same embedding as growing the seed directly."""
+    from surfcount.constructions import split_growth
+
+    out = []
+    for name in ("k4_sphere", "k6_projective"):
+        eg = load_bundled(name)
+        for n in (5, 6, 9, 17, 57, 150, 400):
+            if n >= eg.n:
+                eg = split_growth(eg, n)
+                out.append(f"# {name} grown to {n}\n{serialize_embedding(eg)}")
+        out.append(f"# {name} grown to 400, walks\n{_walks_text(eg)}")
+    eg = split_growth(_k3_sphere(), 12)
+    out.append(f"# k3_sphere grown to 12\n{serialize_embedding(eg)}")
+    out.append(f"# k3_sphere grown to 12, walks\n{_walks_text(eg)}")
+    rng = random.Random(5150)
+    seeds = [load_bundled("k4_sphere"), load_bundled("k6_projective"), _k3_sphere(),
+             parse_embedding((DATA / "projective_irreducible_7.emb").read_text())]
+    for i in range(20):
+        seed = _switched(rng, rng.choice(seeds))
+        eg = split_growth(seed, seed.n + rng.randint(0, 25))
+        out.append(f"# switched {i}, grown to {eg.n}\n{serialize_embedding(eg)}")
+        if i % 4 == 0:
+            out.append(f"# switched {i}, walks\n{_walks_text(eg)}")
+        eg = _switched(rng, eg)
+        for _ in range(3):
+            face = tuple(sorted(rng.choice(trace_faces(eg)).vertex_set()))
+            eg = split_triangle(eg, face)
+            out.append(f"# switched {i}, split at {face}\n{serialize_embedding(eg)}")
+    prism = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                            (0, 3), (1, 4), (2, 5)])
+    for name, g in (("K4", complete_graph(4)), ("K5", complete_graph(5)), ("prism", prism)):
+        genus, eg = min_genus_search(g)
+        out.append(f"# min_genus_search {name}: genus {genus}\n{serialize_embedding(eg)}")
+    return "".join(out)
+
+
+def test_golden_embeddings():
+    assert golden_text() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    # rewrites the golden file; only for an intended change of the embeddings
+    GOLDEN.write_text(golden_text())

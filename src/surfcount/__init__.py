@@ -3,7 +3,7 @@ extremal census of clique counts on surfaces.
 
 The package is organized around five layers:
 
-- ``graph``: immutable simple graphs, the edge-list text format, minors.
+- ``graph``: immutable simple graphs, the edge-list text format.
 - ``planarity`` / ``flaps`` / ``spqrk``: the left-right planarity test,
   small separations, flaps and the flap number, the S/P/Q/R/K
   decomposition tree.
@@ -78,7 +78,6 @@ from .graph import (
     automorphisms,
     complete_graph,
     connected_components,
-    contract_edge_simple,
     count_isomorphisms,
     cycle_graph,
     disjoint_union,
@@ -86,7 +85,6 @@ from .graph import (
     is_connected,
     parse_graph,
     path_graph,
-    remove_internal_edges,
     serialize_graph,
 )
 from .planarity import is_planar
@@ -119,9 +117,9 @@ __all__ = [
     "flap_reduction", "forest_mis", "is_flap", "is_strongly_non_planar",
     "is_tree", "maximum_flap_family", "tree_beta",
     "Graph", "add_clique", "automorphisms", "complete_graph",
-    "connected_components", "contract_edge_simple", "count_isomorphisms",
-    "cycle_graph", "disjoint_union", "induced_subgraph", "is_connected",
-    "parse_graph", "path_graph", "remove_internal_edges", "serialize_graph",
+    "connected_components", "count_isomorphisms", "cycle_graph",
+    "disjoint_union", "induced_subgraph", "is_connected", "parse_graph",
+    "path_graph", "serialize_graph",
     "is_planar",
     "SpqrkNode", "SpqrkTree", "serialize_spqrk", "spqrk_build", "spqrk_validate",
     "icosahedron", "icosahedron_antipodal_classes", "load_bundled",

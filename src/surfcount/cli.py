@@ -180,10 +180,14 @@ def _run(args) -> None:
     cmd = args.command
     if cmd == "flap-number":
         g = _load_graph(args.graph)
-        print(flaps.flap_number(g, size_cap=args.cap))
         if args.family:
-            for sep in flaps.maximum_flap_family(g, size_cap=args.cap):
+            family = flaps.maximum_flap_family(g, size_cap=args.cap)
+            # a non-empty family's length is the flap number
+            print(len(family) or flaps.flap_number(g, size_cap=args.cap))
+            for sep in family:
                 print(sep.serialize())
+        else:
+            print(flaps.flap_number(g, size_cap=args.cap))
     elif cmd == "snp":
         value = flaps.is_strongly_non_planar(_load_graph(args.graph))
         print(json.dumps(value) if args.json else ("true" if value else "false"))

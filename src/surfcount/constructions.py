@@ -27,23 +27,16 @@ def lower_bound_graph(h: Graph, n: int) -> Graph:
         raise PreconditionError("pasting construction needs a connected graph")
     if n < 4 * h.n:
         raise PreconditionError(f"need n >= 4|V(H)| = {4 * h.n}")
-    k = flap_number(h)
-    if k == 0:
-        raise PreconditionError("strongly non-planar: no flap to paste")
     family = maximum_flap_family(h)
-    q = n // h.n - 1
     if not family:
+        if flap_number(h) == 0:
+            raise PreconditionError("strongly non-planar: no flap to paste")
         # planar, no small separation: disjoint copies
         copies = n // h.n
-        edges = []
-        labels = []
-        for c in range(copies):
-            base = c * h.n
-            edges.extend((base + u, base + v) for u, v in h.edges)
-            labels.extend(f"{h.label_of(v)}#{c}" for v in range(h.n))
-        return Graph.build(copies * h.n, edges, labels)
+        edges = [(c * h.n + u, c * h.n + v) for c in range(copies) for u, v in h.edges]
+        return Graph.build(copies * h.n, edges)
+    q = n // h.n - 1
     edges = set(h.edges)
-    labels = [h.label_of(v) for v in range(h.n)]
     deleted: set[int] = set()
     for sep in family:
         if len(sep.x) == 2:
@@ -51,7 +44,7 @@ def lower_bound_graph(h: Graph, n: int) -> Graph:
             deleted.update(sep.s)
             edges.add((min(sep.x), max(sep.x)))
     next_vertex = h.n
-    for i, sep in enumerate(family):
+    for sep in family:
         side = sorted(set(sep.x) | set(sep.s))
         side_graph = induced_subgraph(h, side)
         place = {v: j for j, v in enumerate(side)}
@@ -61,14 +54,13 @@ def lower_bound_graph(h: Graph, n: int) -> Graph:
             side_edges = set(side_graph.edges) | {e}
         else:
             side_edges = set(side_graph.edges)
-        for copy in range(q):
+        for _ in range(q):
             fresh = {}
             for v in side:
                 if v in sep.x:
                     fresh[place[v]] = v
                 else:
                     fresh[place[v]] = next_vertex
-                    labels.append(f"{h.label_of(v)}~{i}.{copy}")
                     next_vertex += 1
             for a, b in side_edges:
                 u, v = fresh[a], fresh[b]
@@ -79,8 +71,7 @@ def lower_bound_graph(h: Graph, n: int) -> Graph:
     index = {v: i for i, v in enumerate(keep)}
     out_edges = [(index[u], index[v]) for u, v in edges
                  if u not in deleted and v not in deleted]
-    out_labels = [labels[v] for v in keep]
-    return Graph.build(len(keep), out_edges, out_labels)
+    return Graph.build(len(keep), out_edges)
 
 
 def _maximum_low_degree_stable_set(t: Graph) -> list[int]:
@@ -122,15 +113,13 @@ def tree_blowup(t: Graph, n: int) -> Graph:
     index = {v: i for i, v in enumerate(kept)}
     edges = [(index[u], index[v]) for u, v in t.edges
              if u in index and v in index]
-    labels = [t.label_of(v) for v in kept]
     nxt = len(kept)
     for v in stable:
-        for copy in range(q):
+        for _ in range(q):
             for w in t.adj[v]:
                 edges.append((index[w], nxt))
-            labels.append(f"{t.label_of(v)}.{copy}")
             nxt += 1
-    return Graph.build(nxt, edges, labels)
+    return Graph.build(nxt, edges)
 
 
 def split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:

@@ -440,22 +440,27 @@ def scaling_exponent(h: Graph, sizes, generator,
     ``generator(n)`` must return a host graph with at most n vertices; the
     fit uses the actual host orders since generators may undershoot the
     requested size. Sizes must be strictly increasing with at least three
-    points. Zero counts make the log undefined and are reported per size.
+    points. Zero counts make the log undefined and are reported per size;
+    hosts that all have one order leave no spread to fit and are refused.
     """
     sizes = tuple(sizes)
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise PreconditionError("need at least 3 strictly increasing sizes")
     hosts = [generator(n) for n in sizes]
+    orders = tuple(host.n for host in hosts)
+    if len(set(orders)) < 2:
+        raise PreconditionError(
+            f"host orders {','.join(map(str, orders))} all equal: log-log slope undefined")
     counts = [count_copies(h, host, work_cap=work_cap) for host in hosts]
     zero_at = [n for n, c in zip(sizes, counts) if c == 0]
     if zero_at:
         raise PreconditionError(
             f"zero copy count at sizes {zero_at}: log-log slope undefined")
-    xs = [math.log(host.n) for host in hosts]
+    xs = [math.log(n) for n in orders]
     ys = [math.log(c) for c in counts]
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
     sxx = sum((x - xbar) ** 2 for x in xs)
     sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     slope = sxy / sxx
-    return ScalingReport(sizes, tuple(host.n for host in hosts), tuple(counts), slope)
+    return ScalingReport(sizes, orders, tuple(counts), slope)

@@ -321,18 +321,12 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
         rot_z = list(rotations[z])
         rot_z.remove(w)
         rotations[z] = tuple(rot_z)
-    labels = None
-    if g.labels is not None:
-        labels = list(g.labels)
-        labels[v] = f"{labels[v]}+{labels[w]}"
     # remove w and reindex
     remap = [u if u < w else u - 1 for u in range(g.n)]
     new_edges = {(min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in edges}
     new_neg = {(min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in negative}
     new_rots = [tuple(remap[u] for u in rotations[z]) for z in range(g.n) if z != w]
-    if labels is not None:
-        del labels[w]
-    new_graph = Graph.build(g.n - 1, new_edges, labels)
+    new_graph = Graph.build(g.n - 1, new_edges)
     return EmbeddedGraph.build(new_graph, new_rots, new_neg)
 
 
@@ -377,10 +371,7 @@ def split_path(eg: EmbeddedGraph, x: int, v: int, y: int) -> EmbeddedGraph:
     rot_y.insert(rot_y.index(v) + 1, w)
     rotations.append(rot_w)
     edges.update({_norm(v, w), _norm(x, w), _norm(y, w)})
-    labels = None
-    if g.labels is not None:
-        labels = list(g.labels) + [f"{g.labels[v]}'"]
-    new_graph = Graph.build(g.n + 1, edges, labels)
+    new_graph = Graph.build(g.n + 1, edges)
     return EmbeddedGraph.build(new_graph, [tuple(r) for r in rotations], negative)
 
 

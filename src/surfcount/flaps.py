@@ -7,6 +7,9 @@ on X is planar) and whether two separations are independent both depend
 only on (X, S), never on how edges inside X are assigned to sides, so the
 canonical form loses nothing. The brute-force oracle in the test suite
 re-derives everything from the raw definition and confirms the collapse.
+
+Every entry point that needs the candidate flaps walks the cut sets once
+(``_search``), with one planarity test per single-component side.
 """
 
 from __future__ import annotations
@@ -75,11 +78,6 @@ def is_flap(h: Graph, sep: Separation) -> bool:
     return is_planar(_side_plus(h, sep.x, sep.s))
 
 
-def has_any_separation(h: Graph) -> bool:
-    """Does H admit any separation of order at most 2?"""
-    return any(len(connected_components(h, x)) >= 2 for x in _cut_sets(h))
-
-
 def _cut_sets(h: Graph):
     yield ()
     for i in range(h.n):
@@ -88,42 +86,59 @@ def _cut_sets(h: Graph):
         yield pair
 
 
+def _search(h: Graph) -> tuple[list[Separation], bool]:
+    """One pass over the cut sets: the candidate flaps in enumeration
+    order, and whether any cut set separates H at all."""
+    cands: list[Separation] = []
+    separable = False
+    for x in _cut_sets(h):
+        comps = connected_components(h, x)
+        if len(comps) < 2:
+            continue
+        separable = True
+        for s in comps:
+            if is_planar(_side_plus(h, x, s)):
+                cands.append(Separation(x, s))
+    return cands, separable
+
+
 def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
     """All canonical flap candidates: (X, S) with S a single component of
     H - X, non-empty complement, and planar clique-completed side. Ordered
     by X lexicographically (size first), then by S's smallest member."""
     if h.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    out: list[Separation] = []
-    for x in _cut_sets(h):
-        comps = connected_components(h, x)
-        if len(comps) < 2:
-            continue
-        for s in comps:
-            if is_planar(_side_plus(h, x, s)):
-                out.append(Separation(x, s))
-    return out
+    return _search(h)[0]
 
 
-def _interior_candidates(cands: list[Separation], h: Graph) -> list[tuple[int, int]]:
-    """Project candidates to distinct interiors as (vertex mask, blocked
-    mask) pairs in first-appearance order. Independence of two flaps
-    depends only on their interiors: disjoint, with no edge between."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, int]] = []
+def _interiors(h: Graph, cands: list[Separation]) -> tuple[list[tuple[int, int]], list[Separation]]:
+    """The distinct interiors in first-appearance order, as (vertex mask,
+    blocked mask) packing items, and the first candidate of each.
+    Independence of two flaps depends only on their interiors: disjoint,
+    with no edge between."""
+    firsts: dict[tuple[int, ...], Separation] = {}
     for cand in cands:
-        if cand.s in seen:
-            continue
-        seen.add(cand.s)
-        smask = 0
-        for v in cand.s:
-            smask |= 1 << v
+        firsts.setdefault(cand.s, cand)
+    items: list[tuple[int, int]] = []
+    for s in firsts:
+        smask = sum(1 << v for v in s)
         block = smask
-        for v in cand.s:
+        for v in s:
             for w in h.adj[v]:
                 block |= 1 << w
-        out.append((smask, block))
-    return out
+        items.append((smask, block))
+    return items, list(firsts.values())
+
+
+def _valid_first(cands: list[Separation], items: list[tuple[int, int]],
+                 firsts: list[Separation]) -> tuple[int, list[Separation]]:
+    """The flap number of a graph with candidates, and the candidates that
+    are valid first members: those whose interior extends to some maximum
+    independent family (extension depends only on the interior)."""
+    k = len(_max_packing(items))
+    valid = {first.s for i, first in enumerate(firsts)
+             if len(_max_packing(items, forced=i)) == k}
+    return k, [c for c in cands if c.s in valid]
 
 
 def _max_packing(items: list[tuple[int, int]], forced: int | None = None) -> list[int]:
@@ -174,27 +189,30 @@ def _max_packing_core(items: list[tuple[int, int]]) -> list[int]:
     return [keep[i] for i in best]
 
 
+def _check_size_cap(h: Graph, size_cap: int) -> None:
+    if h.n > size_cap:
+        raise CapExceeded("size_cap", f"flap_number cap is {size_cap} vertices, got {h.n}")
+
+
 def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
     """The maximum number of pairwise independent flaps; 1 for a planar
     graph with no small separation at all; 0 exactly for the strongly
     non-planar graphs."""
     if h.n == 0:
         raise PreconditionError("flap number needs a non-empty graph")
-    if h.n > size_cap:
-        raise CapExceeded("size_cap", f"flap_number cap is {size_cap} vertices, got {h.n}")
+    _check_size_cap(h, size_cap)
     if h.n == 1:
         return 1
-    cands = enumerate_candidate_flaps(h)
-    if not cands:
-        if has_any_separation(h):
-            # every small separation has both clique-completed sides
-            # non-planar, which forces the graph itself non-planar
-            if is_planar(h):
-                raise InternalInvariantError(
-                    "planar graph with a small separation but no flap candidate")
-            return 0
-        return 1 if is_planar(h) else 0
-    return len(_max_packing(_interior_candidates(cands, h)))
+    cands, separable = _search(h)
+    if cands:
+        return len(_max_packing(_interiors(h, cands)[0]))
+    planar = is_planar(h)
+    if separable and planar:
+        # every small separation has both clique-completed sides
+        # non-planar, which forces the graph itself non-planar
+        raise InternalInvariantError(
+            "planar graph with a small separation but no flap candidate")
+    return int(planar)
 
 
 def is_strongly_non_planar(h: Graph) -> bool:
@@ -203,7 +221,7 @@ def is_strongly_non_planar(h: Graph) -> bool:
     this: every side contains one, and planarity is subgraph-closed."""
     if h.n <= 4 or is_planar(h):
         return False
-    return len(enumerate_candidate_flaps(h)) == 0
+    return not _search(h)[0]
 
 
 def are_independent(h: Graph, a: Separation, b: Separation) -> bool:
@@ -218,39 +236,21 @@ def are_independent(h: Graph, a: Separation, b: Separation) -> bool:
     return not any(w in sb for v in sa for w in h.adj[v])
 
 
-def _family_context(h: Graph):
-    """(candidates, interior items, interior index lookup, flap count,
-    valid-first candidate pool). A candidate is a valid first member when
-    its interior extends to some maximum independent family; extension
-    behavior depends only on the interior."""
-    cands = enumerate_candidate_flaps(h)
-    items = _interior_candidates(cands, h)
-    interior_index: dict[tuple[int, ...], int] = {}
-    for cand in cands:
-        if cand.s not in interior_index:
-            interior_index[cand.s] = len(interior_index)
-    k = len(_max_packing(items)) if items else 0
-    valid_interiors = {
-        s for s, i in interior_index.items()
-        if len(_max_packing(items, forced=i)) == k
-    }
-    pool = [c for c in cands if c.s in valid_interiors]
-    return cands, items, interior_index, k, pool
-
-
 def maximum_flap_family(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> list[Separation]:
     """A maximum pairwise-independent family of flaps whose first member is
     maximal (by side inclusion, the side being X union S) among candidates
     that extend to some maximum family. Deterministic: ties resolve by
-    candidate enumeration order. Empty when the graph has no flap at all
-    (possible with flap number 1: planar with no small separation)."""
-    if h.n > size_cap:
-        raise CapExceeded("size_cap", f"flap family cap is {size_cap} vertices, got {h.n}")
+    candidate enumeration order. A non-empty family has the flap number as
+    its length. Empty when the graph has no flap at all (flap number 0, or
+    1 for a planar graph with no small separation)."""
+    _check_size_cap(h, size_cap)
     if h.n < 2:
         return []
-    cands, items, interior_index, k, pool = _family_context(h)
+    cands, _ = _search(h)
     if not cands:
         return []
+    items, firsts = _interiors(h, cands)
+    _, pool = _valid_first(cands, items, firsts)
     sides = [set(c.x) | set(c.s) for c in pool]
     first = None
     for pos, cand in enumerate(pool):
@@ -259,12 +259,8 @@ def maximum_flap_family(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> list
             break
     if first is None:
         raise InternalInvariantError("no candidate flap is maximal by side inclusion")
-    packing = _max_packing(items, forced=interior_index[first.s])
-    by_interior: dict[int, Separation] = {}
-    for cand in cands:
-        by_interior.setdefault(interior_index[cand.s], cand)
-    rest = [by_interior[i] for i in packing if i != interior_index[first.s]]
-    return [first] + rest
+    packing = _max_packing(items, forced=[c.s for c in firsts].index(first.s))
+    return [first] + [firsts[i] for i in packing[1:]]
 
 
 def flap_reduction(h: Graph, family: list[Separation],
@@ -281,11 +277,15 @@ def flap_reduction(h: Graph, family: list[Separation],
         for j in range(i + 1, len(family)):
             if not are_independent(h, family[i], family[j]):
                 raise PreconditionError("family not independent")
-    k = flap_number(h, size_cap=size_cap)
+    _check_size_cap(h, size_cap)
+    # the family's flaps each contain a single-component flap, since
+    # planarity is closed under subgraphs, so candidates exist
+    cands, _ = _search(h)
+    items, firsts = _interiors(h, cands)
+    k, pool = _valid_first(cands, items, firsts)
     if len(family) != k:
         raise PreconditionError(
             f"family of {len(family)} is not maximum (flap number {k})")
-    _, _, _, _, pool = _family_context(h)
     first_side = set(family[0].x) | set(family[0].s)
     for cand in pool:
         if first_side < (set(cand.x) | set(cand.s)):

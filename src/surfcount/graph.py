@@ -1,16 +1,14 @@
 """Simple undirected graphs: the substrate every other module builds on.
 
 Vertices are the integers 0..n-1. Graphs are immutable values; every
-operation returns a new graph. Optional per-vertex string labels carry
-provenance through re-indexing operations (induced subgraphs,
-contractions, constructions).
+operation returns a new graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ParseError, PreconditionError
 
@@ -42,10 +40,9 @@ class Graph:
 
     n: int
     edges: frozenset[Edge]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     @staticmethod
-    def build(n: int, edges: Iterable[Edge], labels: Sequence[str] | None = None) -> "Graph":
+    def build(n: int, edges: Iterable[Edge]) -> "Graph":
         if n < 0:
             raise PreconditionError("vertex count must be non-negative")
         es = set()
@@ -55,10 +52,7 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
             es.add(_norm_edge(u, v))
-        lab = tuple(labels) if labels is not None else None
-        if lab is not None and len(lab) != n:
-            raise PreconditionError("label count must equal vertex count")
-        return Graph(n, frozenset(es), lab)
+        return Graph(n, frozenset(es))
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -77,9 +71,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -150,15 +141,11 @@ def serialize_graph(g: Graph) -> str:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on the given vertex set, re-indexed in sorted order.
-
-    Labels of the result record the original vertices.
-    """
+    """Subgraph induced on the given vertex set, re-indexed in sorted order."""
     vs = as_vertex_set(vertices, g.n)
     index = {v: i for i, v in enumerate(vs)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    labels = tuple(g.label_of(v) for v in vs)
-    return Graph.build(len(vs), edges, labels)
+    return Graph.build(len(vs), edges)
 
 
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
@@ -233,32 +220,6 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def contract_edge_simple(g: Graph, e: Edge) -> Graph:
-    """Contract edge e, identifying both endpoints into the smaller index.
-
-    Parallel edges merge and the loop disappears, so the result is a simple
-    minor of g with one fewer vertex.
-    """
-    u, v = _norm_edge(*e)
-    if (u, v) not in g.edges:
-        raise PreconditionError(f"edge ({u},{v}) not in graph")
-    # v is removed; vertices above v shift down by one.
-    remap = [w if w < v else w - 1 for w in range(g.n)]
-    remap[v] = remap[u]
-    edges = set()
-    for a, b in g.edges:
-        na, nb = remap[a], remap[b]
-        if na != nb:
-            edges.add(_norm_edge(na, nb))
-    labels = None
-    if g.labels is not None:
-        lab = list(g.labels)
-        lab[u] = f"{lab[u]}+{lab[v]}"
-        del lab[v]
-        labels = lab
-    return Graph.build(g.n - 1, edges, labels)
-
-
 def add_clique(g: Graph, vertices: Iterable[int]) -> Graph:
     """Insert every missing edge inside the given vertex set."""
     vs = as_vertex_set(vertices, g.n)
@@ -266,14 +227,7 @@ def add_clique(g: Graph, vertices: Iterable[int]) -> Graph:
     for i, u in enumerate(vs):
         for v in vs[i + 1:]:
             edges.add((u, v))
-    return Graph(g.n, frozenset(edges), g.labels)
-
-
-def remove_internal_edges(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Delete every edge with both endpoints inside the given vertex set."""
-    vs = set(as_vertex_set(vertices, g.n))
-    edges = frozenset(e for e in g.edges if not (e[0] in vs and e[1] in vs))
-    return Graph(g.n, edges, g.labels)
+    return Graph(g.n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +313,4 @@ def cycle_graph(n: int) -> Graph:
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    labels = None
-    if a.labels is not None or b.labels is not None:
-        labels = [a.label_of(v) for v in range(a.n)] + [b.label_of(v) for v in range(b.n)]
-    return Graph.build(a.n + b.n, edges, labels)
+    return Graph.build(a.n + b.n, edges)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from surfcount.errors import PreconditionError
 from surfcount.graph import Graph, add_clique, automorphisms, induced_subgraph
 from surfcount.planarity import is_planar
 
@@ -145,6 +146,22 @@ def backtrack_copies(h: Graph, g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Brute-force minor detection and the planarity oracle
 # ---------------------------------------------------------------------------
+
+
+def contract_edge_simple(g: Graph, e: tuple[int, int]) -> Graph:
+    """Contract edge e, identifying both endpoints into the smaller index.
+
+    Parallel edges merge and the loop disappears, so the result is a simple
+    minor of g with one fewer vertex.
+    """
+    u, v = sorted(e)
+    if (u, v) not in g.edges:
+        raise PreconditionError(f"edge ({u},{v}) not in graph")
+    # v is removed; vertices above v shift down by one.
+    remap = [w if w < v else w - 1 for w in range(g.n)]
+    remap[v] = remap[u]
+    edges = {(remap[a], remap[b]) for a, b in g.edges if remap[a] != remap[b]}
+    return Graph.build(g.n - 1, edges)
 
 
 def _connected_mask(adj_masks: list[int], mask: int) -> bool:

@@ -198,3 +198,26 @@ def test_scaling_bad_sizes_is_usage_error(capsys, tmp_path):
                          "--generator", "tree-blowup", "--sizes", "10,x,30")
     assert code == 2 and out == ""
     assert "--sizes" in err and "Traceback" not in err
+
+
+def test_flap_family_cli(capsys, tmp_path, p5_file):
+    code, out, err = run(capsys, "flap-number", "--family", p5_file)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["3", "X=[0,3] S=[4]", "X=[1] S=[0]", "X=[1,3] S=[2]"]
+    big = tmp_path / "e17.g"
+    big.write_text("17 0\n")
+    code, out, err = run(capsys, "flap-number", "--family", str(big))
+    assert code == 1 and out == ""
+    assert err == "error: flap_number cap is 16 vertices, got 17\n"
+
+
+def test_scaling_equal_host_orders_is_domain_error(capsys, tmp_path):
+    """Pasting P3 at 12, 13 and 14 gives three 9-vertex hosts, so the
+    log-log slope has no spread to fit."""
+    p3 = tmp_path / "p3.g"
+    p3.write_text(serialize_graph(path_graph(3)))
+    code, out, err = run(capsys, "scaling", "--graph", str(p3),
+                         "--generator", "paste", "--sizes", "12,13,14")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "9,9,9" in err

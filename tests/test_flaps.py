@@ -1,15 +1,21 @@
+import hashlib
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from support import (
     literal_flap_number,
     literal_strongly_non_planar,
+    random_connected_graph,
     random_graph,
     random_tree,
 )
-from surfcount.errors import CapExceeded, PreconditionError
+from surfcount import flaps
+from surfcount.cli import main
+from surfcount.constructions import lower_bound_graph
+from surfcount.errors import CapExceeded, PreconditionError, SurfcountError
 from surfcount.flaps import (
     Separation,
     are_independent,
@@ -21,7 +27,9 @@ from surfcount.flaps import (
     maximum_flap_family,
     tree_beta,
 )
-from surfcount.graph import Graph, complete_graph, path_graph
+from surfcount.graph import (
+    Graph, complete_graph, cycle_graph, is_connected, path_graph, serialize_graph)
+from surfcount.planarity import is_planar
 
 K5_PENDANT = Graph.build(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)])
 
@@ -135,7 +143,7 @@ def test_family_and_reduction_examples():
     fam = maximum_flap_family(p3)
     assert [(s.x, s.s) for s in fam] == [((1,), (0,)), ((1,), (2,))]
     red = flap_reduction(p3, fam)
-    assert red.n == 2 and red.m == 1 and red.labels == ("1", "2")
+    assert red.n == 2 and red.m == 1
 
     fam = maximum_flap_family(K5_PENDANT)
     red = flap_reduction(K5_PENDANT, fam)
@@ -179,3 +187,92 @@ def test_flap_reduction_property_random():
 def test_serialization():
     assert Separation((0, 2), (1,)).serialize() == "X=[0,2] S=[1]"
     assert Separation((), (0, 1)).serialize() == "X=[] S=[0,1]"
+
+
+def test_one_candidate_search_per_call(monkeypatch, tmp_path):
+    """The family CLI, flap_reduction and lower_bound_graph each enumerate
+    the candidate flaps once: one planarity test per single-component
+    side, plus flap_reduction's is_flap check of each member it is given."""
+    calls = []
+    monkeypatch.setattr(flaps, "is_planar", lambda g: calls.append(g.n) or is_planar(g))
+    path = tmp_path / "g.g"
+    for g in (path_graph(5), K5_PENDANT, random_connected_graph(random.Random(5), 8, 0.2)):
+        path.write_text(serialize_graph(g))
+        enumerate_candidate_flaps(g)
+        once = len(calls)
+        family = maximum_flap_family(g)
+        assert family
+        calls.clear()
+        assert main(["flap-number", "--family", str(path)]) == 0
+        assert len(calls) == once
+        calls.clear()
+        flap_reduction(g, family)
+        assert len(calls) == once + len(family)
+        calls.clear()
+        lower_bound_graph(g, 4 * g.n)
+        assert len(calls) == once
+        calls.clear()
+
+
+GOLDEN = Path(__file__).parent / "data" / "flaps_golden.txt"
+
+
+def _golden_graphs():
+    rng = random.Random(6061)
+    graphs = [(f"random{n}p{p}.{i}", random_graph(rng, n, p))
+              for n in range(1, 13) for p in (0.15, 0.3, 0.45, 0.6) for i in range(4)]
+    graphs += [(f"sparse{i}", random_connected_graph(rng, rng.randint(10, 16),
+                                                     rng.choice([0.0, 0.05, 0.1])))
+               for i in range(40)]
+    graphs += [(f"tree{i}", random_tree(rng, rng.randint(2, 12))) for i in range(50)]
+    graphs += [(f"K{s}", complete_graph(s)) for s in range(1, 9)]
+    graphs += [("C9", cycle_graph(9)), ("P16", path_graph(16))]
+    return graphs
+
+
+def _outcome(fn, *args):
+    """A call's result, or its error's class and message."""
+    try:
+        return fn(*args)
+    except SurfcountError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _seps(value):
+    if isinstance(value, str):
+        return value
+    return " ".join(sep.serialize() for sep in value) or "-"
+
+
+def _graph_line(value):
+    if isinstance(value, str):
+        return value
+    text = serialize_graph(value)
+    return f"{value.n} {value.m} {hashlib.sha256(text.encode()).hexdigest()[:16]}"
+
+
+def golden_text():
+    """Every flap result of the golden graphs, each block after a
+    ``# name`` line and the graph's edges."""
+    out = []
+    for name, g in _golden_graphs():
+        out.append(f"# {name} n={g.n} {' '.join(f'{u}-{v}' for u, v in g.sorted_edges())}")
+        out.append(f"flap_number {_outcome(flap_number, g)}")
+        out.append(f"snp {_outcome(is_strongly_non_planar, g)}")
+        out.append(f"candidates {_seps(_outcome(enumerate_candidate_flaps, g))}")
+        family = _outcome(maximum_flap_family, g)
+        out.append(f"family {_seps(family)}")
+        if family and not isinstance(family, str):
+            out.append(f"reduction {_graph_line(_outcome(flap_reduction, g, family))}")
+        if 1 <= g.n <= 8 and is_connected(g):
+            out.append(f"paste {_graph_line(_outcome(lower_bound_graph, g, 4 * g.n))}")
+    return "\n".join(out) + "\n"
+
+
+def test_golden_flaps():
+    assert golden_text() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    # rewrites the golden file; only for an intended change of the results
+    GOLDEN.write_text(golden_text())

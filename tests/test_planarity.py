@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from support import planar_oracle, random_graph
+from support import contract_edge_simple, planar_oracle, random_graph
 from surfcount.errors import CapExceeded
-from surfcount.graph import Graph, complete_graph, contract_edge_simple, cycle_graph
+from surfcount.graph import Graph, complete_graph, cycle_graph
 from surfcount.planarity import is_planar
 
 

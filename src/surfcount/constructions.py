@@ -8,7 +8,9 @@ vertex by vertex while preserving its clique-count excesses.
 
 from __future__ import annotations
 
-from .embedding import EmbeddedGraph, _split_walk, is_triangulation, trace_faces
+import heapq
+
+from .embedding import EmbeddedGraph, _Splitter, trace_faces
 from .errors import InternalInvariantError, PreconditionError
 from .flaps import flap_number, forest_mis, is_tree, maximum_flap_family, tree_beta
 from .graph import Graph, induced_subgraph, is_connected
@@ -125,13 +127,24 @@ def tree_blowup(t: Graph, n: int) -> Graph:
 def split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:
     """Grow a triangulation to exactly n vertices by repeatedly splitting
     the first facial triangle (faces ordered by sorted vertex triple).
-    Adds 3 triangles and 1 K4 per step, so both excesses are preserved."""
-    if not is_triangulation(seed):
+    Adds 3 triangles and 1 K4 per step, so both excesses are preserved.
+
+    The seed's one trace fills a heap of face triples; splitting abc by w
+    replaces it with abw, acw and bcw, so growth costs O(n log n). A
+    triangular face's walk starts at its least state, so its vertices are
+    the sorted triple, and the split reads nothing else: faces with the
+    same triple split alike, and ties need no tie-break."""
+    faces = trace_faces(seed)
+    if not faces or not all(w.is_triangle() for w in faces):
         raise PreconditionError("growth needs a triangulation seed")
     if n < seed.n:
         raise PreconditionError(f"target {n} below seed order {seed.n}")
-    eg = seed
-    while eg.n < n:
-        walk = min(trace_faces(eg), key=lambda w: sorted(w.vertices))
-        eg = _split_walk(eg, walk)
-    return eg
+    heap = [w.vertices for w in faces]
+    heapq.heapify(heap)
+    splitter = _Splitter(seed)
+    for w in range(seed.n, n):
+        a, b, c = heapq.heappop(heap)
+        splitter.split(a, b, c)
+        for face in ((a, b, w), (a, c, w), (b, c, w)):
+            heapq.heappush(heap, face)
+    return splitter.export()

@@ -8,7 +8,8 @@ rule: while walking edge (u -> v) with accumulated sign s, cross the edge
 u when the accumulated sign is positive, the predecessor when negative;
 the face closes when the starting directed edge recurs with the starting
 sign. Tracing all (directed edge, sign) states yields each face twice,
-once per traversal direction, and the two orbits are paired off.
+once per traversal direction, and the two orbits are paired off. The
+faces are cached on the (frozen) embedding, so each is traced once.
 
 Vertex switching (reverse the rotation at v, flip the signs of its edges)
 preserves the embedding; the surgery operations switch as needed to make
@@ -86,6 +87,10 @@ class EmbeddedGraph:
         return -1 if _norm(u, v) in self.negative_edges else 1
 
     @cached_property
+    def _faces(self) -> tuple[FacialWalk, ...]:
+        return _trace(self)
+
+    @cached_property
     def _rotation_index(self) -> tuple[dict[int, int], ...]:
         return tuple({w: i for i, w in enumerate(rot)} for rot in self.rotations)
 
@@ -104,10 +109,15 @@ class EmbeddedGraph:
 
 
 def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
-    """The complete face set. Deterministic: faces sorted by their least
-    traversal state. Each face's orbit is traced from its least state, then
-    the reverse traversal from that state's mirror, so every state is seen
-    once."""
+    """The complete face set, as a new list. Deterministic: faces sorted
+    by their least traversal state. Each embedding is traced once; the
+    faces are cached on it."""
+    return list(eg._faces)
+
+
+def _trace(eg: EmbeddedGraph) -> tuple[FacialWalk, ...]:
+    """Trace each face's orbit from its least state, then the reverse
+    traversal from that state's mirror, so every state is seen once."""
     seen: set[State] = set()
     faces: list[FacialWalk] = []
     for start in sorted((p, q, s) for u, v in eg.graph.edges
@@ -131,7 +141,7 @@ def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
             raise InternalInvariantError(
                 "face orbits must pair off by traversal direction")
         faces.append(FacialWalk(tuple((u, v) for u, v, _ in orbit)))
-    return faces
+    return tuple(faces)
 
 
 def euler_genus(eg: EmbeddedGraph) -> int:
@@ -186,6 +196,7 @@ def parse_embedding(text: str) -> EmbeddedGraph:
         if v != expect:
             raise ParseError(f"rotation lines must be in order; expected {expect}", lineno)
         rot = []
+        listed = set()
         for tok in rest.split():
             negative = tok.endswith("-")
             body = tok[:-1] if negative else tok
@@ -197,8 +208,9 @@ def parse_embedding(text: str) -> EmbeddedGraph:
                 raise ParseError(f"self-loop at vertex {v}", lineno)
             if not (0 <= u < n):
                 raise ParseError(f"neighbor {u} out of range", lineno)
-            if u in rot:
+            if u in listed:
                 raise ParseError(f"duplicate neighbor {u} at vertex {v}", lineno)
+            listed.add(u)
             rot.append(u)
             sign_claims[(v, u)] = -1 if negative else 1
         rotations.append(tuple(rot))
@@ -339,40 +351,9 @@ def split_path(eg: EmbeddedGraph, x: int, v: int, y: int) -> EmbeddedGraph:
     g = eg.graph
     if x == y or not (g.has_edge(x, v) and g.has_edge(y, v)):
         raise PreconditionError(f"({x},{v},{y}) is not a valid split site")
-    if eg.sign(x, v) < 0:
-        eg = switch_vertex(eg, x)
-    if eg.sign(y, v) < 0:
-        eg = switch_vertex(eg, y)
-    rot_v = _rotate_to(eg.rotations[v], x)  # (x, arc..., y, rest...)
-    iy = rot_v.index(y)
-    arc = rot_v[1:iy]
-    rest = rot_v[iy + 1:]
-    w = g.n
-    rotations = [list(r) for r in eg.rotations]
-    edges = set(g.edges)
-    negative = set(eg.negative_edges)
-    for a in arc:
-        old = _norm(v, a)
-        new = _norm(w, a)
-        edges.discard(old)
-        edges.add(new)
-        if old in negative:
-            negative.discard(old)
-            negative.add(new)
-        rot_a = rotations[a]
-        rot_a[rot_a.index(v)] = w
-    rotations[v] = [x, w, y] + rest
-    rot_w = [v, x] + list(arc) + [y]
-    # x: w immediately before v (successor of w is v)
-    rot_x = rotations[x]
-    rot_x.insert(rot_x.index(v), w)
-    # y: w immediately after v
-    rot_y = rotations[y]
-    rot_y.insert(rot_y.index(v) + 1, w)
-    rotations.append(rot_w)
-    edges.update({_norm(v, w), _norm(x, w), _norm(y, w)})
-    new_graph = Graph.build(g.n + 1, edges)
-    return EmbeddedGraph.build(new_graph, [tuple(r) for r in rotations], negative)
+    splitter = _Splitter(eg)
+    splitter.split_path(x, v, y)
+    return splitter.export()
 
 
 def split_triangle(eg: EmbeddedGraph, face: tuple[int, int, int]) -> EmbeddedGraph:
@@ -382,31 +363,119 @@ def split_triangle(eg: EmbeddedGraph, face: tuple[int, int, int]) -> EmbeddedGra
     fs = frozenset(face)
     if len(fs) != 3:
         raise PreconditionError("face must have three distinct vertices")
-    for walk in trace_faces(eg):
-        if walk.is_triangle() and walk.vertex_set() == fs:
-            return _split_walk(eg, walk)
-    raise PreconditionError(f"{tuple(sorted(fs))} is not a facial triangle")
+    if not any(w.is_triangle() and w.vertex_set() == fs for w in trace_faces(eg)):
+        raise PreconditionError(f"{tuple(sorted(fs))} is not a facial triangle")
+    splitter = _Splitter(eg)
+    splitter.split(*sorted(fs))
+    return splitter.export()
 
 
-def _split_walk(eg: EmbeddedGraph, walk: FacialWalk) -> EmbeddedGraph:
-    """Split the facial triangle traced as ``walk``, a face of ``eg``."""
-    a, b, c = walk.vertices
-    sides = ((a, b), (b, c), (c, a))
-    # a facial walk has positive total sign, so zero or two of its edges
-    # are negative; switching the vertex they share makes all three positive
-    negative = [e for e in sides if eg.sign(*e) < 0]
-    if len(negative) == 2:
-        (shared,) = set(negative[0]) & set(negative[1])
-        eg = switch_vertex(eg, shared)
-    if any(eg.sign(p, q) < 0 for p, q in sides):
-        raise InternalInvariantError("could not normalize face signs")
-    # a corner x -> v -> y with y next after x in v's rotation; the face
-    # may run either way round, so the reversed corners come second
-    for x, v, y in ((a, b, c), (b, c, a), (c, a, b), (c, b, a), (b, a, c), (a, c, b)):
-        rot = eg.rotations[v]
-        if rot[(rot.index(x) + 1) % len(rot)] == y:
-            return split_path(eg, x, v, y)
-    raise InternalInvariantError("no corner of the face is rotation-consecutive")
+class _Splitter:
+    """A mutable copy of a signed rotation system for repeated splits. A
+    switch or a triangle split is O(1) whatever the degrees, a path split
+    O(1 + the arc it moves). Every vertex keeps successor and predecessor
+    maps over its rotation, and its first element, which is where the
+    exported rotation starts. An edge's sign is its stored sign times a
+    parity per end, so a switch flips one parity and swaps the vertex's
+    two maps."""
+
+    def __init__(self, eg: EmbeddedGraph):
+        self.succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in eg.rotations]
+        self.pred = [dict(zip(rot, rot[-1:] + rot[:-1])) for rot in eg.rotations]
+        self.first = [rot[0] if rot else None for rot in eg.rotations]
+        self.parity = [1] * eg.n
+        self.negative = set(eg.negative_edges)
+
+    def sign(self, u: int, v: int) -> int:
+        s = self.parity[u] * self.parity[v]
+        return -s if _norm(u, v) in self.negative else s
+
+    def switch(self, v: int) -> None:
+        """switch_vertex: the reversed rotation starts at the old last."""
+        self.parity[v] = -self.parity[v]
+        self.succ[v], self.pred[v] = self.pred[v], self.succ[v]
+        self.first[v] = self.succ[v][self.first[v]]
+
+    def split(self, a: int, b: int, c: int) -> None:
+        """Split the facial triangle with vertices a < b < c: split_path
+        at its first rotation-consecutive corner, once the face's edges
+        are positive."""
+        sides = ((a, b), (b, c), (c, a))
+        # a facial walk has positive total sign, so zero or two of its edges
+        # are negative; switching the vertex they share makes all three positive
+        negative = [e for e in sides if self.sign(*e) < 0]
+        if len(negative) == 2:
+            (shared,) = set(negative[0]) & set(negative[1])
+            self.switch(shared)
+        if any(self.sign(p, q) < 0 for p, q in sides):
+            raise InternalInvariantError("could not normalize face signs")
+        # a corner x -> v -> y with y next after x in v's rotation; the face
+        # may run either way round, so the reversed corners come second
+        for x, v, y in ((a, b, c), (b, c, a), (c, a, b), (c, b, a), (b, a, c), (a, c, b)):
+            if self.succ[v][x] == y:
+                return self.split_path(x, v, y)
+        raise InternalInvariantError("no corner of the face is rotation-consecutive")
+
+    def split_path(self, x: int, v: int, y: int) -> None:
+        """split_path: switch x and y to make xv and yv positive; then a
+        new vertex w takes over the arc of v strictly between x and y."""
+        if self.sign(x, v) < 0:
+            self.switch(x)
+        if self.sign(y, v) < 0:
+            self.switch(y)
+        succ, pred, first = self.succ, self.pred, self.first
+        w = len(succ)
+        arc = []
+        a = succ[v][x]
+        while a != y:
+            arc.append(a)
+            a = succ[v][a]
+        ring = [v, x, *arc, y]
+        succ.append(dict(zip(ring, ring[1:] + ring[:1])))
+        pred.append(dict(zip(ring, ring[-1:] + ring[:-1])))
+        first.append(v)
+        self.parity.append(1)
+        # each arc vertex puts w in v's place, and the edge keeps its sign
+        for a in arc:
+            if self.sign(v, a) * self.parity[a] < 0:
+                self.negative.add((a, w))
+            self.negative.discard(_norm(v, a))
+            p, s = pred[a].pop(v), succ[a].pop(v)
+            if p == v:  # v was a's only neighbor
+                p = s = w
+            succ[a][p], succ[a][w], pred[a][s], pred[a][w] = w, s, w, p
+            if first[a] == v:
+                first[a] = w
+            del succ[v][a], pred[v][a]
+        # v: (x, w, y, ...)
+        succ[v][x], succ[v][w], pred[v][y], pred[v][w] = w, y, w, x
+        first[v] = x
+        # x: w just before v, and first if v was
+        p = pred[x][v]
+        succ[x][p], succ[x][w], pred[x][v], pred[x][w] = w, v, w, p
+        if first[x] == v:
+            first[x] = w
+        # y: w just after v
+        s = succ[y][v]
+        succ[y][v], succ[y][w], pred[y][s], pred[y][w] = w, s, w, v
+        # the three new edges are positive
+        self.negative.update((u, w) for u in (v, x, y) if self.parity[u] < 0)
+
+    def export(self) -> EmbeddedGraph:
+        rotations = []
+        for succ, start in zip(self.succ, self.first):
+            rot = []
+            if start is not None:
+                u = start
+                while True:
+                    rot.append(u)
+                    u = succ[u]
+                    if u == start:
+                        break
+            rotations.append(rot)
+        edges = [(v, u) for v, rot in enumerate(rotations) for u in rot if v < u]
+        negative = [e for e in edges if self.sign(*e) < 0]
+        return EmbeddedGraph.build(Graph.build(len(rotations), edges), rotations, negative)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from surfcount.embedding import EmbeddedGraph, switch_vertex, trace_faces
 from surfcount.errors import PreconditionError
 from surfcount.graph import Graph, add_clique, automorphisms, induced_subgraph
 from surfcount.planarity import is_planar
@@ -387,3 +388,68 @@ def literal_strongly_non_planar(g: Graph) -> bool:
         return False
     _, interiors = literal_flap_interiors(g)
     return not interiors
+
+
+# ---------------------------------------------------------------------------
+# Split growth by retracing: the oracle for the face heap and the splitter
+# ---------------------------------------------------------------------------
+
+
+def slow_split_path(eg: EmbeddedGraph, x: int, v: int, y: int) -> EmbeddedGraph:
+    """split_path on immutable rotation tuples: switch x and y to make xv
+    and yv positive; a new vertex w = n takes over v's rotation arc
+    strictly between x and y. Rotation starts: v's at x, w's at v; w goes
+    just before v at x and just after v at y; each arc vertex puts w in
+    v's place."""
+    if eg.sign(x, v) < 0:
+        eg = switch_vertex(eg, x)
+    if eg.sign(y, v) < 0:
+        eg = switch_vertex(eg, y)
+    rot_v = list(eg.rotations[v])
+    rot_v = rot_v[rot_v.index(x):] + rot_v[:rot_v.index(x)]  # (x, arc..., y, rest...)
+    iy = rot_v.index(y)
+    arc, rest = rot_v[1:iy], rot_v[iy + 1:]
+    w = eg.n
+    rotations = [list(r) for r in eg.rotations]
+    edges = set(eg.graph.edges)
+    negative = set(eg.negative_edges)
+    for a in arc:
+        old, new = (min(v, a), max(v, a)), (a, w)
+        edges.discard(old)
+        edges.add(new)
+        if old in negative:
+            negative.discard(old)
+            negative.add(new)
+        rotations[a][rotations[a].index(v)] = w
+    rotations[v] = [x, w, y] + rest
+    rotations[x].insert(rotations[x].index(v), w)
+    rotations[y].insert(rotations[y].index(v) + 1, w)
+    rotations.append([v, x] + arc + [y])
+    edges.update({(v, w), (x, w), (y, w)})
+    return EmbeddedGraph.build(Graph.build(w + 1, edges), rotations, negative)
+
+
+def slow_split(eg: EmbeddedGraph, a: int, b: int, c: int) -> EmbeddedGraph:
+    """Split the facial triangle traced a -> b -> c: switch the vertex
+    shared by two negative sides, then split the path at the first
+    rotation-consecutive corner."""
+    sides = ((a, b), (b, c), (c, a))
+    negative = [e for e in sides if eg.sign(*e) < 0]
+    if len(negative) == 2:
+        (shared,) = set(negative[0]) & set(negative[1])
+        eg = switch_vertex(eg, shared)
+    for x, v, y in ((a, b, c), (b, c, a), (c, a, b), (c, b, a), (b, a, c), (a, c, b)):
+        rot = eg.rotations[v]
+        if rot[(rot.index(x) + 1) % len(rot)] == y:
+            return slow_split_path(eg, x, v, y)
+    raise AssertionError("no corner of the face is rotation-consecutive")
+
+
+def slow_split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:
+    """Retrace every face at every step and split the least face by
+    sorted vertex triple, the first in trace order on ties."""
+    eg = seed
+    while eg.n < n:
+        walk = min(trace_faces(eg), key=lambda w: sorted(w.vertices))
+        eg = slow_split(eg, *walk.vertices)
+    return eg

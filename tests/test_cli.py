@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from surfcount import embedding
 from surfcount.cli import main
 from surfcount.graph import complete_graph, path_graph, serialize_graph
 
@@ -110,6 +111,32 @@ def test_grow_and_genus_roundtrip(capsys, tmp_path):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "faces", str(emb))
     assert code == 0 and all(len(ln.split()) == 3 for ln in out.splitlines())
+
+
+def test_grow_20000_and_genus_roundtrip(capsys, tmp_path):
+    code, out, _ = run(capsys, "grow", "k4-sphere", "20000")
+    assert code == 0
+    emb = tmp_path / "grown.emb"
+    emb.write_text(out)
+    code, out, err = run(capsys, "genus", str(emb))
+    assert (code, out, err) == (0, "0\n", "")
+
+
+def test_census_traces_each_member_once(capsys, monkeypatch):
+    """Validation and both excesses share one trace per list member,
+    counted at the tracer behind the face cache."""
+    calls = []
+
+    def counted(eg):
+        calls.append(eg.n)
+        return trace(eg)
+
+    trace = embedding._trace
+    monkeypatch.setattr(embedding, "_trace", counted)
+    code, _, _ = run(capsys, "table", "--surface", "n1", "--list",
+                     str(DATA / "projective_irreducible_7.emb"))
+    assert code == 0
+    assert sorted(calls) == [6, 7]
 
 
 def test_construct(capsys, tmp_path):

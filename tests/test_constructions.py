@@ -1,17 +1,29 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from support import random_connected_graph, random_tree
+from support import random_connected_graph, random_tree, slow_split, slow_split_growth
 from surfcount import constructions, embedding
 from surfcount.constructions import lower_bound_graph, split_growth, tree_blowup
 from surfcount.counting import count_cliques, count_copies
-from surfcount.embedding import euler_genus, is_triangulation
+from surfcount.embedding import (
+    EmbeddedGraph,
+    euler_genus,
+    is_triangulation,
+    parse_embedding,
+    serialize_embedding,
+    split_triangle,
+    switch_vertex,
+    trace_faces,
+)
 from surfcount.errors import PreconditionError
 from surfcount.flaps import flap_number, tree_beta
 from surfcount.graph import complete_graph, disjoint_union, path_graph
 from surfcount.planarity import is_planar
 from surfcount.surfaces import load_bundled, projective_k6, sphere_irreducible
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_paste_p3():
@@ -122,8 +134,8 @@ def test_split_growth_errors():
 
 
 def test_split_growth_traces_once_per_step(monkeypatch):
-    """One face trace checks the seed and one picks each split face: 57
-    for the 56 steps from K4 to 60 vertices."""
+    """Only the seed is traced: one trace checks it and fills the face
+    heap, whatever the target."""
     calls = []
 
     def counted(eg):
@@ -133,5 +145,36 @@ def test_split_growth_traces_once_per_step(monkeypatch):
     trace = embedding.trace_faces
     monkeypatch.setattr(embedding, "trace_faces", counted)
     monkeypatch.setattr(constructions, "trace_faces", counted)
-    assert split_growth(load_bundled("k4_sphere"), 60).n == 60
-    assert len(calls) == 57
+    for n in (60, 600):
+        calls.clear()
+        assert split_growth(load_bundled("k4_sphere"), n).n == n
+        assert len(calls) == 1
+
+
+def test_split_growth_matches_retracing_oracle():
+    """The face heap and the incremental splitter give the embedding that
+    retracing every face at every step gives, byte for byte, on randomly
+    switched seeds (K3 on the sphere has two faces on one triple); so do
+    single splits of the grown embedding after further switches."""
+    k3 = EmbeddedGraph.build(complete_graph(3), [(1, 2), (0, 2), (0, 1)])
+    seeds = [load_bundled("k4_sphere"), load_bundled("k6_projective"), k3,
+             parse_embedding((DATA / "projective_irreducible_7.emb").read_text())]
+    rng = random.Random(7301)
+
+    def switched(eg):
+        for v in rng.sample(range(eg.n), rng.randint(1, eg.n)):
+            eg = switch_vertex(eg, v)
+        return eg
+
+    for i in range(44):
+        seed = switched(seeds[i % len(seeds)])
+        n = rng.randint(seed.n, 60)
+        grown = split_growth(seed, n)
+        assert serialize_embedding(grown) == serialize_embedding(slow_split_growth(seed, n))
+        grown = switched(grown)
+        face = rng.choice(trace_faces(grown)).vertices
+        assert (serialize_embedding(split_triangle(grown, face))
+                == serialize_embedding(slow_split(grown, *face)))
+    seed = seeds[0]
+    assert (serialize_embedding(split_growth(seed, 300))
+            == serialize_embedding(slow_split_growth(seed, 300)))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from support import random_connected_graph, slow_split_path
 from surfcount import embedding
 from surfcount.cli import main
 from surfcount.counting import count_cliques
@@ -225,6 +226,31 @@ def test_contract_then_split_restores():
                 restored = candidate
                 break
         assert restored is not None
+
+
+def test_split_path_matches_tuple_oracle():
+    """Path splits through the incremental splitter equal the rebuild on
+    rotation tuples, byte for byte: random rotation systems with random
+    signs (pendant vertices included) and switched triangulations."""
+    rng = random.Random(2718)
+    for i in range(300):
+        if i % 3:
+            g = random_connected_graph(rng, rng.randint(2, 12), rng.choice([0.0, 0.2, 0.5]))
+            rotations = [rng.sample(sorted(g.adj[v]), g.degree(v)) for v in range(g.n)]
+            eg = EmbeddedGraph.build(g, rotations, [e for e in g.edges if rng.random() < 0.4])
+        else:
+            eg = projective_k6() if i % 2 else sphere_irreducible()
+            for _ in range(rng.randint(0, 6)):
+                eg = split_triangle(eg, rng.choice(trace_faces(eg)).vertices)
+            for v in rng.sample(range(eg.n), rng.randint(0, eg.n)):
+                eg = switch_vertex(eg, v)
+        sites = [v for v in range(eg.n) if eg.graph.degree(v) >= 2]
+        if not sites:
+            continue
+        v = rng.choice(sites)
+        x, y = rng.sample(sorted(eg.graph.adj[v]), 2)
+        assert (serialize_embedding(split_path(eg, x, v, y))
+                == serialize_embedding(slow_split_path(eg, x, v, y)))
 
 
 def test_contract_with_nonfacial_triangles_around():

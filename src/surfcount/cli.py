@@ -181,9 +181,8 @@ def _run(args) -> None:
     if cmd == "flap-number":
         g = _load_graph(args.graph)
         if args.family:
-            family = flaps.maximum_flap_family(g, size_cap=args.cap)
-            # a non-empty family's length is the flap number
-            print(len(family) or flaps.flap_number(g, size_cap=args.cap))
+            family, number = flaps.flap_family_and_number(g, size_cap=args.cap)
+            print(number)
             for sep in family:
                 print(sep.serialize())
         else:

@@ -12,7 +12,7 @@ import heapq
 
 from .embedding import EmbeddedGraph, _Splitter, trace_faces
 from .errors import InternalInvariantError, PreconditionError
-from .flaps import flap_number, forest_mis, is_tree, maximum_flap_family, tree_beta
+from .flaps import flap_family_and_number, forest_mis, is_tree, tree_beta
 from .graph import Graph, induced_subgraph, is_connected
 
 
@@ -29,9 +29,9 @@ def lower_bound_graph(h: Graph, n: int) -> Graph:
         raise PreconditionError("pasting construction needs a connected graph")
     if n < 4 * h.n:
         raise PreconditionError(f"need n >= 4|V(H)| = {4 * h.n}")
-    family = maximum_flap_family(h)
+    family, number = flap_family_and_number(h)
     if not family:
-        if flap_number(h) == 0:
+        if number == 0:
             raise PreconditionError("strongly non-planar: no flap to paste")
         # planar, no small separation: disjoint copies
         copies = n // h.n

@@ -8,7 +8,9 @@ the host and the pattern's width, not with the number of maps counted:
 - hom(F, G) is a dynamic program over the pattern's search order. Its
   states map the images of the frontier, the mapped vertices that still
   have unmapped neighbors, to the number of partial maps that reach them
-  (treewidth DP, Diaz-Serna-Thilikos 2002).
+  (treewidth DP, Diaz-Serna-Thilikos 2002). It runs on G's twin quotient,
+  one vertex per class of false twins weighted by the class size, so a
+  host built by replicating vertices costs what its quotient costs.
 - inj(H, G) is the sum over spasm classes F of c_F * hom(F, G). The spasm
   of H is the set of quotients of H by partitions of V(H) into independent
   blocks, and c_F sums the Moebius value prod_B (-1)^(|B|-1) (|B|-1)! over
@@ -16,7 +18,8 @@ the host and the pattern's width, not with the number of maps counted:
   STOC 2017). Isolated vertices of H stay out of the spasm: they take any
   of the host vertices left over, a falling factorial.
 - copies(H, G) is inj(H, G) / |Aut(H)|, exact because Aut(H) acts freely
-  on injective maps; |Aut(H)| comes from H's components.
+  on injective maps; |Aut(H)| comes from H's components and their twin
+  classes.
 
 One work cap bounds a whole call: every partition, DP step and automorphism
 enumerated spends from the same budget. On overrun, CapExceeded reports how
@@ -111,22 +114,29 @@ def _projector(kept: list[int], width: int):
 
 
 def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
-    """hom(h, g) by a DP over ``_search_order(h)``.
+    """hom(h, g) by a DP over ``_search_order(h)`` on g's twin quotient Q.
 
-    After each vertex, the states map the tuple of images of the frontier
-    to the number of partial homomorphisms reaching it. Candidates for a
-    vertex are the common neighbors of its anchors' images (all of V(g)
-    without anchors). A vertex with no later neighbor leaves the frontier at
-    once: it multiplies each state by its candidate count and adds no state.
-    One DP step is one state visited or one candidate entered as a state.
+    Twins are interchangeable images, so hom(h, g) is the hom count into Q
+    with each map weighted by the product of its images' class sizes
+    (Lovasz, Large Networks and Graph Limits, ch. 5). After each vertex,
+    the states map the tuple of Q-images of the frontier to the weighted
+    number of partial homomorphisms reaching it. Candidates for a vertex
+    are the common Q-neighbors of its anchors' images (all of V(Q) without
+    anchors). A vertex that stays on the frontier enters candidate c with
+    weight w(c). A vertex with no later neighbor leaves the frontier at
+    once: it multiplies each state by its candidates' total weight and adds
+    no state. One DP step is one state visited or one candidate entered as
+    a state.
     """
+    q, weight = g._twin_quotient
+    weigh = len if q is g else (lambda cands: sum(map(weight.__getitem__, cands)))
     order = _search_order(h)
     pos = [0] * h.n
     for i, v in enumerate(order):
         pos[v] = i
     last = [max((pos[w] for w in h.adj[v]), default=-1) for v in range(h.n)]
-    adj = g.adj
-    everything = range(g.n)
+    adj = q.adj
+    everything = range(q.n)
     frontier: list[int] = []
     states: dict[tuple[int, ...], int] = {(): 1}
     for i, v in enumerate(order):
@@ -156,9 +166,9 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
             if stays:
                 for c in cands:
                     nk = base + (c,)
-                    nxt[nk] = nxt.get(nk, 0) + cnt
+                    nxt[nk] = nxt.get(nk, 0) + cnt * weight[c]
             elif cands:
-                nxt[base] = nxt.get(base, 0) + cnt * len(cands)
+                nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
         budget.left = left
         states = nxt
     return sum(states.values())
@@ -178,7 +188,9 @@ def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
 
     Partitions are enumerated iteratively as restricted growth strings, one
     DP step each; a quotient joins the class of the first representative
-    it is isomorphic to among those sharing its ``_class_key``."""
+    it is isomorphic to among those sharing its ``_class_key``. Partitions
+    with the same quotient on the same block numbers, as twins of h give,
+    share that lookup."""
     n = h.n
     nbr_mask = [sum(1 << w for w in h.adj[v]) for v in range(n)]
     edges = list(h.edges)
@@ -186,26 +198,28 @@ def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
     where = [-1] * n  # block of each placed vertex; -1 before its first try
     classes: dict[tuple, list[list]] = {}
     found: list[list] = []  # [F, c_F] in discovery order
+    seen: dict[tuple, list] = {}  # block count and quotient edges -> entry
     v = 0
     while v >= 0:
         if v == n:
             budget.spend(1)
-            quotient = {(min(where[a], where[b]), max(where[a], where[b]))
-                        for a, b in edges}
+            quotient = frozenset((min(where[a], where[b]), max(where[a], where[b]))
+                                 for a, b in edges)
             mu = 1
             for mask in blocks:
                 size = mask.bit_count()
                 mu *= (-1) ** (size - 1) * math.factorial(size - 1)
-            f = Graph.build(len(blocks), quotient)
-            bucket = classes.setdefault(_class_key(f), [])
-            for entry in bucket:
-                if is_isomorphic(f, entry[0]):
-                    entry[1] += mu
-                    break
-            else:
-                entry = [f, mu]
-                bucket.append(entry)
-                found.append(entry)
+            entry = seen.get((len(blocks), quotient))
+            if entry is None:
+                f = Graph(len(blocks), quotient)
+                bucket = classes.setdefault(_class_key(f), [])
+                entry = next((e for e in bucket if is_isomorphic(f, e[0])), None)
+                if entry is None:
+                    entry = [f, 0]
+                    bucket.append(entry)
+                    found.append(entry)
+                seen[len(blocks), quotient] = entry
+            entry[1] += mu
             v -= 1
             continue
         b = where[v]
@@ -248,7 +262,12 @@ def _count_injective(h: Graph, g: Graph, budget: _Budget) -> int:
 
 def _automorphism_count(h: Graph, budget: _Budget) -> int:
     """|Aut(h)|: k components isomorphic to C contribute |Aut(C)|^k * k!.
-    Each automorphism of a class representative costs one step."""
+
+    An automorphism of C permutes its twin classes, and every permutation
+    inside a class is one, so |Aut(C)| is the number of automorphisms of
+    C's twin quotient that keep class sizes times the product of the class
+    sizes' factorials. Each quotient automorphism enumerated costs one
+    step."""
     classes: list[list] = []  # [component, copies]
     for comp in connected_components(h):
         c = induced_subgraph(h, comp)
@@ -259,10 +278,13 @@ def _automorphism_count(h: Graph, budget: _Budget) -> int:
             entry[1] += 1
     total = 1
     for c, k in classes:
+        q, weight = c._twin_quotient
         aut = 0
-        for _ in _isomorphisms(c, c):
+        for _ in _isomorphisms(q, q, (weight, weight)):
             budget.spend(1)
             aut += 1
+        for size in weight:
+            aut *= math.factorial(size)
         total *= aut ** k * math.factorial(k)
     return total
 

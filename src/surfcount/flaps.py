@@ -206,6 +206,12 @@ def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
     cands, separable = _search(h)
     if cands:
         return len(_max_packing(_interiors(h, cands)[0]))
+    return _number_without_flaps(h, separable)
+
+
+def _number_without_flaps(h: Graph, separable: bool) -> int:
+    """The flap number of a graph with no candidate flap: 1 if planar, else
+    0."""
     planar = is_planar(h)
     if separable and planar:
         # every small separation has both clique-completed sides
@@ -247,10 +253,30 @@ def maximum_flap_family(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> list
     if h.n < 2:
         return []
     cands, _ = _search(h)
-    if not cands:
-        return []
+    return _family(h, cands)[0] if cands else []
+
+
+def flap_family_and_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP,
+                           ) -> tuple[list[Separation], int]:
+    """``maximum_flap_family(h)`` and ``flap_number(h)`` from one walk over
+    the cut sets, for callers that need the number when the family is
+    empty."""
+    _check_size_cap(h, size_cap)
+    if h.n == 0:
+        raise PreconditionError("flap number needs a non-empty graph")
+    if h.n == 1:
+        return [], 1
+    cands, separable = _search(h)
+    if cands:
+        return _family(h, cands)
+    return [], _number_without_flaps(h, separable)
+
+
+def _family(h: Graph, cands: list[Separation]) -> tuple[list[Separation], int]:
+    """The family ``maximum_flap_family`` picks from a non-empty candidate
+    list, and the flap number, its length."""
     items, firsts = _interiors(h, cands)
-    _, pool = _valid_first(cands, items, firsts)
+    k, pool = _valid_first(cands, items, firsts)
     sides = [set(c.x) | set(c.s) for c in pool]
     first = None
     for pos, cand in enumerate(pool):
@@ -260,7 +286,7 @@ def maximum_flap_family(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> list
     if first is None:
         raise InternalInvariantError("no candidate flap is maximal by side inclusion")
     packing = _max_packing(items, forced=[c.s for c in firsts].index(first.s))
-    return [first] + [firsts[i] for i in packing[1:]]
+    return [first] + [firsts[i] for i in packing[1:]], k
 
 
 def flap_reduction(h: Graph, family: list[Separation],

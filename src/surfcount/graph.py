@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -68,6 +68,22 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
+
+    @cached_property
+    def _twin_quotient(self) -> tuple["Graph", tuple[int, ...]]:
+        """The quotient by ``twin_classes``: one vertex per class, in their
+        order, adjacent when the classes are, weighted by class size. No
+        loops, since twins are not adjacent. The graph itself with unit
+        weights when every class is a singleton."""
+        classes = twin_classes(self)
+        if len(classes) == self.n:
+            return self, (1,) * self.n
+        where = [0] * self.n
+        for i, c in enumerate(classes):
+            for v in c:
+                where[v] = i
+        edges = frozenset(_norm_edge(where[u], where[v]) for u, v in self.edges)
+        return Graph(len(classes), edges), tuple(len(c) for c in classes)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -216,6 +232,16 @@ def articulation_points(g: Graph, removed: Iterable[int] = ()) -> list[int]:
     return [v for v in range(g.n) if cut[v]]
 
 
+def twin_classes(g: Graph) -> list[tuple[int, ...]]:
+    """Classes of false twins: vertices with equal open neighborhoods,
+    which are never adjacent. Each class is sorted and the classes are
+    ordered by least member; the isolated vertices form one class."""
+    classes: dict[frozenset[int], list[int]] = {}
+    for v, nbrs in enumerate(g.adj):
+        classes.setdefault(nbrs, []).append(v)
+    return [tuple(c) for c in classes.values()]
+
+
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
@@ -235,16 +261,23 @@ def add_clique(g: Graph, vertices: Iterable[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _isomorphisms(h: Graph, g: Graph) -> Iterator[tuple[int, ...]]:
+def _isomorphisms(h: Graph, g: Graph,
+                  labels: tuple[Sequence[int], Sequence[int]] | None = None,
+                  ) -> Iterator[tuple[int, ...]]:
     """Yield each edge-and-non-edge-preserving bijection V(h) -> V(g) as a
-    tuple ``phi`` with ``phi[i]`` the image of i."""
+    tuple ``phi`` with ``phi[i]`` the image of i. With ``labels``, a pair
+    of vertex labelings of h and g, only the bijections keeping labels."""
     if h.n != g.n or h.m != g.m:
         return
-    if sorted(len(a) for a in h.adj) != sorted(len(a) for a in g.adj):
+    hadj, gadj = h.adj, g.adj
+    hkey: list = [len(a) for a in hadj]
+    gkey: list = [len(a) for a in gadj]
+    if labels is not None:
+        hkey = list(zip(hkey, labels[0]))
+        gkey = list(zip(gkey, labels[1]))
+    if sorted(hkey) != sorted(gkey):
         return
     n = h.n
-    hadj, gadj = h.adj, g.adj
-    gdeg = [len(a) for a in gadj]
     # Order h's vertices by degree descending, then index, to prune early.
     order = sorted(range(n), key=lambda v: (-len(hadj[v]), v))
     # per position: the earlier vertices, and one earlier neighbor if any
@@ -261,10 +294,10 @@ def _isomorphisms(h: Graph, g: Graph) -> Iterator[tuple[int, ...]]:
             return
         v = order[i]
         hv = hadj[v]
-        dv = len(hv)
+        kv = hkey[v]
         a = anchor[i]
         for c in (gadj[image[a]] if a >= 0 else everything):
-            if used[c] or gdeg[c] != dv:
+            if used[c] or gkey[c] != kv:
                 continue
             gc = gadj[c]
             if all((w in hv) == (image[w] in gc) for w in earlier[i]):

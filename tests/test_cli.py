@@ -203,6 +203,15 @@ def test_scaling_cli_past_planarity_cap(capsys, tmp_path):
     assert abs(float(kv["slope"]) - 2) <= 0.3
 
 
+def test_scaling_cli_large_blowups(capsys, p5_file):
+    """P5 blowups up to 3200 vertices are counted exactly."""
+    code, out, err = run(capsys, "scaling", "--graph", p5_file, "--generator", "tree-blowup",
+                         "--sizes", "400,800,1600,3200")
+    assert code == 0, err
+    kv = dict(ln.split("=") for ln in out.strip().splitlines())
+    assert kv["counts"] == "8906821,74087905,597476421,4826129505"
+
+
 def test_deterministic_output(capsys, p5_file):
     runs = {run(capsys, "spqrk", p5_file)[1] for _ in range(3)}
     assert len(runs) == 1

@@ -14,6 +14,7 @@ from support import (
 )
 from surfcount import counting
 from surfcount.cli import main
+from surfcount.constructions import tree_blowup
 from surfcount.counting import (
     _Budget,
     _hom_dp,
@@ -39,6 +40,7 @@ from surfcount.graph import (
     is_isomorphic,
     path_graph,
     serialize_graph,
+    twin_classes,
 )
 
 OCTAHEDRON = Graph.build(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
@@ -191,6 +193,98 @@ def test_against_backtracking_oracle():
     assert min(seen.values()) >= 5 and seen["host>8"] >= 50, seen
 
 
+def _with_twins(rng, g, isolated):
+    """g with false twins added: one to three copies of up to three of its
+    vertices, each copy joined to its original's neighbors, then
+    ``isolated`` isolated vertices."""
+    n, edges = g.n, list(g.edges)
+    for v in rng.sample(range(g.n), min(g.n, rng.randint(1, 3))):
+        for _ in range(rng.randint(1, 3)):
+            edges += [(w, n) for w in g.adj[v]]
+            n += 1
+    return Graph.build(n + isolated, edges)
+
+
+def test_twin_hosts_against_backtracking_oracle():
+    """hom, inj and copies on 150 seeded hosts with injected false twins,
+    some with a class of isolated vertices, against the backtracking
+    oracle; and twin_classes and the weighted quotient against a pairwise
+    comparison of neighborhoods read off the edge list."""
+    rng = random.Random(0x7817)
+    seen = {"disconnected": 0, "isolated": 0, "isolated twins": 0, "class>2": 0}
+    checked = 0
+    while checked < 150:
+        h = _oracle_pattern(rng, rng.choice(["random", "disconnected", "isolated"]))
+        g = _with_twins(rng, random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.7])),
+                        rng.choice([0, 0, 2]))
+        if _oracle_cost(h, g) > 300_000:
+            continue
+        checked += 1
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        classes = twin_classes(g)
+        assert sorted(v for c in classes for v in c) == list(range(g.n))
+        assert classes == sorted(classes) and all(list(c) == sorted(c) for c in classes)
+        where = {v: i for i, c in enumerate(classes) for v in c}
+        for u, v in itertools.combinations(range(g.n), 2):
+            assert (where[u] == where[v]) == (nbrs[u] == nbrs[v])
+        q, weight = g._twin_quotient
+        assert q.n == len(classes) and weight == tuple(map(len, classes))
+        assert q.edges == {(min(where[u], where[v]), max(where[u], where[v]))
+                           for u, v in g.edges}
+        seen["disconnected"] += len(connected_components(h)) > 1
+        seen["isolated"] += any(h.degree(v) == 0 for v in range(h.n)) and h.n > 1
+        seen["isolated twins"] += sum(not nbrs[v] for v in range(g.n)) > 1
+        seen["class>2"] += max(weight) > 2
+        assert count_hom(h, g) == backtrack_hom(h, g), (sorted(h.edges), h.n, sorted(g.edges), g.n)
+        assert count_injective_hom(h, g) == backtrack_injective(h, g)
+        assert count_copies(h, g) == backtrack_copies(h, g)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_hom_multiplies_over_pattern_components():
+    """hom(H1 + H2, G) = hom(H1, G) * hom(H2, G) on hosts with twins."""
+    rng = random.Random(1717)
+    for _ in range(40):
+        h1 = random_connected_graph(rng, rng.randint(1, 4), 0.4)
+        h2 = random_graph(rng, rng.randint(1, 4), 0.5)
+        g = _with_twins(rng, random_graph(rng, rng.randint(2, 8), 0.5), rng.choice([0, 2]))
+        assert count_hom(disjoint_union(h1, h2), g) == count_hom(h1, g) * count_hom(h2, g)
+
+
+def test_copies_add_over_host_components():
+    """copies(H, G1 + G2) = copies(H, G1) + copies(H, G2) for connected H,
+    on hosts with twins."""
+    rng = random.Random(1718)
+    for _ in range(40):
+        h = random_connected_graph(rng, rng.randint(1, 5), 0.3)
+        g1 = _with_twins(rng, random_graph(rng, rng.randint(1, 7), 0.5), rng.choice([0, 2]))
+        g2 = _with_twins(rng, random_graph(rng, rng.randint(1, 7), 0.5), 0)
+        assert (count_copies(h, disjoint_union(g1, g2))
+                == count_copies(h, g1) + count_copies(h, g2))
+
+
+def test_blowup_steps_do_not_grow_with_the_host(monkeypatch):
+    """count_copies(P5, tree_blowup(P5, n)) spends the same DP steps at
+    n = 800 and n = 3200: every host's twin quotient is P5 weighted by
+    class sizes."""
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            budgets.append(self)
+
+    monkeypatch.setattr(counting, "_Budget", Recorded)
+    p5 = path_graph(5)
+    counts = [count_copies(p5, tree_blowup(p5, n)) for n in (800, 3200)]
+    assert counts == [74087905, 4826129505]
+    steps = [b.cap - b.left for b in budgets]
+    assert len(steps) == 2 and steps[0] == steps[1] > 0
+
+
 def _set_partitions(items):
     if not items:
         yield []
@@ -282,16 +376,32 @@ def test_isolated_vertices_and_automorphisms_are_cheap():
 
 
 def test_automorphisms_spend_the_work_cap():
-    """Each automorphism of K1,8 enumerated costs one step of the same
-    budget as the spasm and its DPs: a cap that covers those but not all
-    8! = 40320 automorphisms is exceeded."""
+    """Each automorphism enumerated costs one step of the same budget as
+    the spasm and its DPs. C6 has no twins, so all 12 of its automorphisms
+    are enumerated: a cap that covers the rest but not all 12 is
+    exceeded."""
+    c6, host = cycle_graph(6), complete_graph(6)
+    budget = _Budget(10**9)
+    counting._count_injective(c6, host, budget)
+    need = budget.cap - budget.left + 12
+    assert count_copies(c6, host, work_cap=need) == 60
+    with pytest.raises(CapExceeded):
+        count_copies(c6, host, work_cap=need - 1)
+
+
+def test_automorphisms_through_twin_classes():
+    """|Aut(K1,k)| = k! comes from the twin quotient K2, whose one
+    automorphism keeping class sizes is the only one enumerated, times
+    1! * k!."""
     star, host = Graph.build(9, [(0, i) for i in range(1, 9)]), complete_graph(9)
     budget = _Budget(10**9)
     counting._count_injective(star, host, budget)
-    need = budget.cap - budget.left + math.factorial(8)
+    need = budget.cap - budget.left + 1
     assert count_copies(star, host, work_cap=need) == 9
     with pytest.raises(CapExceeded):
         count_copies(star, host, work_cap=need - 1)
+    assert count_copies(Graph.build(11, [(0, i) for i in range(1, 11)]),
+                        complete_graph(12)) == 132
 
 
 def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):

@@ -32,6 +32,9 @@ from surfcount.graph import (
 from surfcount.planarity import is_planar
 
 K5_PENDANT = Graph.build(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)])
+# two K5s sharing the edge 01: the one separation has two non-planar sides
+TWO_K5 = Graph.build(8, [(u, v) for side in ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7))
+                         for u, v in combinations(side, 2)])
 
 
 def test_candidate_examples():
@@ -192,25 +195,32 @@ def test_serialization():
 def test_one_candidate_search_per_call(monkeypatch, tmp_path):
     """The family CLI, flap_reduction and lower_bound_graph each enumerate
     the candidate flaps once: one planarity test per single-component
-    side, plus flap_reduction's is_flap check of each member it is given."""
+    side, plus flap_reduction's is_flap check of each member it is given.
+    Without a flap, as for two K5s sharing an edge, the CLI and
+    lower_bound_graph add one planarity test of the whole graph."""
     calls = []
     monkeypatch.setattr(flaps, "is_planar", lambda g: calls.append(g.n) or is_planar(g))
     path = tmp_path / "g.g"
-    for g in (path_graph(5), K5_PENDANT, random_connected_graph(random.Random(5), 8, 0.2)):
+    for g in (path_graph(5), K5_PENDANT, random_connected_graph(random.Random(5), 8, 0.2),
+              TWO_K5):
         path.write_text(serialize_graph(g))
         enumerate_candidate_flaps(g)
         once = len(calls)
         family = maximum_flap_family(g)
-        assert family
+        assert bool(family) == (g is not TWO_K5)
         calls.clear()
         assert main(["flap-number", "--family", str(path)]) == 0
-        assert len(calls) == once
+        assert len(calls) == once + (not family)
         calls.clear()
-        flap_reduction(g, family)
-        assert len(calls) == once + len(family)
-        calls.clear()
-        lower_bound_graph(g, 4 * g.n)
-        assert len(calls) == once
+        if family:
+            flap_reduction(g, family)
+            assert len(calls) == once + len(family)
+            calls.clear()
+            lower_bound_graph(g, 4 * g.n)
+        else:
+            with pytest.raises(PreconditionError, match="strongly non-planar"):
+                lower_bound_graph(g, 4 * g.n)
+        assert len(calls) == once + (not family)
         calls.clear()
 
 

@@ -9,6 +9,7 @@ errors. All output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -80,7 +81,10 @@ def _add_surface_flags(p: argparse.ArgumentParser) -> None:
                    help="assert the list is the complete irreducible list")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on the first call and shared by every later
+    one in the process; parsing leaves no state on it."""
     ap = argparse.ArgumentParser(prog="surfcount")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)

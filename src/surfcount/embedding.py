@@ -11,6 +11,12 @@ sign. Tracing all (directed edge, sign) states yields each face twice,
 once per traversal direction, and the two orbits are paired off. The
 faces are cached on the (frozen) embedding, so each is traced once.
 
+The states are integers: the directed edges (darts) are numbered in
+(from, to) order, and state 2d is dart d with sign -1, state 2d + 1 dart
+d with sign +1, so integer order is (from, to, sign) order. The step rule
+is one fixed permutation of the states, built as a flat table in one pass
+over the rotations, and the faces are its cycles.
+
 Vertex switching (reverse the rotation at v, flip the signs of its edges)
 preserves the embedding; the surgery operations switch as needed to make
 the edges they touch positive, which keeps the splice rules simple.
@@ -27,7 +33,6 @@ from .graph import Graph, connected_components, is_connected
 from .planarity import is_planar
 
 Edge = tuple[int, int]
-State = tuple[int, int, int]  # (from, to, sign before crossing)
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -90,18 +95,6 @@ class EmbeddedGraph:
     def _faces(self) -> tuple[FacialWalk, ...]:
         return _trace(self)
 
-    @cached_property
-    def _rotation_index(self) -> tuple[dict[int, int], ...]:
-        return tuple({w: i for i, w in enumerate(rot)} for rot in self.rotations)
-
-    def next_state(self, state: State) -> State:
-        u, v, sign = state
-        sign *= self.sign(u, v)
-        rot = self.rotations[v]
-        i = self._rotation_index[v][u]
-        w = rot[(i + 1) % len(rot)] if sign > 0 else rot[(i - 1) % len(rot)]
-        return (v, w, sign)
-
 
 # ---------------------------------------------------------------------------
 # Face tracing and the Euler genus
@@ -118,29 +111,50 @@ def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
 def _trace(eg: EmbeddedGraph) -> tuple[FacialWalk, ...]:
     """Trace each face's orbit from its least state, then the reverse
     traversal from that state's mirror, so every state is seen once."""
-    seen: set[State] = set()
+    neg = eg.negative_edges
+    darts: list[Edge] = []  # dart id -> (from, to)
+    ids: list[dict[int, int]] = []  # per vertex: neighbor -> outgoing dart id
+    for u, rot in enumerate(eg.rotations):
+        base = len(darts)
+        nbrs = sorted(rot)
+        darts.extend((u, v) for v in nbrs)
+        ids.append({v: base + k for k, v in enumerate(nbrs)})
+    # nxt[state]: the dart u -> v continues at v with u's rotation successor
+    # (sign +1 after crossing) or predecessor (sign -1); the edge's sign
+    # decides which sign before crossing takes which
+    nxt = [0] * (2 * len(darts))
+    for v, rot in enumerate(eg.rotations):
+        out = [ids[v][w] for w in rot]
+        for u, after, before in zip(rot, out[1:] + out[:1], out[-1:] + out[:-1]):
+            d = 2 * ids[u][v]
+            if _norm(u, v) in neg:
+                nxt[d], nxt[d + 1] = 2 * after + 1, 2 * before
+            else:
+                nxt[d], nxt[d + 1] = 2 * before, 2 * after + 1
+    seen = bytearray(len(nxt))
     faces: list[FacialWalk] = []
-    for start in sorted((p, q, s) for u, v in eg.graph.edges
-                        for p, q in ((u, v), (v, u)) for s in (1, -1)):
-        if start in seen:
+    for start in range(len(nxt)):
+        if seen[start]:
             continue
         orbit = [start]
-        cur = eg.next_state(start)
+        cur = nxt[start]
         while cur != start:
             orbit.append(cur)
-            cur = eg.next_state(cur)
-        seen.update(orbit)
-        u, v, sign = start
-        cur = back = (v, u, -sign * eg.sign(u, v))
+            cur = nxt[cur]
+        for state in orbit:
+            seen[state] = 1
+        # the mirror of (u, v, s) is (v, u, -s * sign(uv))
+        u, v = darts[start >> 1]
+        cur = back = 2 * ids[v][u] + ((start & 1) ^ (_norm(u, v) not in neg))
         size = 0
-        while cur not in seen:
-            seen.add(cur)
+        while not seen[cur]:
+            seen[cur] = 1
             size += 1
-            cur = eg.next_state(cur)
+            cur = nxt[cur]
         if cur != back or size != len(orbit):
             raise InternalInvariantError(
                 "face orbits must pair off by traversal direction")
-        faces.append(FacialWalk(tuple((u, v) for u, v, _ in orbit)))
+        faces.append(FacialWalk(tuple([darts[state >> 1] for state in orbit])))
     return tuple(faces)
 
 
@@ -214,26 +228,33 @@ def parse_embedding(text: str) -> EmbeddedGraph:
             rot.append(u)
             sign_claims[(v, u)] = -1 if negative else 1
         rotations.append(tuple(rot))
-    edges = set()
-    negative = set()
+    edges = []
+    negative = []
     for (v, u), sgn in sign_claims.items():
-        if (u, v) not in sign_claims:
+        back = sign_claims.get((u, v))
+        if back is None:
             raise ParseError(f"vertex {u} does not list {v} back")
-        if sign_claims[(u, v)] != sgn:
+        if back != sgn:
             raise ParseError(f"edge {_norm(u, v)} has conflicting signs at its endpoints")
-        edges.add(_norm(u, v))
-        if sgn < 0:
-            negative.add(_norm(u, v))
-    graph = Graph.build(n, edges)
-    return EmbeddedGraph.build(graph, rotations, negative)
+        if v < u:
+            edges.append((v, u))
+            if sgn < 0:
+                negative.append((v, u))
+    # the checks above are everything Graph.build and EmbeddedGraph.build
+    # check: neighbors in range, no loops or duplicates, each listed back
+    # (so every rotation is a permutation of its neighbors), equal signs
+    return EmbeddedGraph(Graph(n, frozenset(edges)), tuple(rotations), frozenset(negative))
 
 
 def serialize_embedding(eg: EmbeddedGraph) -> str:
+    negative_at: dict[int, set[int]] = {}
+    for u, v in eg.negative_edges:
+        negative_at.setdefault(u, set()).add(v)
+        negative_at.setdefault(v, set()).add(u)
     out = [str(eg.n)]
-    for v in range(eg.n):
-        toks = []
-        for u in eg.rotations[v]:
-            toks.append(f"{u}-" if eg.sign(u, v) < 0 else str(u))
+    for v, rot in enumerate(eg.rotations):
+        bad = negative_at.get(v, ())
+        toks = [f"{u}-" if u in bad else str(u) for u in rot]
         out.append(f"{v}:" + (" " + " ".join(toks) if toks else ""))
     return "\n".join(out) + "\n"
 
@@ -363,11 +384,32 @@ def split_triangle(eg: EmbeddedGraph, face: tuple[int, int, int]) -> EmbeddedGra
     fs = frozenset(face)
     if len(fs) != 3:
         raise PreconditionError("face must have three distinct vertices")
-    if not any(w.is_triangle() and w.vertex_set() == fs for w in trace_faces(eg)):
-        raise PreconditionError(f"{tuple(sorted(fs))} is not a facial triangle")
+    a, b, c = sorted(fs)
+    if not _is_facial_triangle(eg, a, b, c):
+        raise PreconditionError(f"{(a, b, c)} is not a facial triangle")
     splitter = _Splitter(eg)
-    splitter.split(*sorted(fs))
+    splitter.split(a, b, c)
     return splitter.export()
+
+
+def _is_facial_triangle(eg: EmbeddedGraph, a: int, b: int, c: int) -> bool:
+    """Whether some face is the triangle abc, read without tracing the
+    embedding. Such a face runs along ab one way or the other, so it is
+    the orbit of (a, b, +1) or of (a, b, -1); each is walked for three
+    steps, O(degree) a step."""
+    if not eg.graph.has_edge(a, b):
+        return False
+    for start in ((a, b, 1), (a, b, -1)):
+        walk = [start]
+        for _ in range(3):
+            u, v, sign = walk[-1]
+            sign *= eg.sign(u, v)
+            rot = eg.rotations[v]
+            i = rot.index(u)
+            walk.append((v, rot[(i + 1) % len(rot)] if sign > 0 else rot[i - 1], sign))
+        if walk[3] == start and walk[2][0] == c:
+            return True
+    return False
 
 
 class _Splitter:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from surfcount.embedding import EmbeddedGraph, switch_vertex, trace_faces
+from surfcount.embedding import EmbeddedGraph, FacialWalk, switch_vertex, trace_faces
 from surfcount.errors import PreconditionError
 from surfcount.graph import Graph, add_clique, automorphisms, induced_subgraph
 from surfcount.planarity import is_planar
@@ -60,6 +60,63 @@ def random_connected_graph(rng: random.Random, n: int, extra_p: float) -> Graph:
             if (i, j) not in edges and rng.random() < extra_p:
                 edges.add((i, j))
     return Graph.build(n, edges)
+
+
+def random_rotation_system(rng: random.Random, n: int) -> EmbeddedGraph:
+    """Random rotations and signs on a random graph: a tree, a connected
+    graph or a sparse one, so pendant and isolated vertices, degree-2
+    corners and negative edges all occur."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        g = random_tree(rng, n)
+    elif kind == 1:
+        g = random_connected_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
+    else:
+        g = random_graph(rng, n, rng.choice([0.1, 0.25]))
+    rotations = [rng.sample(sorted(g.adj[v]), g.degree(v)) for v in range(g.n)]
+    p = rng.choice([0.0, 0.3, 0.7])
+    return EmbeddedGraph.build(g, rotations, [e for e in g.edges if rng.random() < p])
+
+
+# the tetrahedron, each face oriented so that every edge runs both ways
+_TETRAHEDRON = ((0, 1, 2), (1, 0, 3), (0, 2, 3), (1, 3, 2))
+
+
+def random_stacked(rng: random.Random, n: int, hub_bias: float = 0.0,
+                   switch_p: float = 0.0) -> tuple[EmbeddedGraph, list[tuple[int, int, int]]]:
+    """A random stacked triangulation of the sphere on n >= 4 vertices and
+    its faces: each new vertex goes inside a face, drawn with probability
+    ``hub_bias`` among the faces at vertex 0, which makes vertex 0 a hub
+    (degree about 0.4n at 0.5). Rotations come from the oriented faces, with
+    every edge positive; then each vertex is switched with probability
+    ``switch_p`` (rotation reversed, its edges' signs flipped)."""
+    faces = list(_TETRAHEDRON)
+    for x in range(4, n):
+        while True:
+            i = rng.randrange(len(faces))
+            if rng.random() >= hub_bias or 0 in faces[i]:
+                break
+        a, b, c = faces[i]
+        faces[i] = (a, b, x)
+        faces += [(b, c, x), (c, a, x)]
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, b, c in faces:
+        succ[a][b], succ[b][c], succ[c][a] = c, a, b
+    rotations = []
+    for v in range(n):
+        first = min(succ[v])
+        rot = [first]
+        while succ[v][rot[-1]] != first:
+            rot.append(succ[v][rot[-1]])
+        if len(rot) != len(succ[v]):
+            raise AssertionError(f"link of vertex {v} is not one cycle")
+        rotations.append(rot)
+    edges = {(min(a, b), max(a, b)) for f in faces for a, b in zip(f, f[1:] + f[:1])}
+    switched = {v for v in range(n) if rng.random() < switch_p}
+    for v in switched:
+        rotations[v].reverse()
+    negative = [(a, b) for a, b in edges if (a in switched) != (b in switched)]
+    return EmbeddedGraph.build(Graph.build(n, edges), rotations, negative), faces
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +510,52 @@ def slow_split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:
         walk = min(trace_faces(eg), key=lambda w: sorted(w.vertices))
         eg = slow_split(eg, *walk.vertices)
     return eg
+
+
+# ---------------------------------------------------------------------------
+# Face tracing by tuple states: the oracle for the dart-table tracer
+# ---------------------------------------------------------------------------
+
+
+def slow_step(eg: EmbeddedGraph, state: tuple[int, int, int]) -> tuple[int, int, int]:
+    """One step of the signed rule from state (from u, to v, sign s): s
+    takes the sign of uv, then the walk leaves v towards u's rotation
+    successor when s is positive, its predecessor when negative."""
+    u, v, sign = state
+    if (min(u, v), max(u, v)) in eg.negative_edges:
+        sign = -sign
+    rot = eg.rotations[v]
+    i = rot.index(u)
+    return (v, rot[(i + 1) % len(rot)] if sign > 0 else rot[(i - 1) % len(rot)], sign)
+
+
+def slow_trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
+    """Every (from, to, sign) state in sorted order; each one not yet seen
+    starts a face, which is its orbit. The reverse traversal, from the
+    mirror state (v, u, -s * sign(uv)), must be an orbit of the same
+    length made of unseen states."""
+    seen: set[tuple[int, int, int]] = set()
+    faces = []
+    for start in sorted((p, q, s) for u, v in eg.graph.edges
+                        for p, q in ((u, v), (v, u)) for s in (1, -1)):
+        if start in seen:
+            continue
+        orbit = [start]
+        cur = slow_step(eg, start)
+        while cur != start:
+            orbit.append(cur)
+            cur = slow_step(eg, cur)
+        seen.update(orbit)
+        u, v, sign = start
+        if (min(u, v), max(u, v)) not in eg.negative_edges:
+            sign = -sign
+        cur = back = (v, u, sign)
+        size = 0
+        while cur not in seen:
+            seen.add(cur)
+            size += 1
+            cur = slow_step(eg, cur)
+        if cur != back or size != len(orbit):
+            raise AssertionError("face orbits do not pair off by traversal direction")
+        faces.append(FacialWalk(tuple((u, v) for u, v, _ in orbit)))
+    return faces

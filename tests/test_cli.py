@@ -1,11 +1,15 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from support import random_stacked
 from surfcount import embedding
-from surfcount.cli import main
+from surfcount.census import render_table, surface_table
+from surfcount.cli import build_parser, main
 from surfcount.graph import complete_graph, path_graph, serialize_graph
+from surfcount.surfaces import load_bundled
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,6 +141,45 @@ def test_census_traces_each_member_once(capsys, monkeypatch):
                      str(DATA / "projective_irreducible_7.emb"))
     assert code == 0
     assert sorted(calls) == [6, 7]
+
+
+def test_split_triangle_cli_traces_nothing(capsys, monkeypatch, tmp_path):
+    """The facial check reads three steps of two orbits, so splitting a
+    face of a 1500-vertex stack traces no embedding."""
+    eg, faces = random_stacked(random.Random(1500), 1500, hub_bias=0.5, switch_p=0.5)
+    path = tmp_path / "stack.emb"
+    path.write_text(embedding.serialize_embedding(eg))
+    calls = []
+
+    def counted(eg):
+        calls.append(eg.n)
+        return trace(eg)
+
+    trace = embedding._trace
+    monkeypatch.setattr(embedding, "_trace", counted)
+    x, v, y = faces[777]
+    code, out, err = run(capsys, "split", str(path), str(x), str(v), str(y), "--triangle")
+    assert (code, err, calls) == (0, "", [])
+    grown = embedding.parse_embedding(out)
+    assert grown.n == 1501 and embedding.euler_genus(grown) == 0
+    assert embedding.is_triangulation(grown)
+
+
+def test_in_process_calls_do_not_leak(capsys):
+    """One parser serves every call in the process: a call with a list
+    file and --complete, or a usage error, leaves nothing behind for the
+    next call."""
+    sphere = render_table(surface_table("S0", 0, [load_bundled("k4_sphere")], True))
+    member = str(DATA / "projective_irreducible_7.emb")
+    code, out, _ = run(capsys, "table", "--surface", "n1", "--list", member, "--complete")
+    assert code == 0 and out != sphere
+    assert run(capsys, "table", "--surface", "sphere") == (0, sphere, "")
+    code, out, err = run(capsys, "table", "--surface", "torus", "--complete")
+    assert code == 2 and out == "" and "invalid choice" in err
+    assert run(capsys, "table", "--surface", "sphere") == (0, sphere, "")
+    assert run(capsys, "--json", "table", "--surface", "sphere")[0] == 0
+    assert run(capsys, "table", "--surface", "sphere") == (0, sphere, "")
+    assert build_parser() is build_parser()
 
 
 def test_construct(capsys, tmp_path):

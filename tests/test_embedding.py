@@ -3,9 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from support import random_connected_graph, slow_split_path
+from support import (
+    random_connected_graph,
+    random_rotation_system,
+    random_stacked,
+    slow_split_path,
+    slow_trace_faces,
+)
 from surfcount import embedding
 from surfcount.cli import main
+from surfcount.constructions import split_growth
 from surfcount.counting import count_cliques
 from surfcount.embedding import (
     EmbeddedGraph,
@@ -107,7 +114,6 @@ def test_k5_toroidal_rotation():
 
 def test_triangulation_edge_count_invariant():
     # every triangulation satisfies m = 3(n + g - 2) exactly
-    from surfcount.constructions import split_growth
     from surfcount.surfaces import projective_k6 as pk6
 
     for seed, genus in ((sphere_irreducible(), 0), (pk6(), 1)):
@@ -136,6 +142,45 @@ def test_parse_errors():
         parse_embedding("2\n0: 5\n1: 0\n")
     with pytest.raises(ParseError, match="order"):
         parse_embedding("2\n1: 0\n0: 1\n")
+    with pytest.raises(ParseError, match="self-loop at vertex 0"):
+        parse_embedding("2\n0: 0 1\n1: 0\n")
+    for tok in ("x", "3--", "-", "1.0"):
+        with pytest.raises(ParseError, match="bad neighbor token"):
+            parse_embedding(f"4\n0: 1 {tok}\n1: 0\n2:\n3:\n")
+    with pytest.raises(ParseError, match="expected 'v: ...'"):
+        parse_embedding("2\nzero: 1\n1: 0\n")
+    with pytest.raises(ParseError, match="expected vertex count"):
+        parse_embedding("two\n0: 1\n1: 0\n")
+    with pytest.raises(ParseError, match="expected 3 rotation lines, found 2"):
+        parse_embedding("3\n0: 1\n1: 0\n")
+    with pytest.raises(ParseError, match="expected -1 rotation lines, found 0"):
+        parse_embedding("-1\n")
+    for text in ("", "\n  \n", "# a comment only\n"):
+        with pytest.raises(ParseError, match="empty embedding document"):
+            parse_embedding(text)
+
+
+def test_parse_equals_checked_build():
+    """The parse builds its embedding without the checked constructors;
+    on every embedding of the golden file it equals what they build from
+    the same rotations and signs, and serializes back to the same text."""
+    sections = GOLDEN.read_text().split("# ")[1:]
+    texts = [body for head, _, body in (sec.partition("\n") for sec in sections)
+             if not head.endswith("walks")]
+    assert len(texts) == 97
+    for text in texts:
+        lines = text.splitlines()
+        rotations = [[int(tok.rstrip("-")) for tok in ln.split(":")[1].split()]
+                     for ln in lines[1:]]
+        negative = [(v, int(tok[:-1])) for v, ln in enumerate(lines[1:])
+                    for tok in ln.split(":")[1].split() if tok.endswith("-")]
+        n = int(lines[0])
+        edges = [(v, u) for v, rot in enumerate(rotations) for u in rot]
+        built = EmbeddedGraph.build(Graph.build(n, edges), rotations, negative)
+        parsed = parse_embedding(text)
+        assert parsed == built
+        assert type(parsed.rotations[0]) is tuple and type(parsed.graph.edges) is frozenset
+        assert serialize_embedding(parsed) == text
 
 
 def test_serialize_round_trip_exact():
@@ -253,6 +298,67 @@ def test_split_path_matches_tuple_oracle():
                 == serialize_embedding(slow_split_path(eg, x, v, y)))
 
 
+def test_trace_matches_tuple_oracle():
+    """The dart-table tracer gives the tuple-state oracle's walks, step for
+    step and in the same order: random signed rotation systems (trees,
+    pendant and isolated vertices, degree-2 corners, negative edges) and
+    switched stacked triangulations with a hub of degree above n/3."""
+    rng = random.Random(4242)
+    for _ in range(400):
+        eg = random_rotation_system(rng, rng.randint(1, 12))
+        assert [w.steps for w in trace_faces(eg)] == [w.steps for w in slow_trace_faces(eg)]
+    for n in (4, 5, 9, 40, 150, 400):
+        eg, _ = random_stacked(rng, n, hub_bias=0.5, switch_p=0.5)
+        assert [w.steps for w in trace_faces(eg)] == [w.steps for w in slow_trace_faces(eg)]
+        assert euler_genus(eg) == 0
+        assert n < 40 or eg.graph.degree(0) > n / 3
+    for name in ("k4_sphere", "k6_projective"):
+        eg = _switched(rng, split_growth(load_bundled(name), 60))
+        assert [w.steps for w in trace_faces(eg)] == [w.steps for w in slow_trace_faces(eg)]
+
+
+def _triangles(g):
+    return [(a, b, c) for a, b in g.sorted_edges() for c in sorted(g.adj[a] & g.adj[b])
+            if c > b]
+
+
+def test_split_triangle_accepts_exactly_the_facial_triangles():
+    """split_triangle's local check against the oracle's face list: every
+    triangle of the graph, separating ones included, and random triples
+    that are not triangles. An accepted split replaces the face by three
+    new ones."""
+    rng = random.Random(1618)
+    embeddings = [_k3_sphere()]
+    for _ in range(40):
+        embeddings.append(random_stacked(rng, rng.randint(4, 30), hub_bias=0.5,
+                                         switch_p=rng.choice([0.0, 0.5]))[0])
+        seed = load_bundled(rng.choice(["k4_sphere", "k6_projective"]))
+        embeddings.append(_switched(rng, split_growth(seed, seed.n + rng.randint(0, 12))))
+        embeddings.append(random_rotation_system(rng, rng.randint(3, 8)))
+    accepted = 0
+    for eg in embeddings:
+        oracle = slow_trace_faces(eg)
+        facial = {w.vertex_set() for w in oracle if w.is_triangle()}
+        triangles = _triangles(eg.graph)
+        others = [tuple(rng.sample(range(eg.n), 3)) for _ in range(10)]
+        for tri in triangles + [t for t in others if tuple(sorted(t)) not in triangles]:
+            if frozenset(tri) not in facial:
+                with pytest.raises(PreconditionError, match="is not a facial triangle"):
+                    split_triangle(eg, tri)
+                continue
+            accepted += 1
+            out = split_triangle(eg, tri)
+            if not all(w.is_triangle() for w in oracle):
+                continue
+            before = sorted(tuple(sorted(w.vertex_set())) for w in oracle)
+            before.remove(tuple(sorted(tri)))
+            a, b, c = sorted(tri)
+            w = eg.n
+            expect = sorted(before + [(a, b, w), (a, c, w), (b, c, w)])
+            assert sorted(tuple(sorted(f.vertex_set())) for f in slow_trace_faces(out)) == expect
+    assert accepted > 1000
+
+
 def test_contract_with_nonfacial_triangles_around():
     # triangular bipyramid: the equator triangle (0,1,2) is not a face, and
     # every spoke edge lies in exactly two triangles whose faces match
@@ -331,8 +437,6 @@ def golden_text():
     """Growth, face walks and splits, each after a ``# name`` line. Growth
     to each size continues the growth to the previous size, which gives
     the same embedding as growing the seed directly."""
-    from surfcount.constructions import split_growth
-
     out = []
     for name in ("k4_sphere", "k6_projective"):
         eg = load_bundled(name)

@@ -528,7 +528,8 @@ class _Splitter:
 def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedGraph:
     """Reconstruct a signed rotation system whose face set is the given
     list of triangles. Each edge must lie in exactly two faces (counting
-    multiplicity) and each vertex link must be a single cycle."""
+    multiplicity) and each vertex link must be a single cycle. One pass
+    buckets the face corners by vertex, so the cost is near-linear."""
     edge_faces: dict[Edge, list[int]] = {}
     for i, f in enumerate(faces):
         if len(set(f)) != 3:
@@ -539,15 +540,15 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
         if len(fs) != 2:
             raise PreconditionError(f"edge {e} lies in {len(fs)} faces, need 2")
     graph = Graph.build(n, edge_faces.keys())
-    # vertex links: each neighbor's partners around v
+    # vertex links: each neighbor's partners around v, in face order
+    links: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for a, b, c in faces:
+        for v, p, q in ((a, b, c), (b, a, c), (c, a, b)):
+            links[v].setdefault(p, []).append(q)
+            links[v].setdefault(q, []).append(p)
     rotations = []
     for v in range(n):
-        partners: dict[int, list[int]] = {}
-        for f in faces:
-            if v in f:
-                rest = [u for u in f if u != v]
-                partners.setdefault(rest[0], []).append(rest[1])
-                partners.setdefault(rest[1], []).append(rest[0])
+        partners = links[v]
         nbrs = sorted(graph.adj[v])
         if not nbrs:
             raise PreconditionError(f"vertex {v} is isolated")
@@ -568,11 +569,13 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
         if sorted(cycle) != nbrs:
             raise PreconditionError(f"link of vertex {v} is not a single cycle")
         rotations.append(tuple(cycle))
+    at = [{u: i for i, u in enumerate(rot)} for rot in rotations]
+
     # derive edge signs from corner orientations: walking a face, the sign
     # of each step edge is the product of the corner senses at its ends
     def corner_sense(v: int, come: int, go: int) -> int:
         rot = rotations[v]
-        i = rot.index(come)
+        i = at[v][come]
         if rot[(i + 1) % len(rot)] == go:
             return 1
         if rot[(i - 1) % len(rot)] == go:

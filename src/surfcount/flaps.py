@@ -9,7 +9,8 @@ canonical form loses nothing. The brute-force oracle in the test suite
 re-derives everything from the raw definition and confirms the collapse.
 
 Every entry point that needs the candidate flaps walks the cut sets once
-(``_search``), with one planarity test per single-component side.
+(``_search``). Edge counts and H's non-planar blocks decide most
+single-component sides; the rest get one planarity test each.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from itertools import combinations
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
 from .graph import (
-    Graph, add_clique, as_vertex_set, connected_components, induced_subgraph, is_connected)
+    Graph, add_clique, as_vertex_set, blocks, connected_components, induced_subgraph,
+    is_connected)
 from .planarity import is_planar
 
 DEFAULT_FLAP_SIZE_CAP = 16
@@ -86,9 +88,47 @@ def _cut_sets(h: Graph):
         yield pair
 
 
-def _search(h: Graph) -> tuple[list[Separation], bool]:
+def _certain(n: int, m: int, c: int) -> bool | None:
+    """Planarity of a graph with n vertices, m edges and c components when
+    counts alone settle it, else None. Every non-planar graph contains a
+    subdivided K5 or K3,3 (Kuratowski 1930), so its circuit rank m - n + c
+    is at least 4: rank cannot grow in a subgraph and subdivision keeps it."""
+    if n <= 4 or m - n + c <= 3:
+        return True
+    if m > 3 * n - 6:
+        return False
+    return None
+
+
+def _nonplanar_blocks(h: Graph, adjm: list[int]) -> list[int]:
+    """The vertex masks of H's non-planar blocks. Counts settle a block or
+    one planarity test does; H[B] is the block B itself, since an edge
+    inside B lies in B."""
+    bad = []
+    for block in blocks(h):
+        mask = sum(1 << v for v in block)
+        m = sum((adjm[v] & mask).bit_count() for v in block) // 2
+        planar = _certain(len(block), m, 1)
+        if planar is None:
+            planar = is_planar(induced_subgraph(h, block))
+        if not planar:
+            bad.append(mask)
+    return bad
+
+
+def _search(h: Graph, first: bool = False) -> tuple[list[Separation], bool]:
     """One pass over the cut sets: the candidate flaps in enumeration
-    order, and whether any cut set separates H at all."""
+    order, and whether any cut set separates H at all. With ``first`` the
+    pass stops at the first candidate.
+
+    A graph is planar exactly when each of its blocks is. For |X| <= 1 the
+    side is a union of H's blocks, and for |X| = 2 with a member of X that
+    has no neighbour in S it is such a union plus a pendant or separate
+    edge; so then the side is planar exactly when no non-planar block of H
+    lies inside X union S. Counts decide most other sides, and the rest
+    get one planarity test each."""
+    adjm = [sum(1 << w for w in nbrs) for nbrs in h.adj]
+    bad = _nonplanar_blocks(h, adjm)
     cands: list[Separation] = []
     separable = False
     for x in _cut_sets(h):
@@ -96,9 +136,24 @@ def _search(h: Graph) -> tuple[list[Separation], bool]:
         if len(comps) < 2:
             continue
         separable = True
+        xmask = sum(1 << v for v in x)
         for s in comps:
-            if is_planar(_side_plus(h, x, s)):
+            smask = sum(1 << v for v in s)
+            vmask = xmask | smask
+            touching = sum(1 for v in x if adjm[v] & smask)
+            m = sum((adjm[v] & vmask).bit_count() for v in x + s) // 2
+            if len(x) == 2 and not adjm[x[0]] >> x[1] & 1:
+                m += 1
+            planar = _certain(len(x) + len(s), m, 2 if x and not touching else 1)
+            if planar is None:
+                if any(not b & ~vmask for b in bad):
+                    planar = False
+                else:
+                    planar = touching < 2 or is_planar(_side_plus(h, x, s))
+            if planar:
                 cands.append(Separation(x, s))
+                if first:
+                    return cands, separable
     return cands, separable
 
 
@@ -227,7 +282,7 @@ def is_strongly_non_planar(h: Graph) -> bool:
     this: every side contains one, and planarity is subgraph-closed."""
     if h.n <= 4 or is_planar(h):
         return False
-    return not _search(h)[0]
+    return not _search(h, first=True)[0]
 
 
 def are_independent(h: Graph, a: Separation, b: Separation) -> bool:

@@ -232,6 +232,53 @@ def articulation_points(g: Graph, removed: Iterable[int] = ()) -> list[int]:
     return [v for v in range(g.n) if cut[v]]
 
 
+def blocks(g: Graph) -> list[tuple[int, ...]]:
+    """The vertex sets of the blocks of g, each sorted, in sorted order:
+    its maximal 2-connected subgraphs and its bridges. An isolated vertex
+    lies in no block; the cut vertices are those in two blocks or more.
+    One iterative lowpoint DFS, O(n + m) (Hopcroft-Tarjan 1973): a stack
+    of the visited vertices gives up each block as its lowpoint test
+    closes."""
+    disc = [0] * g.n  # DFS discovery time from 1; 0 unvisited
+    low = [0] * g.n
+    at = [0] * g.n  # position in ``visited``, kept since it only shrinks
+    found: list[tuple[int, ...]] = []
+    clock = 0
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        visited = [root]
+        stack = [(root, -1, iter(g.adj[root]))]
+        while stack:
+            v, parent, todo = stack[-1]
+            for w in todo:
+                d = disc[w]
+                if d == 0:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    at[w] = len(visited)
+                    visited.append(w)
+                    stack.append((w, v, iter(g.adj[w])))
+                    break
+                if d < low[v]:
+                    low[v] = d
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    # v's subtree, less the blocks already given up, and
+                    # the parent
+                    found.append(tuple(sorted(visited[at[v]:] + [parent])))
+                    del visited[at[v]:]
+    found.sort()
+    return found
+
+
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     """Classes of false twins: vertices with equal open neighborhoods,
     which are never adjacent. Each class is sorted and the classes are

@@ -11,6 +11,7 @@ import random
 
 from surfcount.embedding import EmbeddedGraph, FacialWalk, switch_vertex, trace_faces
 from surfcount.errors import PreconditionError
+from surfcount.flaps import Separation
 from surfcount.graph import Graph, add_clique, automorphisms, induced_subgraph
 from surfcount.planarity import is_planar
 
@@ -60,6 +61,52 @@ def random_connected_graph(rng: random.Random, n: int, extra_p: float) -> Graph:
             if (i, j) not in edges and rng.random() < extra_p:
                 edges.add((i, j))
     return Graph.build(n, edges)
+
+
+def _glue_piece(rng: random.Random) -> Graph:
+    """A K5 or K3,3, whole, less an edge or with an edge subdivided; or a
+    K4, a cycle, a tree or an edge."""
+    kind = rng.randrange(7)
+    if kind <= 2:
+        piece = rng.choice([_K5, _K33])
+        n, edges = piece.n, sorted(piece.edges)
+        if kind == 1:
+            edges.remove(rng.choice(edges))
+        elif kind == 2:
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, n), (n, v)]
+            n += 1
+        return Graph.build(n, edges)
+    if kind == 3:
+        return Graph.build(4, list(itertools.combinations(range(4), 2)))
+    if kind == 4:
+        k = rng.randint(3, 6)
+        return Graph.build(k, [(i, (i + 1) % k) for i in range(k)])
+    if kind == 5:
+        return random_tree(rng, rng.randint(2, 5))
+    return Graph.build(2, [(0, 1)])
+
+
+def random_glued_graph(rng: random.Random, max_n: int = 16) -> Graph:
+    """Pieces from ``_glue_piece`` glued one after another at 0, 1 or 2
+    vertices of the graph so far, sometimes with isolated vertices added,
+    then relabelled at random. So non-planar blocks, planar 2-connected
+    pieces, 1- and 2-vertex overlaps and several components all occur."""
+    n = 0
+    edges: set[tuple[int, int]] = set()
+    while True:
+        piece = _glue_piece(rng)
+        glue = min(rng.choice([0, 1, 1, 2, 2, 2]), n, piece.n)
+        if n and n + piece.n - glue > max_n:
+            break
+        where = rng.sample(range(n), glue) + list(range(n, n + piece.n - glue))
+        rng.shuffle(where)
+        edges |= {(min(where[u], where[v]), max(where[u], where[v])) for u, v in piece.edges}
+        n = max(n, max(where) + 1)
+    if n < max_n and rng.random() < 0.3:
+        n += rng.randint(1, min(2, max_n - n))
+    perm = rng.sample(range(n), n)
+    return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def random_rotation_system(rng: random.Random, n: int) -> EmbeddedGraph:
@@ -373,6 +420,27 @@ def brute_cut_vertices(g: Graph, removed: tuple[int, ...] = ()) -> list[int]:
             and len(_components_without(g, removed + (v,))) > base]
 
 
+def brute_blocks(g: Graph) -> list[tuple[int, ...]]:
+    """The blocks of g from the definition, sorted: the maximal vertex sets
+    of three or more vertices that stay connected after deleting any one
+    of their vertices, and the end pairs of the bridges, the edges whose
+    deletion leaves more components. Exponential; small graphs only."""
+    def connected_without(kept: frozenset[int], dropped: tuple[int, ...]) -> bool:
+        outside = tuple(v for v in range(g.n) if v not in kept) + dropped
+        return len(_components_without(g, outside)) == 1
+
+    two_connected = [frozenset(u) for r in range(3, g.n + 1)
+                     for u in itertools.combinations(range(g.n), r)
+                     if connected_without(frozenset(u), ())
+                     and all(connected_without(frozenset(u), (v,)) for v in u)]
+    found = [tuple(sorted(u)) for u in two_connected
+             if not any(u < other for other in two_connected)]
+    base = len(_components_without(g, ()))
+    found += [e for e in sorted(g.edges)
+              if len(_components_without(Graph(g.n, g.edges - {e}), ())) > base]
+    return sorted(found)
+
+
 def literal_flap_interiors(g: Graph) -> tuple[bool, set[frozenset[int]]]:
     """(some separation exists, set of interiors S that are flap sides for
     some cut set X), enumerating unions of components and every X of size
@@ -395,6 +463,25 @@ def literal_flap_interiors(g: Graph) -> tuple[bool, set[frozenset[int]]]:
                 if is_planar(side):
                     interiors.add(s)
     return any_separation, interiors
+
+
+def slow_flap_candidates(g: Graph) -> tuple[list[Separation], bool]:
+    """The candidate flaps in ``flaps._search`` order, and whether any cut
+    set separates g: every single-component side gets its own planarity
+    test of the side plus a clique on the cut set."""
+    cands = []
+    separable = False
+    for x in _subsets_le2(g.n):
+        comps = _components_without(g, x)
+        if len(comps) < 2:
+            continue
+        separable = True
+        for s in comps:
+            verts = sorted(s | set(x))
+            index = {v: i for i, v in enumerate(verts)}
+            if is_planar(add_clique(induced_subgraph(g, verts), [index[v] for v in x])):
+                cands.append(Separation(x, tuple(s)))
+    return cands, separable
 
 
 def literal_flap_number(g: Graph) -> int:
@@ -559,3 +646,90 @@ def slow_trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
             raise AssertionError("face orbits do not pair off by traversal direction")
         faces.append(FacialWalk(tuple((u, v) for u, v, _ in orbit)))
     return faces
+
+
+# ---------------------------------------------------------------------------
+# Rotation systems from face lists by scanning every face for each vertex
+# ---------------------------------------------------------------------------
+
+
+def _norm_pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+def slow_embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedGraph:
+    """The signed rotation system of a triangle list, as
+    ``embedding_from_faces`` builds it, with each vertex link read by a scan
+    over every face: O(n * f)."""
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    for i, f in enumerate(faces):
+        if len(set(f)) != 3:
+            raise PreconditionError(f"face {f} is not a triangle")
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            edge_faces.setdefault(_norm_pair(a, b), []).append(i)
+    for e, fs in edge_faces.items():
+        if len(fs) != 2:
+            raise PreconditionError(f"edge {e} lies in {len(fs)} faces, need 2")
+    graph = Graph.build(n, edge_faces.keys())
+    # vertex links: each neighbor's partners around v
+    rotations = []
+    for v in range(n):
+        partners: dict[int, list[int]] = {}
+        for f in faces:
+            if v in f:
+                rest = [u for u in f if u != v]
+                partners.setdefault(rest[0], []).append(rest[1])
+                partners.setdefault(rest[1], []).append(rest[0])
+        nbrs = sorted(graph.adj[v])
+        if not nbrs:
+            raise PreconditionError(f"vertex {v} is isolated")
+        if sorted(partners) != nbrs or any(len(p) != 2 for p in partners.values()):
+            raise PreconditionError(f"link of vertex {v} is not a single cycle")
+        start = nbrs[0]
+        second = min(partners[start])
+        cycle = [start, second]
+        while True:
+            prev, cur = cycle[-2], cycle[-1]
+            nxts = [u for u in partners[cur] if u != prev]
+            nxt = nxts[0] if nxts else prev  # doubled link edge (degree 2)
+            if nxt == cycle[0] and len(cycle) == len(nbrs):
+                break
+            cycle.append(nxt)
+            if len(cycle) > len(nbrs):
+                raise PreconditionError(f"link of vertex {v} is not a single cycle")
+        if sorted(cycle) != nbrs:
+            raise PreconditionError(f"link of vertex {v} is not a single cycle")
+        rotations.append(tuple(cycle))
+    # derive edge signs from corner orientations: walking a face, the sign
+    # of each step edge is the product of the corner senses at its ends
+    def corner_sense(v: int, come: int, go: int) -> int:
+        rot = rotations[v]
+        i = rot.index(come)
+        if rot[(i + 1) % len(rot)] == go:
+            return 1
+        if rot[(i - 1) % len(rot)] == go:
+            return -1
+        raise PreconditionError(
+            f"face corner at {v} ({come}->{go}) not rotation-consecutive")
+
+    signs: dict[tuple[int, int], int] = {}
+    for f in faces:
+        walk = list(f)
+        eps = []
+        for t in range(3):
+            come = walk[(t - 1) % 3]
+            v = walk[t]
+            go = walk[(t + 1) % 3]
+            eps.append(corner_sense(v, come, go))
+        for t in range(3):
+            e = _norm_pair(walk[t], walk[(t + 1) % 3])
+            lam = eps[t] * eps[(t + 1) % 3]
+            if signs.setdefault(e, lam) != lam:
+                raise PreconditionError(f"inconsistent sign derivation at edge {e}")
+    negative = {e for e, s in signs.items() if s < 0}
+    eg = EmbeddedGraph.build(graph, rotations, negative)
+    want = sorted(tuple(sorted(f)) for f in faces)
+    got = sorted(tuple(sorted(w.vertex_set())) for w in trace_faces(eg))
+    if want != got:
+        raise PreconditionError("face reconstruction failed to reproduce the face list")
+    return eg

@@ -7,6 +7,7 @@ from support import (
     random_connected_graph,
     random_rotation_system,
     random_stacked,
+    slow_embedding_from_faces,
     slow_split_path,
     slow_trace_faces,
 )
@@ -30,7 +31,7 @@ from surfcount.embedding import (
     trace_faces,
 )
 from surfcount.errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
-from surfcount.graph import Graph, complete_graph
+from surfcount.graph import Graph, complete_graph, is_connected
 from surfcount.surfaces import (
     PROJECTIVE_K6_FACES,
     icosahedron,
@@ -197,6 +198,81 @@ def test_switch_preserves_faces():
     for v in range(6):
         assert face_multiset(switch_vertex(eg, v)) == face_multiset(eg)
         assert euler_genus(switch_vertex(eg, v)) == 1
+
+
+def face_cycles(eg):
+    """The faces as cyclic vertex sequences up to rotation and reversal,
+    sorted: the face multiset of the walks themselves."""
+    out = []
+    for walk in trace_faces(eg):
+        seq = walk.vertices
+        turns = [seq[i:] + seq[:i] for i in range(len(seq))]
+        out.append(min(turns + [t[::-1] for t in turns]))
+    return sorted(out)
+
+
+def test_switch_vertex_properties():
+    """Switching a vertex keeps the faces, as walks, and the Euler genus,
+    and switching it twice gives back an equal embedding. Seeded signed
+    rotation systems: trees, graphs with pendant, isolated and degree-2
+    vertices and random negative edges, and randomly switched stacked and
+    grown triangulations."""
+    rng = random.Random(1307)
+    cases = [random_rotation_system(rng, rng.randint(1, 12)) for _ in range(150)]
+    cases += [random_stacked(rng, rng.randint(4, 40), rng.choice([0.0, 0.5]), 0.5)[0]
+              for _ in range(20)]
+    for _ in range(10):
+        eg = split_growth(rng.choice([sphere_irreducible(), projective_k6()]),
+                          rng.randint(8, 30))
+        for v in rng.sample(range(eg.n), rng.randint(0, eg.n)):
+            eg = switch_vertex(eg, v)
+        cases.append(eg)
+    seen = {"tree": 0, "pendant": 0, "degree 2": 0, "negative": 0, "genus": 0}
+    for eg in cases:
+        degrees = [eg.graph.degree(v) for v in range(eg.n)]
+        connected = is_connected(eg.graph)
+        seen["tree"] += connected and eg.m == eg.n - 1 > 0
+        seen["pendant"] += 1 in degrees
+        seen["degree 2"] += 2 in degrees
+        seen["negative"] += bool(eg.negative_edges)
+        faces = face_cycles(eg)
+        genus = euler_genus(eg) if connected else None
+        seen["genus"] += bool(genus)
+        for v in rng.sample(range(eg.n), min(eg.n, 4)):
+            switched = switch_vertex(eg, v)
+            assert face_cycles(switched) == faces
+            if connected:
+                assert euler_genus(switched) == genus
+            assert switch_vertex(switched, v) == eg
+    assert min(seen.values()) >= 10, seen
+
+
+def test_embedding_from_faces_matches_the_face_scan():
+    """The bucketed reconstruction serializes byte for byte like the one
+    that scans every face for each vertex, on stacked sphere triangulations
+    (some with a hub vertex), the bundled face lists and relabelled
+    copies; bad face lists raise the same error."""
+    rng = random.Random(4000)
+    lists = [(6, OCTA_FACES), (6, list(PROJECTIVE_K6_FACES))]
+    for n in (4, 5, 9, 30, 120, 400):
+        for hub in (0.0, 0.5):
+            lists.append((n, random_stacked(rng, n, hub)[1]))
+    for n, faces in list(lists):
+        perm = rng.sample(range(n), n)
+        lists.append((n, [tuple(perm[v] for v in f) for f in rng.sample(faces, len(faces))]))
+    for n, faces in lists:
+        assert (serialize_embedding(embedding_from_faces(n, faces))
+                == serialize_embedding(slow_embedding_from_faces(n, faces)))
+    bad = [(6, OCTA_FACES[:-1]), (7, OCTA_FACES), (6, OCTA_FACES[:-1] + [(1, 5, 5)]),
+           (6, [(0, 1, 2), (0, 2, 1)] * 2 + OCTA_FACES),
+           (5, [(0, 1, 2), (0, 2, 1), (2, 3, 4), (2, 4, 3)]),
+           (5, OCTA_FACES)]
+    for n, faces in bad:
+        with pytest.raises(PreconditionError) as fast:
+            embedding_from_faces(n, faces)
+        with pytest.raises(PreconditionError) as slow:
+            slow_embedding_from_faces(n, faces)
+        assert str(fast.value) == str(slow.value)
 
 
 def test_octahedron_contract():

@@ -9,8 +9,10 @@ from support import (
     literal_flap_number,
     literal_strongly_non_planar,
     random_connected_graph,
+    random_glued_graph,
     random_graph,
     random_tree,
+    slow_flap_candidates,
 )
 from surfcount import flaps
 from surfcount.cli import main
@@ -20,6 +22,7 @@ from surfcount.flaps import (
     Separation,
     are_independent,
     enumerate_candidate_flaps,
+    flap_family_and_number,
     flap_number,
     flap_reduction,
     is_flap,
@@ -28,8 +31,10 @@ from surfcount.flaps import (
     tree_beta,
 )
 from surfcount.graph import (
-    Graph, complete_graph, cycle_graph, is_connected, path_graph, serialize_graph)
+    Graph, blocks, complete_graph, connected_components, cycle_graph, induced_subgraph,
+    is_connected, path_graph, serialize_graph)
 from surfcount.planarity import is_planar
+from surfcount.surfaces import icosahedron
 
 K5_PENDANT = Graph.build(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)])
 # two K5s sharing the edge 01: the one separation has two non-planar sides
@@ -222,6 +227,64 @@ def test_one_candidate_search_per_call(monkeypatch, tmp_path):
                 lower_bound_graph(g, 4 * g.n)
         assert len(calls) == once + (not family)
         calls.clear()
+
+
+def test_search_matches_one_test_per_side_oracle():
+    """The search's candidates and separable flag, and the flap number,
+    family and strongly-non-planar flag built on them, against the search
+    with one planarity test per side. Seeded graphs of at most 16
+    vertices: K5 and K3,3 pieces (whole, less an edge, subdivided) glued to
+    planar pieces at 0, 1 or 2 vertices, with isolated vertices, and
+    random sparse, dense and disconnected graphs."""
+    rng = random.Random(1930)
+    graphs = [random_glued_graph(rng, rng.choice([8, 12, 16])) for _ in range(90)]
+    graphs += [random_graph(rng, rng.randint(2, 12), rng.choice([0.15, 0.3, 0.5]))
+               for _ in range(30)]
+    graphs += [random_connected_graph(rng, rng.randint(10, 16), rng.choice([0.05, 0.12]))
+               for _ in range(20)]
+    k33 = Graph.build(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    graphs += [complete_graph(s) for s in range(2, 9)] + [
+        k33, TWO_K5, K5_PENDANT, cycle_graph(7), icosahedron().graph,
+        Graph.build(9, list(k33.edges) + [(u, v) for u, v in combinations((0, 3, 6, 7, 8), 2)])]
+    seen = {"snp": 0, "nonplanar block": 0, "planar flapless": 0, "disconnected": 0,
+            "isolated": 0, "family": 0}
+    for g in graphs:
+        cands, separable = slow_flap_candidates(g)
+        assert flaps._search(g) == (cands, separable), sorted(g.edges)
+        assert enumerate_candidate_flaps(g) == cands
+        planar = is_planar(g)
+        snp = is_strongly_non_planar(g)
+        assert snp == (g.n > 4 and not planar and not cands)
+        family, number = flaps._family(g, cands) if cands else ([], int(planar))
+        assert maximum_flap_family(g) == family
+        assert flap_number(g) == number
+        assert flap_family_and_number(g) == (family, number)
+        comps = connected_components(g)
+        seen["snp"] += snp
+        seen["nonplanar block"] += not all(is_planar(induced_subgraph(g, b)) for b in blocks(g))
+        seen["planar flapless"] += planar and not cands
+        seen["disconnected"] += len(comps) > 1
+        seen["isolated"] += any(len(c) == 1 for c in comps)
+        seen["family"] += bool(family)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_planarity_calls_follow_the_blocks(monkeypatch):
+    """Counts settle every side of a tree, so its flap number takes no
+    planarity test. The strongly-non-planar test stops at the first
+    candidate: on K5 plus a pendant vertex it visits two cut sets and
+    tests only the whole graph, since K5's edge count rules it out."""
+    calls = []
+    monkeypatch.setattr(flaps, "is_planar", lambda g: calls.append(g.n) or is_planar(g))
+    tree = random_tree(random.Random(16), 16)
+    assert flap_number(tree) == tree_beta(tree)
+    assert calls == []
+    visited = []
+    monkeypatch.setattr(flaps, "connected_components",
+                        lambda h, x: visited.append(x) or connected_components(h, x))
+    assert not is_strongly_non_planar(K5_PENDANT)
+    assert calls == [6]
+    assert visited == [(), (0,)]
 
 
 GOLDEN = Path(__file__).parent / "data" / "flaps_golden.txt"

@@ -129,7 +129,8 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
     a state.
     """
     q, weight = g._twin_quotient
-    weigh = len if q is g else (lambda cands: sum(map(weight.__getitem__, cands)))
+    unit = q is g
+    weigh = len if unit else (lambda cands: sum(map(weight.__getitem__, cands)))
     order = _search_order(h)
     pos = [0] * h.n
     for i, v in enumerate(order):
@@ -166,7 +167,7 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
             if stays:
                 for c in cands:
                     nk = base + (c,)
-                    nxt[nk] = nxt.get(nk, 0) + cnt * weight[c]
+                    nxt[nk] = nxt.get(nk, 0) + (cnt if unit else cnt * weight[c])
             elif cands:
                 nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
         budget.left = left

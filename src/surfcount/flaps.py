@@ -20,8 +20,7 @@ from itertools import combinations
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
 from .graph import (
-    Graph, add_clique, as_vertex_set, blocks, connected_components, induced_subgraph,
-    is_connected)
+    Graph, add_clique, as_vertex_set, blocks, induced_subgraph, is_connected)
 from .planarity import is_planar
 
 DEFAULT_FLAP_SIZE_CAP = 16
@@ -116,6 +115,30 @@ def _nonplanar_blocks(h: Graph, adjm: list[int]) -> list[int]:
     return bad
 
 
+def _mask_components(adjm: list[int], alive: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The components of the graph with adjacency masks ``adjm`` induced on
+    the vertex mask ``alive``, ordered by least member, each as its vertex
+    mask and its sorted vertices. A vertex leaves ``alive`` when reached."""
+    comps = []
+    while alive:
+        todo = alive & -alive
+        alive ^= todo
+        comp = 0
+        members = []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            comp |= low
+            v = low.bit_length() - 1
+            members.append(v)
+            reach = adjm[v] & alive
+            alive ^= reach
+            todo |= reach
+        members.sort()
+        comps.append((comp, tuple(members)))
+    return comps
+
+
 def _search(h: Graph, first: bool = False) -> tuple[list[Separation], bool]:
     """One pass over the cut sets: the candidate flaps in enumeration
     order, and whether any cut set separates H at all. With ``first`` the
@@ -129,16 +152,16 @@ def _search(h: Graph, first: bool = False) -> tuple[list[Separation], bool]:
     get one planarity test each."""
     adjm = [sum(1 << w for w in nbrs) for nbrs in h.adj]
     bad = _nonplanar_blocks(h, adjm)
+    everything = (1 << h.n) - 1
     cands: list[Separation] = []
     separable = False
     for x in _cut_sets(h):
-        comps = connected_components(h, x)
+        xmask = sum(1 << v for v in x)
+        comps = _mask_components(adjm, everything & ~xmask)
         if len(comps) < 2:
             continue
         separable = True
-        xmask = sum(1 << v for v in x)
-        for s in comps:
-            smask = sum(1 << v for v in s)
+        for smask, s in comps:
             vmask = xmask | smask
             touching = sum(1 for v in x if adjm[v] & smask)
             m = sum((adjm[v] & vmask).bit_count() for v in x + s) // 2

@@ -11,10 +11,9 @@ node edge is virtual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .graph import Graph, articulation_points, connected_components, is_connected
+from .graph import Graph, articulation_points, blocks, connected_components, is_connected
 
 REAL = "R"
 VIRTUAL = "V"
@@ -43,28 +42,72 @@ class SpqrkTree:
         return adj
 
 
-def _separating_pair(g: Graph) -> tuple[int, int] | None:
+def _separating_pair(g: Graph, start: int) -> tuple[int, int] | None:
     """For a 2-connected g that is not a cycle: None if g is 3-connected,
     else the lexicographically first pair x < y, both of degree at least 3,
-    whose removal disconnects g. The y that pair with x are the
-    articulation points of g - x."""
-    pairs = ((x, y) for x in range(g.n) for y in articulation_points(g, (x,)) if y > x)
-    first = next(pairs, None)
-    if first is None:
-        return None
-    for x, y in chain((first,), pairs):
-        if g.degree(x) >= 3 and g.degree(y) >= 3:
-            return x, y
-    raise InternalInvariantError("2-connected non-cycle graph must have a degree-3 cutset")
+    whose removal disconnects g, with the scan begun at x = ``start``. The
+    y that pair with x are the articulation points of g - x.
+
+    A P-split child may resume at its parent's x: each separating pair of
+    the child separates the parent too, and no degree grows in the child,
+    so no pair the parent passed over qualifies in the child."""
+    for x in range(start, g.n):
+        if g.degree(x) >= 3:
+            for y in articulation_points(g, (x,)):
+                if y > x and g.degree(y) >= 3:
+                    return x, y
+    # the ends of a maximal path of degree-2 vertices would be such a pair
+    if any(g.degree(v) == 2 for v in range(g.n)):
+        raise InternalInvariantError("2-connected non-cycle graph must have a degree-3 cutset")
+    return None
+
+
+def _q_levels(parts: list[tuple[int, ...]], holding: list[list[int]]
+              ) -> tuple[tuple, dict[int, list]]:
+    """The cut-vertex recursion over the blocks ``parts`` of a connected
+    graph: each piece splits at its least cut vertex c into the pieces of
+    the components of piece - c, ordered by least vertex other than c.
+
+    The pieces of c are the sets of blocks joined through cut vertices
+    above c, so a union-find over the blocks visits the cut vertices (the
+    vertices ``holding`` two blocks or more) in decreasing label and keeps
+    each set's two least vertices and the node of its subtree: ("Q", c) or
+    ("B", block). Returns the root node and, per cut vertex, its children
+    as (key, node, the child's block holding c) in order."""
+    up = list(range(len(parts)))
+    least = [part[:2] for part in parts]
+    top: list[tuple] = [("B", b) for b in range(len(parts))]
+
+    def find(b: int) -> int:
+        while up[b] != b:
+            up[b] = up[up[b]]
+            b = up[b]
+        return b
+
+    children: dict[int, list] = {}
+    root = ("B", 0)
+    for c in range(len(holding) - 1, -1, -1):
+        if len(holding[c]) < 2:
+            continue
+        sets = [(find(b), b) for b in holding[c]]
+        kids = []
+        for r, b in sets:
+            lo, hi = least[r]
+            kids.append((hi if lo == c else lo, top[r], b))
+        kids.sort()
+        children[c] = kids
+        r0 = sets[0][0]
+        least[r0] = tuple(sorted({v for r, _ in sets for v in least[r]}))[:2]
+        for r, _ in sets[1:]:
+            up[r] = r0
+        root = top[r0] = ("Q", c)
+    return root, children
 
 
 class _Builder:
-    """Worklist construction over subgraphs carrying original indices.
-
-    A piece that splits adds its Q or P node, then its children in order,
-    each child's subtree whole before the next. After a child's subtree,
-    the tree edge from the split node to its anchor in that subtree is
-    linked, so nodes and links come in the order of a recursive build."""
+    """Adds the nodes and tree links in the order of a recursive build: a
+    split node, then each child's subtree whole, each followed by the link
+    from the split node to its anchor in that subtree."""
 
     def __init__(self):
         self.nodes: list[SpqrkNode] = []
@@ -74,73 +117,103 @@ class _Builder:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def build(self, vertices: tuple[int, ...], edges) -> None:
-        """Build the tree of the graph on ``vertices`` with ``edges``
-        (original indices). The stack holds pieces still to place, as
-        (vertices, edges, split node or None, shared cut), and links still
-        to make, as (split node, shared cut, first node of the child)."""
-        work: list[tuple] = [(vertices, edges, None, ())]
+    def build(self, g: Graph) -> None:
+        """Q levels from the recursion of ``_q_levels``, by an explicit
+        stack of nodes to place and ("L", Q node, c, block) links to make;
+        each block goes once through ``block``."""
+        parts = blocks(g)
+        if not parts:  # one vertex or none
+            self.add_node(SpqrkNode("K", tuple(range(g.n)), []))
+            return
+        holding: list[list[int]] = [[] for _ in range(g.n)]
+        for b, part in enumerate(parts):
+            for v in part:
+                holding[v].append(b)
+        part_edges: list[list[tuple[int, int]]] = [[] for _ in parts]
+        for u, v in g.edges:  # two blocks share at most one vertex
+            if len(holding[u]) == 1:
+                b = holding[u][0]
+            elif len(holding[v]) == 1:
+                b = holding[v][0]
+            else:
+                (b,) = set(holding[u]).intersection(holding[v])
+            part_edges[b].append((u, v))
+        root, children = _q_levels(parts, holding)
+        span: dict[int, range] = {}
+        work: list[tuple] = [root]
+        while work:
+            item = work.pop()
+            if item[0] == "B":
+                b = item[1]
+                span[b] = self.block(parts[b], part_edges[b])
+            elif item[0] == "Q":
+                c = item[1]
+                q = self.add_node(SpqrkNode("Q", (c,), []))
+                for _, node, b in reversed(children[c]):
+                    work.append(("L", q, c, b))
+                    work.append(node)
+            else:
+                _, q, c, b = item
+                self.links.append((q, self._q_anchor(span[b], c)))
+
+    def block(self, vertices: tuple[int, ...], edges) -> range:
+        """Add the subtree of one block and return its node range. The
+        stack holds pieces still to place, as (vertices, edges, P node or
+        None, shared pair, where the pair scan starts), and links still to
+        make, as (P node, shared pair, first node of the child)."""
+        first = len(self.nodes)
+        work: list[tuple] = [(vertices, edges, None, (), vertices[0])]
         while work:
             item = work.pop()
             if len(item) == 3:
-                parent, shared, first = item
-                child_nodes = range(first, len(self.nodes))
-                if self.nodes[parent].kind == "P":
-                    anchor = self._flip_real_to_virtual(child_nodes, shared)
-                else:
-                    anchor = self._q_anchor(child_nodes, shared[0])
+                parent, shared, child = item
+                anchor = self._flip_real_to_virtual(range(child, len(self.nodes)), shared)
                 self.links.append((parent, anchor))
                 continue
-            vertices, edges, parent, shared = item
+            vertices, edges, parent, shared, start = item
             if parent is not None:
                 work.append((parent, shared, len(self.nodes)))
-            work.extend(reversed(self._piece(vertices, edges)))
+            work.extend(reversed(self._piece(vertices, edges, start)))
+        return range(first, len(self.nodes))
 
-    def _piece(self, vertices: tuple[int, ...], edges) -> list[tuple]:
-        """Add the node of one piece, or the split node of a piece that
-        splits, and return the children's pieces in order."""
-        index = {v: i for i, v in enumerate(vertices)}
-        local = Graph.build(len(vertices), [(index[u], index[v]) for u, v in edges])
-        cuts = articulation_points(local)
-        if cuts:
-            return self._split(vertices, local, (cuts[0],))
-        if local.n <= 2:
+    def _piece(self, vertices: tuple[int, ...], edges, start: int) -> list[tuple]:
+        """Add the node of one 2-connected piece or bridge, or the P node of
+        a piece that splits, and return the children's pieces in order. A
+        2-connected piece with as many edges as vertices is a cycle."""
+        if len(vertices) <= 2:
             kind = "K"
-        elif all(local.degree(v) == 2 for v in range(local.n)):
+        elif len(edges) == len(vertices):
             kind = "S"
         else:
-            pair = _separating_pair(local)
+            index = {v: i for i, v in enumerate(vertices)}
+            local = Graph.build(len(vertices), [(index[u], index[v]) for u, v in edges])
+            pair = _separating_pair(local, index[start])
             if pair is not None:
                 return self._split(vertices, local, pair)
             kind = "R"
-        edges = [(vertices[u], vertices[v], REAL) for u, v in sorted(local.edges)]
+        edges = [(u, v, REAL) for u, v in sorted(edges)]
         self.add_node(SpqrkNode(kind, vertices, edges))
         return []
 
     def _split(self, vertices: tuple[int, ...], local: Graph,
-               cut: tuple[int, ...]) -> list[tuple]:
-        """Add the Q node of a cut vertex or the P node of a separating
-        pair (local indices) and return one piece per component of
-        local - cut: the component with the cut, and the edges with an end
-        in the component plus, under a P node, the pair's edge."""
-        shared = tuple(vertices[v] for v in cut)
-        comps = connected_components(local, cut)
-        if len(cut) == 1:
-            split = self.add_node(SpqrkNode("Q", shared, []))
-            extra = ()
-        else:
-            p_edges = [(*shared, VIRTUAL) for _ in comps]
-            if local.has_edge(*cut):
-                p_edges.append((*shared, REAL))
-            split = self.add_node(SpqrkNode("P", shared, p_edges))
-            extra = (shared,)
+               pair: tuple[int, int]) -> list[tuple]:
+        """Add the P node of a separating pair (local indices) and return
+        one piece per component of local - pair: the component with the
+        pair, the edges with an end in the component plus the pair's edge,
+        and the pair's first vertex, where the piece's scan starts."""
+        shared = tuple(vertices[v] for v in pair)
+        comps = connected_components(local, pair)
+        p_edges = [(*shared, VIRTUAL) for _ in comps]
+        if local.has_edge(*pair):
+            p_edges.append((*shared, REAL))
+        split = self.add_node(SpqrkNode("P", shared, p_edges))
         where = [-1] * local.n
         pieces = []
         for k, comp in enumerate(comps):
             for v in comp:
                 where[v] = k
-            pieces.append((tuple(sorted(vertices[v] for v in comp + cut)), set(extra),
-                           split, shared))
+            pieces.append((tuple(sorted(vertices[v] for v in comp + pair)), {shared},
+                           split, shared, shared[0]))
         for u, v in local.edges:
             k = where[u] if where[u] >= 0 else where[v]
             if k >= 0:  # vertices are sorted, so u < v keeps its order
@@ -148,8 +221,8 @@ class _Builder:
         return pieces
 
     def _q_anchor(self, node_ids: range, ox: int) -> int:
-        """The node of a Q node's child subtree that holds the cut vertex
-        ``ox``: the only one, or else the first P node among them."""
+        """The node of the block subtree ``node_ids`` that holds the cut
+        vertex ``ox``: the only one, or else the first P node among them."""
         containing = [i for i in node_ids if ox in self.nodes[i].vertices]
         if len(containing) == 1:
             return containing[0]
@@ -176,7 +249,7 @@ def spqrk_build(g: Graph) -> SpqrkTree:
     if not is_connected(g):
         raise PreconditionError("decomposition tree needs a connected graph")
     builder = _Builder()
-    builder.build(tuple(range(g.n)), frozenset(g.edges))
+    builder.build(g)
     return SpqrkTree(builder.nodes, builder.links)
 
 

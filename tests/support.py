@@ -10,10 +10,13 @@ import itertools
 import random
 
 from surfcount.embedding import EmbeddedGraph, FacialWalk, switch_vertex, trace_faces
-from surfcount.errors import PreconditionError
+from surfcount.errors import InternalInvariantError, PreconditionError
 from surfcount.flaps import Separation
-from surfcount.graph import Graph, add_clique, automorphisms, induced_subgraph
+from surfcount.graph import (
+    Graph, add_clique, articulation_points, automorphisms, connected_components,
+    induced_subgraph, is_connected)
 from surfcount.planarity import is_planar
+from surfcount.spqrk import REAL, VIRTUAL, SpqrkNode, SpqrkTree
 
 
 # ---------------------------------------------------------------------------
@@ -733,3 +736,132 @@ def slow_embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> Embe
     if want != got:
         raise PreconditionError("face reconstruction failed to reproduce the face list")
     return eg
+
+
+# ---------------------------------------------------------------------------
+# Decomposition trees by rebuilding every piece and rerunning the cut search
+# ---------------------------------------------------------------------------
+
+
+def _slow_separating_pair(g: Graph) -> tuple[int, int] | None:
+    """For a 2-connected g that is not a cycle: None if g is 3-connected,
+    else the lexicographically first pair x < y, both of degree at least 3,
+    whose removal disconnects g, scanning every x from 0."""
+    pairs = ((x, y) for x in range(g.n) for y in articulation_points(g, (x,)) if y > x)
+    first = next(pairs, None)
+    if first is None:
+        return None
+    for x, y in itertools.chain((first,), pairs):
+        if g.degree(x) >= 3 and g.degree(y) >= 3:
+            return x, y
+    raise InternalInvariantError("2-connected non-cycle graph must have a degree-3 cutset")
+
+
+class _SlowBuilder:
+    """Worklist construction over subgraphs carrying original indices: each
+    piece is rebuilt as a fresh ``Graph``, split at its least cut vertex
+    (Q) or its first separating pair (P), and its children are the
+    components of the piece less the cut, ordered by least member. After a
+    child's subtree, the tree edge from the split node to its anchor in
+    that subtree is linked."""
+
+    def __init__(self):
+        self.nodes: list[SpqrkNode] = []
+        self.links: list[tuple[int, int]] = []
+
+    def add_node(self, node: SpqrkNode) -> int:
+        self.nodes.append(node)
+        return len(self.nodes) - 1
+
+    def build(self, vertices: tuple[int, ...], edges) -> None:
+        work: list[tuple] = [(vertices, edges, None, ())]
+        while work:
+            item = work.pop()
+            if len(item) == 3:
+                parent, shared, first = item
+                child_nodes = range(first, len(self.nodes))
+                if self.nodes[parent].kind == "P":
+                    anchor = self._flip_real_to_virtual(child_nodes, shared)
+                else:
+                    anchor = self._q_anchor(child_nodes, shared[0])
+                self.links.append((parent, anchor))
+                continue
+            vertices, edges, parent, shared = item
+            if parent is not None:
+                work.append((parent, shared, len(self.nodes)))
+            work.extend(reversed(self._piece(vertices, edges)))
+
+    def _piece(self, vertices: tuple[int, ...], edges) -> list[tuple]:
+        index = {v: i for i, v in enumerate(vertices)}
+        local = Graph.build(len(vertices), [(index[u], index[v]) for u, v in edges])
+        cuts = articulation_points(local)
+        if cuts:
+            return self._split(vertices, local, (cuts[0],))
+        if local.n <= 2:
+            kind = "K"
+        elif all(local.degree(v) == 2 for v in range(local.n)):
+            kind = "S"
+        else:
+            pair = _slow_separating_pair(local)
+            if pair is not None:
+                return self._split(vertices, local, pair)
+            kind = "R"
+        edges = [(vertices[u], vertices[v], REAL) for u, v in sorted(local.edges)]
+        self.add_node(SpqrkNode(kind, vertices, edges))
+        return []
+
+    def _split(self, vertices: tuple[int, ...], local: Graph,
+               cut: tuple[int, ...]) -> list[tuple]:
+        shared = tuple(vertices[v] for v in cut)
+        comps = connected_components(local, cut)
+        if len(cut) == 1:
+            split = self.add_node(SpqrkNode("Q", shared, []))
+            extra = ()
+        else:
+            p_edges = [(*shared, VIRTUAL) for _ in comps]
+            if local.has_edge(*cut):
+                p_edges.append((*shared, REAL))
+            split = self.add_node(SpqrkNode("P", shared, p_edges))
+            extra = (shared,)
+        where = [-1] * local.n
+        pieces = []
+        for k, comp in enumerate(comps):
+            for v in comp:
+                where[v] = k
+            pieces.append((tuple(sorted(vertices[v] for v in comp + cut)), set(extra),
+                           split, shared))
+        for u, v in local.edges:
+            k = where[u] if where[u] >= 0 else where[v]
+            if k >= 0:
+                pieces[k][1].add((vertices[u], vertices[v]))
+        return pieces
+
+    def _q_anchor(self, node_ids: range, ox: int) -> int:
+        containing = [i for i in node_ids if ox in self.nodes[i].vertices]
+        if len(containing) == 1:
+            return containing[0]
+        for i in containing:
+            if self.nodes[i].kind == "P":
+                return i
+        raise InternalInvariantError(f"multiplied vertex {ox} lies in no P node")
+
+    def _flip_real_to_virtual(self, node_ids: range, edge: tuple[int, int]) -> int:
+        hits = [(i, j) for i in node_ids
+                for j, e in enumerate(self.nodes[i].edges) if e == (*edge, REAL)]
+        if len(hits) != 1:
+            raise InternalInvariantError(
+                f"edge {edge} should be real in exactly one node, got {len(hits)}")
+        i, j = hits[0]
+        self.nodes[i].edges[j] = (*edge, VIRTUAL)
+        return i
+
+
+def slow_spqrk_build(g: Graph) -> SpqrkTree:
+    """The decomposition tree of a connected graph, as ``spqrk_build``
+    gives it, with one fresh ``Graph`` and one articulation search per
+    piece: O(n^2) on a path."""
+    if not is_connected(g):
+        raise PreconditionError("decomposition tree needs a connected graph")
+    builder = _SlowBuilder()
+    builder.build(tuple(range(g.n)), frozenset(g.edges))
+    return SpqrkTree(builder.nodes, builder.links)

@@ -280,8 +280,13 @@ def test_planarity_calls_follow_the_blocks(monkeypatch):
     assert flap_number(tree) == tree_beta(tree)
     assert calls == []
     visited = []
-    monkeypatch.setattr(flaps, "connected_components",
-                        lambda h, x: visited.append(x) or connected_components(h, x))
+    split = flaps._mask_components
+
+    def recorded(adjm, alive):
+        visited.append(tuple(v for v in range(len(adjm)) if not alive >> v & 1))
+        return split(adjm, alive)
+
+    monkeypatch.setattr(flaps, "_mask_components", recorded)
     assert not is_strongly_non_planar(K5_PENDANT)
     assert calls == [6]
     assert visited == [(), (0,)]

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from support import random_connected_graph
-from surfcount.errors import PreconditionError
+from support import random_connected_graph, slow_spqrk_build
+from surfcount import spqrk
+from surfcount.errors import InternalInvariantError, PreconditionError
 from surfcount.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from surfcount.spqrk import (
     REAL,
@@ -53,6 +54,16 @@ def test_theta_p_node_no_real():
     p = next(n for n in tree.nodes if n.kind == "P")
     assert sorted(flag for _, _, flag in p.edges) == [VIRTUAL] * 3
     assert spqrk_validate(tree, theta)
+
+
+def test_pair_scan_guard():
+    """A pair scan that finds nothing in a 2-connected graph, not a cycle,
+    with a vertex of degree 2 has skipped the pair it needed, and raises."""
+    theta = Graph.build(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
+    assert spqrk._separating_pair(theta, 0) == (0, 1)
+    with pytest.raises(InternalInvariantError):
+        spqrk._separating_pair(theta, 1)
+    assert spqrk._separating_pair(complete_graph(4), 0) is None
 
 
 def test_path_decomposition():
@@ -118,6 +129,68 @@ def test_deep_path_needs_no_recursion():
     assert text.splitlines()[-1] == "  " * 795 + "K {398,399} 398-399[R]"
 
 
+def test_long_path_tree():
+    """A 20000-vertex path gives one Q node per inner vertex and one K node
+    per edge. Its indented text is quadratic in size, so it is not
+    serialized."""
+    g = path_graph(20000)
+    tree = spqrk_build(g)
+    assert len(tree.nodes) == 39997
+    assert kinds(tree).count("Q") == 19998 and kinds(tree).count("K") == 19999
+    assert spqrk_validate(tree, g, check_minors=False)
+
+
+def test_articulation_runs(monkeypatch):
+    """Cut vertices come from one block decomposition, so a path needs no
+    articulation search, and the 9x9 grid one per pair scan step only."""
+    calls = []
+    search = spqrk.articulation_points
+    monkeypatch.setattr(spqrk, "articulation_points",
+                        lambda g, removed=(): calls.append(removed) or search(g, removed))
+    spqrk_build(path_graph(150))
+    assert calls == []
+    spqrk_build(_grid(9))
+    assert 0 < len(calls) <= 90
+
+
+def _two_connected_piece(rng):
+    """A cycle, alone, with random chords, or with a hub joined to two of
+    its vertices or more: always 2-connected."""
+    k = rng.randint(3, 7)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        edges += [(i, j) for i in range(k) for j in range(i + 2, k)
+                  if (i, j) != (0, k - 1) and rng.random() < 0.3]
+    elif kind == 2:
+        edges += [(k, i) for i in range(k) if rng.random() < 0.6 or i < 2]
+        k += 1
+    return k, edges
+
+
+def _glued_blocks(rng, pieces):
+    """Random 2-connected pieces and bridges, each glued to the graph so far
+    at one vertex or at a pair; relabelled at random half of the time."""
+    n, edges = 1, set()
+    for _ in range(pieces):
+        k, piece = (2, [(0, 1)]) if rng.random() < 0.3 else _two_connected_piece(rng)
+        glue = rng.sample(range(n), min(rng.choice([1, 2]), n, k - 1))
+        where = glue + list(range(n, n + k - len(glue)))
+        edges |= {(min(where[u], where[v]), max(where[u], where[v])) for u, v in piece}
+        n += k - len(glue)
+    perm = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
+    return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_matches_slow_builder_on_glued_graphs():
+    rng = random.Random(2718)
+    for _ in range(300):
+        g = _glued_blocks(rng, rng.randint(1, 6))
+        fast, slow = spqrk_build(g), slow_spqrk_build(g)
+        assert serialize_spqrk(fast) == serialize_spqrk(slow), sorted(g.edges)
+        assert fast.tree_edges == slow.tree_edges
+
+
 GOLDEN = Path(__file__).parent / "data" / "spqrk_golden.txt"
 
 
@@ -139,7 +212,7 @@ def _necklace(beads):
     return Graph.build(4 * beads, edges)
 
 
-def golden_text():
+def golden_text(build=spqrk_build):
     """Serialized trees of the golden graphs, each after a ``# name`` line."""
     rng = random.Random(4711)
     graphs = [(f"random{i}", random_connected_graph(rng, rng.randint(1, 16),
@@ -147,7 +220,7 @@ def golden_text():
               for i in range(100)]
     graphs += [("grid6", _grid(6)), ("wheel30", _wheel(30)),
                ("necklace8", _necklace(8)), ("path60", path_graph(60))]
-    return "".join(f"# {name}\n{serialize_spqrk(spqrk_build(g))}" for name, g in graphs)
+    return "".join(f"# {name}\n{serialize_spqrk(build(g))}" for name, g in graphs)
 
 
 def test_golden_trees():
@@ -155,5 +228,6 @@ def test_golden_trees():
 
 
 if __name__ == "__main__":
-    # rewrites the golden file; only for an intended change of the trees
-    GOLDEN.write_text(golden_text())
+    # rewrites the golden file from the slow oracle, never from the fast
+    # builder under test; only for an intended change of the trees
+    GOLDEN.write_text(golden_text(slow_spqrk_build))

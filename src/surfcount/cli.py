@@ -260,8 +260,7 @@ def _run(args) -> None:
         if args.json:
             print(json.dumps([list(w.vertices) for w in walks]))
         else:
-            for w in walks:
-                print(" ".join(map(str, w.vertices)))
+            sys.stdout.write("".join(" ".join(map(str, w.vertices)) + "\n" for w in walks))
     elif cmd == "contract":
         eg = embedding.contract_reducible(_load_embedding(args.embedding),
                                           (args.u, args.v))

@@ -8,14 +8,16 @@ rule: while walking edge (u -> v) with accumulated sign s, cross the edge
 u when the accumulated sign is positive, the predecessor when negative;
 the face closes when the starting directed edge recurs with the starting
 sign. Tracing all (directed edge, sign) states yields each face twice,
-once per traversal direction, and the two orbits are paired off. The
-faces are cached on the (frozen) embedding, so each is traced once.
+once per traversal direction, and the two orbits are paired off.
 
 The states are integers: the directed edges (darts) are numbered in
 (from, to) order, and state 2d is dart d with sign -1, state 2d + 1 dart
 d with sign +1, so integer order is (from, to, sign) order. The step rule
-is one fixed permutation of the states, built as a flat table in one pass
-over the rotations, and the faces are its cycles.
+is one fixed permutation of the states, built as a flat table from a few
+sorts of the rotations, and the faces are its cycles. The table, with the
+faces as runs of states, is cached on the (frozen) embedding, so each is
+traced once; face counts, the genus and the triangulation test read it
+directly, and only ``trace_faces`` turns it into ``FacialWalk`` objects.
 
 Vertex switching (reverse the rotation at v, flip the signs of its edges)
 preserves the embedding; the surgery operations switch as needed to make
@@ -25,11 +27,13 @@ the edges they touch positive, which keeps the splice rules simple.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
-from .graph import Graph, connected_components, is_connected
+from .graph import Graph, connected_components
 from .planarity import is_planar
 
 Edge = tuple[int, int]
@@ -50,7 +54,7 @@ class FacialWalk:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(u for u, _ in self.steps)
+        return tuple([u for u, _ in self.steps])
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
@@ -92,7 +96,7 @@ class EmbeddedGraph:
         return -1 if _norm(u, v) in self.negative_edges else 1
 
     @cached_property
-    def _faces(self) -> tuple[FacialWalk, ...]:
+    def _table(self) -> "_Table":
         return _trace(self)
 
 
@@ -101,68 +105,121 @@ class EmbeddedGraph:
 # ---------------------------------------------------------------------------
 
 
+class _Table:
+    """One embedding's step rule and faces over the integer states.
+    ``head[d]`` is the vertex dart d enters. The faces are the runs of
+    ``order`` that end at the offsets ``ends``; each run starts at the
+    face's least state, and the runs are in the order of those states."""
+
+    __slots__ = ("nxt", "head", "order", "ends")
+
+    def __init__(self, nxt: list[int], head: list[int], order: list[int], ends: list[int]):
+        self.nxt, self.head, self.order, self.ends = nxt, head, order, ends
+
+
 def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
-    """The complete face set, as a new list. Deterministic: faces sorted
-    by their least traversal state. Each embedding is traced once; the
-    faces are cached on it."""
-    return list(eg._faces)
+    """The complete face set, as a new list of walks. Deterministic: faces
+    sorted by their least traversal state. Each embedding is traced once
+    (the table is cached on it); the walks are built on every call."""
+    table = eg._table
+    # a step's tail is the previous step's head
+    heads = [table.head[state >> 1] for state in table.order]
+    faces = []
+    begin = 0
+    for end in table.ends:
+        to = heads[begin:end]
+        faces.append(FacialWalk(tuple(zip(to[-1:] + to[:-1], to))))
+        begin = end
+    return faces
 
 
-def _trace(eg: EmbeddedGraph) -> tuple[FacialWalk, ...]:
-    """Trace each face's orbit from its least state, then the reverse
-    traversal from that state's mirror, so every state is seen once."""
-    neg = eg.negative_edges
-    darts: list[Edge] = []  # dart id -> (from, to)
-    ids: list[dict[int, int]] = []  # per vertex: neighbor -> outgoing dart id
-    for u, rot in enumerate(eg.rotations):
-        base = len(darts)
-        nbrs = sorted(rot)
-        darts.extend((u, v) for v in nbrs)
-        ids.append({v: base + k for k, v in enumerate(nbrs)})
+def _trace(eg: EmbeddedGraph) -> _Table:
+    """The step table, then each face's orbit from its least state. Every
+    state's mirror (the same edge walked the other way) is marked as its
+    orbit is walked, so each face is walked once, not twice."""
+    rots = eg.rotations
+    n = len(rots)
+    flat = list(chain.from_iterable(rots))  # rotation positions, vertex by vertex
+    size = len(flat)
+    keys = [u * n + v for u, rot in enumerate(rots) for v in rot]
+    # pos[d]: the rotation position of dart d; dart[p]: the dart at position
+    # p; back[d]: the position of d's reverse, since a stable sort by head
+    # puts the positions in (to, from) order
+    pos = sorted(range(size), key=keys.__getitem__)
+    dart = sorted(range(size), key=pos.__getitem__)
+    back = sorted(range(size), key=flat.__getitem__)
+    even = [2 * d for d in dart]
+    odd = [e + 1 for e in even]
+    # per position, the state of the rotation successor's dart with sign +1
+    # and of the predecessor's with sign -1
+    after = odd[1:] + odd[:1]
+    before = even[-1:] + even[:-1]
+    first = 0
+    for rot in rots:
+        last = first + len(rot) - 1
+        if last >= first:
+            after[last], before[first] = odd[first], even[last]
+        first = last + 1
     # nxt[state]: the dart u -> v continues at v with u's rotation successor
-    # (sign +1 after crossing) or predecessor (sign -1); the edge's sign
-    # decides which sign before crossing takes which
-    nxt = [0] * (2 * len(darts))
-    for v, rot in enumerate(eg.rotations):
-        out = [ids[v][w] for w in rot]
-        for u, after, before in zip(rot, out[1:] + out[:1], out[-1:] + out[:-1]):
-            d = 2 * ids[u][v]
-            if _norm(u, v) in neg:
-                nxt[d], nxt[d + 1] = 2 * after + 1, 2 * before
-            else:
-                nxt[d], nxt[d + 1] = 2 * before, 2 * after + 1
-    seen = bytearray(len(nxt))
-    faces: list[FacialWalk] = []
-    for start in range(len(nxt)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        cur = nxt[start]
-        while cur != start:
-            orbit.append(cur)
+    # (sign +1 after crossing) or predecessor (sign -1); a negative edge
+    # swaps which sign before crossing takes which. mirror[state]: the mirror
+    # of (u, v, s) is (v, u, -s * sign(uv)).
+    nxt = [0] * (2 * size)
+    nxt[0::2] = map(before.__getitem__, back)
+    nxt[1::2] = map(after.__getitem__, back)
+    mirror = [0] * (2 * size)
+    mirror[0::2] = map(odd.__getitem__, back)
+    mirror[1::2] = map(even.__getitem__, back)
+    if eg.negative_edges:
+        ordered = list(map(keys.__getitem__, pos))
+        for u, v in eg.negative_edges:
+            for key in (u * n + v, v * n + u):
+                s = 2 * bisect_left(ordered, key)
+                nxt[s], nxt[s + 1] = nxt[s + 1], nxt[s]
+                mirror[s], mirror[s + 1] = mirror[s + 1], mirror[s]
+    seen = bytearray(2 * size)
+    order: list[int] = []
+    ends: list[int] = []
+    append = order.append
+    start = seen.find(0)
+    while start >= 0:
+        cur = start
+        while True:
+            append(cur)
+            seen[cur] = seen[mirror[cur]] = 1
             cur = nxt[cur]
-        for state in orbit:
-            seen[state] = 1
-        # the mirror of (u, v, s) is (v, u, -s * sign(uv))
-        u, v = darts[start >> 1]
-        cur = back = 2 * ids[v][u] + ((start & 1) ^ (_norm(u, v) not in neg))
-        size = 0
-        while not seen[cur]:
-            seen[cur] = 1
-            size += 1
-            cur = nxt[cur]
-        if cur != back or size != len(orbit):
-            raise InternalInvariantError(
-                "face orbits must pair off by traversal direction")
-        faces.append(FacialWalk(tuple([darts[state >> 1] for state in orbit])))
-    return tuple(faces)
+            if cur == start:
+                break
+        ends.append(len(order))
+        start = seen.find(0, start + 1)
+    # the orbits pair off: no state is marked twice, and stepping from the
+    # mirror of a state's successor leads to its mirror, so each face's
+    # mirrors form the reverse traversal
+    step, mirrored = nxt.__getitem__, mirror.__getitem__
+    if (2 * len(order) != len(nxt)
+            or list(map(step, map(mirrored, map(step, order)))) != list(map(mirrored, order))):
+        raise InternalInvariantError("face orbits must pair off by traversal direction")
+    return _Table(nxt, list(map(flat.__getitem__, pos)), order, ends)
+
+
+def _is_connected(rotations: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the rotations' graph, with at least one vertex, is
+    connected: a breadth-first search by frontiers, each one set union."""
+    reached = {0}
+    frontier = reached
+    while frontier:
+        frontier = set().union(*[rotations[v] for v in frontier]) - reached
+        reached |= frontier
+    return len(reached) == len(rotations)
 
 
 def euler_genus(eg: EmbeddedGraph) -> int:
     """2 - n + m - f for a connected embedding; always non-negative."""
-    if not is_connected(eg.graph):
+    if eg.n == 0:
+        raise PreconditionError("empty graph has no embedding")
+    if not _is_connected(eg.rotations):
         raise PreconditionError("Euler genus needs a connected graph")
-    f = len(trace_faces(eg)) if eg.m > 0 else 1
+    f = len(eg._table.ends) if eg.m > 0 else 1
     g = 2 - eg.n + eg.m - f
     if g < 0:
         raise InternalInvariantError("face tracing produced an impossible face count")
@@ -171,10 +228,10 @@ def euler_genus(eg: EmbeddedGraph) -> int:
 
 def is_triangulation(eg: EmbeddedGraph) -> bool:
     """Every facial walk has three distinct vertices and three distinct
-    edges."""
+    edges: in a simple graph, every face has three steps."""
     if eg.m == 0:
         return False
-    return all(w.is_triangle() for w in trace_faces(eg))
+    return eg._table.ends == list(range(3, 2 * eg.m + 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +256,43 @@ def parse_embedding(text: str) -> EmbeddedGraph:
         raise ParseError(f"expected vertex count, got {header!r}", lineno) from None
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} rotation lines, found {len(lines) - 1}")
+    eg = _read_rotations(n, [ln for _, ln in lines[1:]])
+    return eg if eg is not None else _read_rotations_checked(n, lines)
+
+
+def _read_rotations(n: int, lines: list[str]) -> EmbeddedGraph | None:
+    """The rotation lines read whole, or None on the first sign of a fault,
+    which ``_read_rotations_checked`` then names. The checks are everything
+    Graph.build and EmbeddedGraph.build check: no loops or duplicates (each
+    would leave fewer edges than half the listings), each neighbor listing
+    its vertex back (so it is in range, and every rotation is a permutation
+    of its neighbors), equal signs."""
+    try:
+        split = [ln.partition(":") for ln in lines]
+        if list(map(int, [head for head, _, _ in split])) != list(range(n)):
+            return None
+        rests = [rest for _, _, rest in split]
+        rotations = [None if "-" in rest else tuple(map(int, rest.split())) for rest in rests]
+        negative: list[tuple[int, int]] = []  # negative marks, as (from, to)
+        for v in [v for v, rot in enumerate(rotations) if rot is None]:
+            toks = rests[v].split()
+            rotations[v] = rot = tuple(int(t[:-1]) if t[-1] == "-" else int(t) for t in toks)
+            negative += [(v, u) for t, u in zip(toks, rot) if t[-1] == "-"]
+    except ValueError:
+        return None
+    edges = frozenset([(v, u) for v, rot in enumerate(rotations) for u in rot if v < u])
+    if (2 * len(edges) != sum(map(len, rotations))
+            or edges != {(u, v) for v, rot in enumerate(rotations) for u in rot if u < v}):
+        return None
+    signed = frozenset((v, u) for v, u in negative if v < u)
+    if signed != {(u, v) for v, u in negative if u < v}:
+        return None
+    return EmbeddedGraph(Graph(n, edges), tuple(rotations), signed)
+
+
+def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGraph:
+    """The rotation lines read a token at a time, raising ParseError with
+    the line number at the first fault."""
     rotations: list[tuple[int, ...]] = []
     sign_claims: dict[tuple[int, int], int] = {}
     for expect, (lineno, ln) in enumerate(lines[1:]):
@@ -240,9 +334,6 @@ def parse_embedding(text: str) -> EmbeddedGraph:
             edges.append((v, u))
             if sgn < 0:
                 negative.append((v, u))
-    # the checks above are everything Graph.build and EmbeddedGraph.build
-    # check: neighbors in range, no loops or duplicates, each listed back
-    # (so every rotation is a permutation of its neighbors), equal signs
     return EmbeddedGraph(Graph(n, frozenset(edges)), tuple(rotations), frozenset(negative))
 
 
@@ -253,9 +344,9 @@ def serialize_embedding(eg: EmbeddedGraph) -> str:
         negative_at.setdefault(v, set()).add(u)
     out = [str(eg.n)]
     for v, rot in enumerate(eg.rotations):
-        bad = negative_at.get(v, ())
-        toks = [f"{u}-" if u in bad else str(u) for u in rot]
-        out.append(f"{v}:" + (" " + " ".join(toks) if toks else ""))
+        bad = negative_at.get(v)
+        toks = map(str, rot) if bad is None else [f"{u}-" if u in bad else str(u) for u in rot]
+        out.append(f"{v}: " + " ".join(toks) if rot else f"{v}:")
     return "\n".join(out) + "\n"
 
 
@@ -270,12 +361,7 @@ def switch_vertex(eg: EmbeddedGraph, v: int) -> EmbeddedGraph:
     rots = list(eg.rotations)
     rots[v] = tuple(reversed(rots[v]))
     neg = set(eg.negative_edges)
-    for w in eg.graph.adj[v]:
-        e = _norm(v, w)
-        if e in neg:
-            neg.discard(e)
-        else:
-            neg.add(e)
+    neg.symmetric_difference_update(_norm(v, w) for w in rots[v])
     return EmbeddedGraph(eg.graph, tuple(rots), frozenset(neg))
 
 
@@ -304,10 +390,9 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
     triangles through vw must be the two faces at vw, otherwise the
     operation refuses."""
     v, w = edge
-    g = eg.graph
-    if not g.has_edge(v, w):
+    if not eg.graph.has_edge(v, w):
         raise PreconditionError(f"edge ({v},{w}) not in graph")
-    thirds = triangles_containing(g, v, w)
+    thirds = sorted(set(eg.rotations[v]) & set(eg.rotations[w]))
     if len(thirds) != 2:
         raise PreconditionError(
             f"edge ({v},{w}) lies in {len(thirds)} triangles, need exactly 2")
@@ -327,40 +412,26 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
     if rot_v[1] != y or rot_v[-1] != x:
         raise InternalInvariantError("face corners disagree at v")
     rest = rot_v[2:-1]  # v's neighbors strictly between y and x
-    # v's new rotation, cyclically (x, arc, y, rest)
-    merged = list(arc) + [y] + rest + [x]
     rotations = list(eg.rotations)
-    negative = set(eg.negative_edges)
-    edges = set(g.edges)
-    # drop vw, wx, wy
-    for gone in ((v, w), (w, x), (w, y)):
-        e = _norm(*gone)
-        edges.discard(e)
-        negative.discard(e)
-    # w's arc edges move to v
+    # v's new rotation, cyclically (x, arc, y, rest); w's arc edges move to
+    # v, keeping their signs, and vw, wx, wy go
+    rotations[v] = arc + [y] + rest + [x]
     for a in arc:
-        old = _norm(w, a)
-        e = _norm(v, a)
-        edges.discard(old)
-        edges.add(e)
-        if old in negative:
-            negative.discard(old)
-            negative.add(e)
-        rot_a = list(rotations[a])
-        rot_a[rot_a.index(w)] = v
-        rotations[a] = tuple(rot_a)
-    rotations[v] = tuple(merged)
+        rotations[a] = [v if u == w else u for u in rotations[a]]
     for z in (x, y):
-        rot_z = list(rotations[z])
-        rot_z.remove(w)
-        rotations[z] = tuple(rot_z)
-    # remove w and reindex
-    remap = [u if u < w else u - 1 for u in range(g.n)]
-    new_edges = {(min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in edges}
-    new_neg = {(min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in negative}
-    new_rots = [tuple(remap[u] for u in rotations[z]) for z in range(g.n) if z != w]
-    new_graph = Graph.build(g.n - 1, new_edges)
-    return EmbeddedGraph.build(new_graph, new_rots, new_neg)
+        rotations[z] = [u for u in rotations[z] if u != w]
+    negative = set(eg.negative_edges)
+    for a in arc:
+        if _norm(w, a) in negative:
+            negative.add(_norm(v, a))
+    # remove w and renumber the vertices after it, in one pass; the
+    # structure is consistent by construction, so no builder re-checks it
+    del rotations[w]
+    renumber = list(range(w)) + [-1] + list(range(w, eg.n - 1))
+    new_rots = tuple(tuple(map(renumber.__getitem__, rot)) for rot in rotations)
+    edges = frozenset((a, b) for a, rot in enumerate(new_rots) for b in rot if a < b)
+    new_neg = frozenset((renumber[a], renumber[b]) for a, b in negative if w not in (a, b))
+    return EmbeddedGraph(Graph(eg.n - 1, edges), new_rots, new_neg)
 
 
 def split_path(eg: EmbeddedGraph, x: int, v: int, y: int) -> EmbeddedGraph:
@@ -514,10 +585,16 @@ class _Splitter:
                     u = succ[u]
                     if u == start:
                         break
-            rotations.append(rot)
-        edges = [(v, u) for v, rot in enumerate(rotations) for u in rot if v < u]
-        negative = [e for e in edges if self.sign(*e) < 0]
-        return EmbeddedGraph.build(Graph.build(len(rotations), edges), rotations, negative)
+            rotations.append(tuple(rot))
+        # a switched vertex flips the sign of each of its edges, so an edge
+        # between two switched vertices keeps its stored sign
+        negative = set(self.negative)
+        for v, parity in enumerate(self.parity):
+            if parity < 0:
+                negative.symmetric_difference_update(_norm(v, u) for u in rotations[v])
+        edges = frozenset((v, u) for v, rot in enumerate(rotations) for u in rot if v < u)
+        # consistent by construction: no builder re-checks it
+        return EmbeddedGraph(Graph(len(rotations), edges), tuple(rotations), frozenset(negative))
 
 
 # ---------------------------------------------------------------------------
@@ -569,39 +646,36 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
         if sorted(cycle) != nbrs:
             raise PreconditionError(f"link of vertex {v} is not a single cycle")
         rotations.append(tuple(cycle))
-    at = [{u: i for i, u in enumerate(rot)} for rot in rotations]
+    succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotations]
 
     # derive edge signs from corner orientations: walking a face, the sign
     # of each step edge is the product of the corner senses at its ends
     def corner_sense(v: int, come: int, go: int) -> int:
-        rot = rotations[v]
-        i = at[v][come]
-        if rot[(i + 1) % len(rot)] == go:
+        if succ[v][come] == go:
             return 1
-        if rot[(i - 1) % len(rot)] == go:
+        if succ[v][go] == come:
             return -1
         raise PreconditionError(
             f"face corner at {v} ({come}->{go}) not rotation-consecutive")
 
     signs: dict[Edge, int] = {}
-    for f in faces:
-        walk = list(f)
-        eps = []
-        for t in range(3):
-            come = walk[(t - 1) % 3]
-            v = walk[t]
-            go = walk[(t + 1) % 3]
-            eps.append(corner_sense(v, come, go))
-        for t in range(3):
-            e = _norm(walk[t], walk[(t + 1) % 3])
-            lam = eps[t] * eps[(t + 1) % 3]
+    for a, b, c in faces:
+        sa, sb, sc = corner_sense(a, c, b), corner_sense(b, a, c), corner_sense(c, b, a)
+        for e, lam in ((_norm(a, b), sa * sb), (_norm(b, c), sb * sc), (_norm(c, a), sc * sa)):
             if signs.setdefault(e, lam) != lam:
                 raise PreconditionError(f"inconsistent sign derivation at edge {e}")
-    negative = {e for e, s in signs.items() if s < 0}
-    eg = EmbeddedGraph.build(graph, rotations, negative)
-    want = sorted(tuple(sorted(f)) for f in faces)
-    got = sorted(tuple(sorted(w.vertex_set())) for w in trace_faces(eg))
-    if want != got:
+    negative = frozenset(e for e, s in signs.items() if s < 0)
+    # each rotation is a permutation of its neighbors, read off the links
+    eg = EmbeddedGraph(graph, tuple(rotations), negative)
+    # the faces must be the listed triangles: every face has three steps
+    # (fewer would give a face that is not a triangle, more would leave
+    # fewer faces than triangles), and their vertex sets agree
+    table = eg._table
+    if table.ends != list(range(3, 3 * len(faces) + 1, 3)):
+        raise PreconditionError("face reconstruction failed to reproduce the face list")
+    heads = [table.head[state >> 1] for state in table.order]
+    got = sorted(tuple(sorted(heads[i:i + 3])) for i in range(0, len(heads), 3))
+    if sorted(tuple(sorted(f)) for f in faces) != got:
         raise PreconditionError("face reconstruction failed to reproduce the face list")
     return eg
 
@@ -738,7 +812,7 @@ def _search_embedding(g: Graph, cotree: list[Edge], target_f: int,
                     raise CapExceeded(
                         "work_cap", "embedding search budget exhausted; raise tries")
                 eg = EmbeddedGraph(g, tuple(rots), neg)
-                if len(trace_faces(eg)) == target_f:
+                if len(_trace(eg).ends) == target_f:
                     return eg
             return None
         for rot in rot_choices[v]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InternalInvariantError
 from .graph import Graph
 
 DEFAULT_SIZE_CAP = 512
@@ -179,7 +179,8 @@ class _LRTest:
         return interval.high is not None and self.lowpt[interval.high] > self.lowpt[b]
 
     def _add_constraints(self, ei: DEdge, e: DEdge | None) -> None:
-        assert e is not None  # only non-root vertices get here
+        if e is None:  # only non-root vertices get here
+            raise InternalInvariantError("constraints added at the DFS root")
         p = _ConflictPair(_Interval(), _Interval())
         # merge return edges of ei into p.right
         while True:
@@ -188,7 +189,8 @@ class _LRTest:
                 q.swap()
             if not q.left.empty():
                 raise _NonPlanar
-            assert q.right.low is not None
+            if q.right.low is None:
+                raise InternalInvariantError("a conflict pair's right interval is empty")
             if self.lowpt[q.right.low] > self.lowpt[e]:
                 if p.right.empty():
                     p.right.high = q.right.high

@@ -652,6 +652,73 @@ def slow_trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
 
 
 # ---------------------------------------------------------------------------
+# Contraction by rebuilding through the checked constructors
+# ---------------------------------------------------------------------------
+
+
+def slow_contract_reducible(eg: EmbeddedGraph, edge: tuple[int, int]) -> EmbeddedGraph:
+    """``contract_reducible`` on sets of edges: the triangles through vw
+    from the adjacency, the triangulation test from the tuple-state oracle's
+    walks, w switched by hand when vw is negative, and the result renumbered
+    edge by edge and rebuilt through ``Graph.build`` and
+    ``EmbeddedGraph.build``, which re-check it. Refuses with the same
+    messages."""
+    v, w = edge
+    g = eg.graph
+    if not g.has_edge(v, w):
+        raise PreconditionError(f"edge ({v},{w}) not in graph")
+    thirds = sorted(set(g.adj[v]) & set(g.adj[w]))
+    if len(thirds) != 2:
+        raise PreconditionError(
+            f"edge ({v},{w}) lies in {len(thirds)} triangles, need exactly 2")
+    if not all(walk.is_triangle() for walk in slow_trace_faces(eg)):
+        raise PreconditionError("contraction is defined for triangulations")
+    rotations = list(eg.rotations)
+    negative = set(eg.negative_edges)
+    if _norm_pair(v, w) in negative:
+        rotations[w] = tuple(reversed(rotations[w]))
+        negative ^= {_norm_pair(w, u) for u in g.adj[w]}
+    rot_w = list(rotations[w])
+    rot_w = rot_w[rot_w.index(v):] + rot_w[:rot_w.index(v)]  # (v, x, ..., y)
+    if len(rot_w) < 3:
+        raise PreconditionError("degenerate contraction site")
+    x, y = rot_w[1], rot_w[-1]
+    if x == y or {x, y} != set(thirds):
+        raise PreconditionError(
+            f"the two faces at ({v},{w}) are not the two triangles through it")
+    arc = rot_w[2:-1]
+    rot_v = list(rotations[v])
+    rot_v = rot_v[rot_v.index(w):] + rot_v[:rot_v.index(w)]  # (w, y, ..., x)
+    if rot_v[1] != y or rot_v[-1] != x:
+        raise InternalInvariantError("face corners disagree at v")
+    merged = arc + [y] + rot_v[2:-1] + [x]
+    edges = set(g.edges)
+    for gone in ((v, w), (w, x), (w, y)):
+        edges.discard(_norm_pair(*gone))
+        negative.discard(_norm_pair(*gone))
+    for a in arc:
+        old, new = _norm_pair(w, a), _norm_pair(v, a)
+        edges.discard(old)
+        edges.add(new)
+        if old in negative:
+            negative.discard(old)
+            negative.add(new)
+        rot_a = list(rotations[a])
+        rot_a[rot_a.index(w)] = v
+        rotations[a] = tuple(rot_a)
+    rotations[v] = tuple(merged)
+    for z in (x, y):
+        rot_z = list(rotations[z])
+        rot_z.remove(w)
+        rotations[z] = tuple(rot_z)
+    remap = [u if u < w else u - 1 for u in range(g.n)]
+    new_edges = {_norm_pair(remap[a], remap[b]) for a, b in edges}
+    new_neg = {_norm_pair(remap[a], remap[b]) for a, b in negative}
+    new_rots = [tuple(remap[u] for u in rotations[z]) for z in range(g.n) if z != w]
+    return EmbeddedGraph.build(Graph.build(g.n - 1, new_edges), new_rots, new_neg)
+
+
+# ---------------------------------------------------------------------------
 # Rotation systems from face lists by scanning every face for each vertex
 # ---------------------------------------------------------------------------
 

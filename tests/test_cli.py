@@ -165,6 +165,42 @@ def test_split_triangle_cli_traces_nothing(capsys, monkeypatch, tmp_path):
     assert embedding.is_triangulation(grown)
 
 
+def test_table_paths_build_no_walks(capsys, monkeypatch, tmp_path):
+    """genus, contract and split --triangle on a 1500-vertex stack read
+    the dart table or the rotations and construct no FacialWalk; faces
+    builds one per face."""
+    eg, faces = random_stacked(random.Random(1501), 1500, hub_bias=0.5, switch_p=0.5)
+    path = tmp_path / "stack.emb"
+    path.write_text(embedding.serialize_embedding(eg))
+    walks = []
+
+    def counted(steps):
+        walks.append(steps)
+        return walk(steps)
+
+    walk = embedding.FacialWalk
+    monkeypatch.setattr(embedding, "FacialWalk", counted)
+    a, b, c = faces[-1]  # the last vertex, c, has degree 3
+    x, v, y = faces[777]
+    for argv, want in ((["genus", str(path)], "0\n"),
+                       (["contract", str(path), str(a), str(c)], None),
+                       (["split", str(path), str(x), str(v), str(y), "--triangle"], None)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err, walks) == (0, "", []), argv
+        assert want is None or out == want
+    code, out, err = run(capsys, "faces", str(path))
+    assert code == 0 and len(walks) == len(out.splitlines()) == 2 * 1500 - 4
+
+
+def test_genus_of_the_empty_embedding(capsys, tmp_path):
+    """A document with no vertices parses, but has no genus: one error
+    line and exit 1."""
+    path = tmp_path / "empty.emb"
+    path.write_text("0\n")
+    code, out, err = run(capsys, "genus", str(path))
+    assert (code, out, err) == (1, "", "error: empty graph has no embedding\n")
+
+
 def test_in_process_calls_do_not_leak(capsys):
     """One parser serves every call in the process: a call with a list
     file and --complete, or a usage error, leaves nothing behind for the

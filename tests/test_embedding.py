@@ -7,6 +7,7 @@ from support import (
     random_connected_graph,
     random_rotation_system,
     random_stacked,
+    slow_contract_reducible,
     slow_embedding_from_faces,
     slow_split_path,
     slow_trace_faces,
@@ -275,6 +276,18 @@ def test_embedding_from_faces_matches_the_face_scan():
         assert str(fast.value) == str(slow.value)
 
 
+def test_face_list_check_reads_the_table(monkeypatch):
+    """The closing check of embedding_from_faces compares the listed
+    triangles with the traced faces: a face too few, or faces that are not
+    the listed triangles, raise."""
+    trace = embedding._trace
+    for fault in (lambda t: embedding._Table(t.nxt, t.head, t.order, t.ends[:-1]),
+                  lambda t: embedding._Table(t.nxt, t.head, t.order[1:] + t.order[:1], t.ends)):
+        monkeypatch.setattr(embedding, "_trace", lambda eg: fault(trace(eg)))
+        with pytest.raises(PreconditionError, match="failed to reproduce the face list"):
+            embedding_from_faces(6, OCTA_FACES)
+
+
 def test_octahedron_contract():
     octa = embedding_from_faces(6, OCTA_FACES)
     assert is_triangulation(octa) and euler_genus(octa) == 0
@@ -393,6 +406,111 @@ def test_trace_matches_tuple_oracle():
         assert [w.steps for w in trace_faces(eg)] == [w.steps for w in slow_trace_faces(eg)]
 
 
+def test_table_counts_match_the_tuple_oracle():
+    """Face counts, the Euler genus and the triangulation test read the
+    table's orbits; they agree with the tuple-state oracle's walks on random
+    signed rotation systems (trees, pendant and isolated vertices, degree-2
+    corners, negative edges) and on switched stacked triangulations. A
+    disconnected or empty graph has no genus."""
+    rng = random.Random(2718)
+    cases = [random_rotation_system(rng, rng.randint(1, 12)) for _ in range(400)]
+    cases += [random_stacked(rng, n, hub_bias=rng.choice([0.0, 0.5]), switch_p=0.5)[0]
+              for n in (4, 5, 6, 9, 17, 40, 150, 400)]
+    seen = {"connected": 0, "disconnected": 0, "triangulation": 0, "negative": 0}
+    for eg in cases:
+        walks = slow_trace_faces(eg)
+        assert len(trace_faces(eg)) == len(walks)
+        assert is_triangulation(eg) == (eg.m > 0 and all(w.is_triangle() for w in walks))
+        if is_connected(eg.graph):
+            f = len(walks) if eg.m > 0 else 1
+            assert euler_genus(eg) == 2 - eg.n + eg.m - f
+        else:
+            with pytest.raises(PreconditionError, match="connected"):
+                euler_genus(eg)
+        seen["connected"] += is_connected(eg.graph)
+        seen["disconnected"] += not is_connected(eg.graph)
+        seen["triangulation"] += is_triangulation(eg)
+        seen["negative"] += bool(eg.negative_edges)
+    assert min(seen.values()) >= 8, seen
+    with pytest.raises(PreconditionError, match="empty graph"):
+        euler_genus(EmbeddedGraph.build(Graph.build(0, []), []))
+
+
+def _contraction(fn, eg, edge):
+    try:
+        return serialize_embedding(fn(eg, edge))
+    except PreconditionError as exc:
+        return f"refused: {exc}"
+
+
+def test_contract_matches_slow_contraction():
+    """The one-pass contraction serializes byte for byte like the rebuild
+    through the checked constructors, on every edge, both ways round, of
+    seeded switched stacked triangulations and switched grown seeds, and
+    on non-edges and non-triangulations; the refusals carry the same
+    message."""
+    rng = random.Random(3141)
+    cases = [random_stacked(rng, n, hub_bias=hub, switch_p=0.5)[0]
+             for n in (4, 5, 7, 12, 30) for hub in (0.0, 0.5)]
+    seeds = [load_bundled("k4_sphere"), load_bundled("k6_projective"), _k3_sphere(),
+             parse_embedding((DATA / "projective_irreducible_7.emb").read_text())]
+    for seed in seeds:
+        cases.append(_switched(rng, split_growth(seed, seed.n + rng.randint(0, 20))))
+    cases += [random_rotation_system(rng, rng.randint(3, 8)) for _ in range(20)]
+    done = refused = 0
+    for eg in cases:
+        edges = [(u, v) for a, b in eg.graph.sorted_edges() for u, v in ((a, b), (b, a))]
+        edges += [(0, 0), (0, eg.n), (-1, 1)]
+        for edge in edges:
+            got = _contraction(contract_reducible, eg, edge)
+            assert got == _contraction(slow_contract_reducible, eg, edge), (eg, edge)
+            done += not got.startswith("refused")
+            refused += got.startswith("refused")
+    assert done > 300 and refused > 300, (done, refused)
+
+
+def test_parse_fast_path_matches_checked_reader():
+    """The reader of whole lines gives what the token-at-a-time reader
+    gives, and declines exactly where the checked reader raises.
+    Seeded signed rotation systems, serialized, then each mutated once."""
+    rng = random.Random(1729)
+    mutations = 0
+    for _ in range(300):
+        eg = random_rotation_system(rng, rng.randint(1, 9))
+        lines = serialize_embedding(eg).splitlines()
+        v = rng.randrange(eg.n)
+        head, _, rest = lines[v + 1].partition(":")
+        toks = rest.split()
+        kind = rng.randrange(8)
+        if kind == 1 and toks:
+            toks[rng.randrange(len(toks))] += "-"
+        elif kind == 2 and toks:
+            del toks[rng.randrange(len(toks))]
+        elif kind == 3:
+            toks.append(rng.choice([str(v), str(eg.n), "-1", "x", "-", "2--", "1_0", " "]))
+        elif kind == 4 and toks:
+            toks.append(rng.choice(toks))
+        elif kind == 5:
+            head = rng.choice(["x", str(v + 1), f" {v} "])
+        elif kind == 6 and toks:
+            toks[rng.randrange(len(toks))] = str(rng.randrange(eg.n))
+        elif kind == 7 and toks:
+            tok = toks[rng.randrange(len(toks))].rstrip("-")
+            toks = [t.rstrip("-") if t.rstrip("-") == tok else t for t in toks]
+        lines[v + 1] = f"{head}: " + " ".join(toks)
+        numbered = [(i + 1, ln) for i, ln in enumerate(lines)]
+        fast = embedding._read_rotations(eg.n, lines[1:])
+        try:
+            checked = embedding._read_rotations_checked(eg.n, numbered)
+        except ParseError:
+            assert fast is None
+            mutations += 1
+            continue
+        assert fast == checked
+        assert parse_embedding("\n".join(lines)) == checked
+    assert mutations > 100, mutations
+
+
 def _triangles(g):
     return [(a, b, c) for a, b in g.sorted_edges() for c in sorted(g.adj[a] & g.adj[b])
             if c > b]
@@ -479,13 +597,17 @@ def test_fixture_projective_irreducible_7():
 def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):
     """Too many faces give a negative genus, which an explicit check
     catches; the CLI reports it in one line with exit 1."""
-    k4 = sphere_irreducible()
     path = tmp_path / "k4.emb"
-    path.write_text(serialize_embedding(k4))
-    trace = embedding.trace_faces
-    monkeypatch.setattr(embedding, "trace_faces", lambda eg: trace(eg) * 2)
+    path.write_text(serialize_embedding(sphere_irreducible()))
+    trace = embedding._trace
+
+    def doubled(eg):
+        table = trace(eg)
+        return embedding._Table(table.nxt, table.head, table.order, table.ends * 2)
+
+    monkeypatch.setattr(embedding, "_trace", doubled)
     with pytest.raises(InternalInvariantError):
-        euler_genus(k4)
+        euler_genus(parse_embedding(path.read_text()))
     assert main(["genus", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

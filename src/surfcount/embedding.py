@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, induced_subgraph
 from .planarity import is_planar
 
 Edge = tuple[int, int]
@@ -455,32 +455,9 @@ def split_triangle(eg: EmbeddedGraph, face: tuple[int, int, int]) -> EmbeddedGra
     fs = frozenset(face)
     if len(fs) != 3:
         raise PreconditionError("face must have three distinct vertices")
-    a, b, c = sorted(fs)
-    if not _is_facial_triangle(eg, a, b, c):
-        raise PreconditionError(f"{(a, b, c)} is not a facial triangle")
     splitter = _Splitter(eg)
-    splitter.split(a, b, c)
+    splitter.split(*sorted(fs))
     return splitter.export()
-
-
-def _is_facial_triangle(eg: EmbeddedGraph, a: int, b: int, c: int) -> bool:
-    """Whether some face is the triangle abc, read without tracing the
-    embedding. Such a face runs along ab one way or the other, so it is
-    the orbit of (a, b, +1) or of (a, b, -1); each is walked for three
-    steps, O(degree) a step."""
-    if not eg.graph.has_edge(a, b):
-        return False
-    for start in ((a, b, 1), (a, b, -1)):
-        walk = [start]
-        for _ in range(3):
-            u, v, sign = walk[-1]
-            sign *= eg.sign(u, v)
-            rot = eg.rotations[v]
-            i = rot.index(u)
-            walk.append((v, rot[(i + 1) % len(rot)] if sign > 0 else rot[i - 1], sign))
-        if walk[3] == start and walk[2][0] == c:
-            return True
-    return False
 
 
 class _Splitter:
@@ -512,22 +489,23 @@ class _Splitter:
     def split(self, a: int, b: int, c: int) -> None:
         """Split the facial triangle with vertices a < b < c: split_path
         at its first rotation-consecutive corner, once the face's edges
-        are positive."""
+        are positive. Raises unless abc is a face."""
+        succ = self.succ
         sides = ((a, b), (b, c), (c, a))
-        # a facial walk has positive total sign, so zero or two of its edges
-        # are negative; switching the vertex they share makes all three positive
-        negative = [e for e in sides if self.sign(*e) < 0]
-        if len(negative) == 2:
-            (shared,) = set(negative[0]) & set(negative[1])
-            self.switch(shared)
-        if any(self.sign(p, q) < 0 for p, q in sides):
-            raise InternalInvariantError("could not normalize face signs")
-        # a corner x -> v -> y with y next after x in v's rotation; the face
-        # may run either way round, so the reversed corners come second
-        for x, v, y in ((a, b, c), (b, c, a), (c, a, b), (c, b, a), (b, a, c), (a, c, b)):
-            if self.succ[v][x] == y:
-                return self.split_path(x, v, y)
-        raise InternalInvariantError("no corner of the face is rotation-consecutive")
+        if 0 <= a and c < len(succ) and all(q in succ[p] for p, q in sides):
+            # a facial walk has positive total sign, so zero or two of its edges
+            # are negative; switching the vertex they share makes all three positive
+            negative = [e for e in sides if self.sign(*e) < 0]
+            if len(negative) == 2:
+                (shared,) = set(negative[0]) & set(negative[1])
+                self.switch(shared)
+            # a corner x -> v -> y with y next after x in v's rotation: abc is
+            # a face when all three corners turn one way round or all the other
+            corners = ((a, b, c), (b, c, a), (c, a, b), (c, b, a), (b, a, c), (a, c, b))
+            turns = [succ[v][x] == y for x, v, y in corners]
+            if len(negative) % 2 == 0 and (all(turns[:3]) or all(turns[3:])):
+                return self.split_path(*corners[turns.index(True)])
+        raise PreconditionError(f"{(a, b, c)} is not a facial triangle")
 
     def split_path(self, x: int, v: int, y: int) -> None:
         """split_path: switch x and y to make xv and yv positive; then a
@@ -741,10 +719,7 @@ def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[in
         rotations: list[tuple[int, ...]] = [()] * g.n
         negatives: set[Edge] = set()
         for comp in comps:
-            index = {v: i for i, v in enumerate(comp)}
-            sub = Graph.build(len(comp), [(index[u], index[v]) for u, v in g.edges
-                                          if u in index and v in index])
-            genus, emb = min_genus_search(sub, tries=tries)
+            genus, emb = min_genus_search(induced_subgraph(g, comp), tries=tries)
             total += genus
             for i, v in enumerate(comp):
                 rotations[v] = tuple(comp[u] for u in emb.rotations[i])

@@ -223,27 +223,18 @@ def _max_packing(items: list[tuple[int, int]], forced: int | None = None) -> lis
     """Maximum set of mutually compatible items (i compatible with j iff
     mask_i & block_j == 0). Branch and bound in item order with a greedy
     incumbent, so ties resolve to the lexicographically first maximum.
-    ``forced`` restricts the search to items compatible with that item and
-    includes it."""
+    ``forced`` includes that item and narrows the search to the items
+    compatible with it."""
+    live = range(len(items))
     if forced is not None:
         fmask, fblock = items[forced]
-        live = [i for i, (m, b) in enumerate(items)
-                if i != forced and not (m & fblock) and not (b & fmask)]
-        sub = _max_packing_core([items[i] for i in live])
-        return [forced] + [live[i] for i in sub]
-    return _max_packing_core(items)
-
-
-def _max_packing_core(items: list[tuple[int, int]]) -> list[int]:
-    n = len(items)
+        live = [i for i in live if i != forced
+                and not (items[i][0] & fblock) and not (items[i][1] & fmask)]
     # inclusion-minimal interiors suffice for the value and give a valid
     # packing: any family member with a larger interior can be swapped for
-    # a contained one without disturbing the rest
-    keep = []
-    for i, (mi, _) in enumerate(items):
-        if not any(j != i and items[j][0] & ~mi == 0 and
-                   (items[j][0] != mi or j < i) for j in range(n)):
-            keep.append(i)
+    # a contained one without disturbing the rest (interiors are distinct)
+    keep = [i for i in live
+            if not any(j != i and items[j][0] & ~items[i][0] == 0 for j in live)]
     pruned = [items[i] for i in keep]
     k = len(pruned)
     best: list[int] = []
@@ -264,7 +255,7 @@ def _max_packing_core(items: list[tuple[int, int]]) -> list[int]:
         rec(i + 1, blocked)
 
     rec(0, 0)
-    return [keep[i] for i in best]
+    return ([] if forced is None else [forced]) + [keep[i] for i in best]
 
 
 def _check_size_cap(h: Graph, size_cap: int) -> None:
@@ -272,31 +263,47 @@ def _check_size_cap(h: Graph, size_cap: int) -> None:
         raise CapExceeded("size_cap", f"flap_number cap is {size_cap} vertices, got {h.n}")
 
 
+def _solve(h: Graph, size_cap: int, family: bool, number: bool = True,
+           ) -> tuple[list[Separation], int]:
+    """The family ``maximum_flap_family`` picks ([] unless ``family``, and
+    when there is no candidate flap) and the flap number, from one walk
+    over the cut sets. A caller that wants the ``number`` has the empty
+    graph refused: before the size cap for the number alone, after it
+    when the family is wanted too."""
+    if not (h.n or family):
+        raise PreconditionError("flap number needs a non-empty graph")
+    _check_size_cap(h, size_cap)
+    if h.n < 2:
+        if number and not h.n:
+            raise PreconditionError("flap number needs a non-empty graph")
+        return [], 1
+    cands, separable = _search(h)
+    if not cands:
+        planar = is_planar(h)
+        if separable and planar:
+            # every small separation has both clique-completed sides
+            # non-planar, which forces the graph itself non-planar
+            raise InternalInvariantError(
+                "planar graph with a small separation but no flap candidate")
+        return [], int(planar)
+    items, firsts = _interiors(h, cands)
+    if not family:
+        return [], len(_max_packing(items))
+    k, pool = _valid_first(cands, items, firsts)
+    sides = [set(c.x) | set(c.s) for c in pool]
+    first = next((cand for pos, cand in enumerate(pool)
+                  if not any(sides[pos] < side for side in sides)), None)
+    if first is None:
+        raise InternalInvariantError("no candidate flap is maximal by side inclusion")
+    packing = _max_packing(items, forced=[c.s for c in firsts].index(first.s))
+    return [first] + [firsts[i] for i in packing[1:]], k
+
+
 def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
     """The maximum number of pairwise independent flaps; 1 for a planar
     graph with no small separation at all; 0 exactly for the strongly
     non-planar graphs."""
-    if h.n == 0:
-        raise PreconditionError("flap number needs a non-empty graph")
-    _check_size_cap(h, size_cap)
-    if h.n == 1:
-        return 1
-    cands, separable = _search(h)
-    if cands:
-        return len(_max_packing(_interiors(h, cands)[0]))
-    return _number_without_flaps(h, separable)
-
-
-def _number_without_flaps(h: Graph, separable: bool) -> int:
-    """The flap number of a graph with no candidate flap: 1 if planar, else
-    0."""
-    planar = is_planar(h)
-    if separable and planar:
-        # every small separation has both clique-completed sides
-        # non-planar, which forces the graph itself non-planar
-        raise InternalInvariantError(
-            "planar graph with a small separation but no flap candidate")
-    return int(planar)
+    return _solve(h, size_cap, family=False)[1]
 
 
 def is_strongly_non_planar(h: Graph) -> bool:
@@ -327,11 +334,7 @@ def maximum_flap_family(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> list
     candidate enumeration order. A non-empty family has the flap number as
     its length. Empty when the graph has no flap at all (flap number 0, or
     1 for a planar graph with no small separation)."""
-    _check_size_cap(h, size_cap)
-    if h.n < 2:
-        return []
-    cands, _ = _search(h)
-    return _family(h, cands)[0] if cands else []
+    return _solve(h, size_cap, family=True, number=False)[0]
 
 
 def flap_family_and_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP,
@@ -339,32 +342,7 @@ def flap_family_and_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP,
     """``maximum_flap_family(h)`` and ``flap_number(h)`` from one walk over
     the cut sets, for callers that need the number when the family is
     empty."""
-    _check_size_cap(h, size_cap)
-    if h.n == 0:
-        raise PreconditionError("flap number needs a non-empty graph")
-    if h.n == 1:
-        return [], 1
-    cands, separable = _search(h)
-    if cands:
-        return _family(h, cands)
-    return [], _number_without_flaps(h, separable)
-
-
-def _family(h: Graph, cands: list[Separation]) -> tuple[list[Separation], int]:
-    """The family ``maximum_flap_family`` picks from a non-empty candidate
-    list, and the flap number, its length."""
-    items, firsts = _interiors(h, cands)
-    k, pool = _valid_first(cands, items, firsts)
-    sides = [set(c.x) | set(c.s) for c in pool]
-    first = None
-    for pos, cand in enumerate(pool):
-        if not any(q != pos and sides[pos] < sides[q] for q in range(len(pool))):
-            first = cand
-            break
-    if first is None:
-        raise InternalInvariantError("no candidate flap is maximal by side inclusion")
-    packing = _max_packing(items, forced=[c.s for c in firsts].index(first.s))
-    return [first] + [firsts[i] for i in packing[1:]], k
+    return _solve(h, size_cap, family=True)
 
 
 def flap_reduction(h: Graph, family: list[Separation],

@@ -2,18 +2,16 @@
 
 Testing phase only (no embedding extraction). Runs after quick Euler-count
 rejections; it is exercised heavily inside the flap-enumeration loops, so
-the fast paths matter. Both DFS passes are iterative to keep deep inputs
-(up to the 512-vertex cap) away from the interpreter recursion limit.
+the fast paths matter. Both DFS passes are iterative, so deep inputs stay
+away from the interpreter recursion limit and no size cap is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InternalInvariantError
+from .errors import InternalInvariantError
 from .graph import Graph
-
-DEFAULT_SIZE_CAP = 512
 
 DEdge = tuple[int, int]
 
@@ -252,13 +250,9 @@ class _LRTest:
 def is_planar(g: Graph) -> bool:
     """True iff g embeds in the sphere.
 
-    Correct for all inputs up to DEFAULT_SIZE_CAP vertices (512); larger
-    inputs raise CapExceeded. Disconnected inputs are fine: the
+    Near-linear and without a size cap. Disconnected inputs are fine: the
     DFS forest covers every component.
     """
-    if g.n > DEFAULT_SIZE_CAP:
-        raise CapExceeded("size_cap",
-                          f"is_planar cap is {DEFAULT_SIZE_CAP} vertices, got {g.n}")
     if g.n <= 4:
         return True
     if g.m > 3 * g.n - 6:

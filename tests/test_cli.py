@@ -55,6 +55,19 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n", "empty graph document"),
+    ("3\n", "line 1: expected header 'n m', got '3'"),
+    ("three 0\n", "line 1: non-integer header 'three 0'"),
+    ("2 -1\n", "line 1: negative counts in header"),
+    ("3 1\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+])
+def test_graph_parse_refusals(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.g"
+    path.write_text(text)
+    assert run(capsys, "flap-number", str(path)) == (1, "", f"error: {message}\n")
+
+
 def test_missing_file(capsys):
     code, out, err = run(capsys, "flap-number", "/no/such/file.g")
     assert code == 1 and "no such file" in err
@@ -271,7 +284,7 @@ def test_scaling_cli(capsys, tmp_path):
 
 
 def test_scaling_cli_past_planarity_cap(capsys, tmp_path):
-    """Blowup hosts above the 512-vertex planarity cap are built and counted."""
+    """Blowup hosts of several hundred vertices are built and counted."""
     p3 = tmp_path / "p3.g"
     p3.write_text(serialize_graph(path_graph(3)))
     code, out, err = run(capsys, "scaling", "--graph", str(p3),

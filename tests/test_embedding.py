@@ -32,7 +32,8 @@ from surfcount.embedding import (
     trace_faces,
 )
 from surfcount.errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
-from surfcount.graph import Graph, complete_graph, is_connected
+from surfcount.graph import (
+    Graph, complete_graph, connected_components, induced_subgraph, is_connected)
 from surfcount.surfaces import (
     PROJECTIVE_K6_FACES,
     icosahedron,
@@ -313,6 +314,9 @@ def test_split_triangle_counts():
     assert count_cliques(bigger.graph, 4) == 2
     with pytest.raises(PreconditionError):
         split_triangle(bigger, (0, 1, 2))  # no longer a face
+    for outside in ((-1, 0, 1), (1, 2, 4), (4, 5, 6)):
+        with pytest.raises(PreconditionError, match="is not a facial triangle"):
+            split_triangle(k4, outside)
 
 
 def test_split_then_contract_restores():
@@ -568,6 +572,17 @@ def test_contract_with_nonfacial_triangles_around():
         contract_reducible(eg, (0, 1))
 
 
+def test_build_refusals():
+    p3 = Graph.build(3, [(0, 1), (1, 2)])
+    with pytest.raises(PreconditionError, match="one rotation per vertex"):
+        EmbeddedGraph.build(p3, [(1,), (0, 2)])
+    with pytest.raises(PreconditionError, match="rotation at 1 is not a permutation"):
+        EmbeddedGraph.build(p3, [(1,), (0,), (1,)])
+    with pytest.raises(PreconditionError, match=r"non-edges: \[\(0, 2\)\]"):
+        EmbeddedGraph.build(p3, [(1,), (0, 2), (1,)], [(2, 0)])
+    assert EmbeddedGraph.build(p3, [(1,), (0, 2), (1,)], [(1, 0)]).negative_edges == {(0, 1)}
+
+
 def test_min_genus_search():
     g, emb = min_genus_search(complete_graph(4))
     assert g == 0 and euler_genus(emb) == 0
@@ -581,6 +596,21 @@ def test_min_genus_search():
     with pytest.raises(CapExceeded):
         min_genus_search(Graph.build(8, [(i, j) for i in range(8) for j in range(i + 1, 8)
                                          if i + j > 2]))
+
+
+def test_min_genus_search_adds_over_components():
+    """A disconnected graph's genus is the sum of its components' searches,
+    with one witness embedding of the whole graph."""
+    k33 = [(i, j) for i in range(3) for j in range(3, 6)]
+    k4 = list(complete_graph(4).edges)
+    cases = [(Graph.build(8, k33 + [(6, 7)]), 1),
+             (Graph.build(8, k4 + [(u + 4, v + 4) for u, v in k4]), 0),
+             (Graph.build(4, [(0, 1), (1, 2), (0, 2)]), 0)]
+    for g, expected in cases:
+        genus, emb = min_genus_search(g)
+        parts = [min_genus_search(induced_subgraph(g, c))[0] for c in connected_components(g)]
+        assert genus == expected == sum(parts) and len(parts) == 2
+        assert emb.graph.edges == g.edges
 
 
 def test_fixture_projective_irreducible_7():

@@ -70,6 +70,20 @@ def test_independence_examples():
     assert not are_independent(p3, sep, sep)
 
 
+def test_separation_refusals():
+    """is_flap and are_independent refuse a pair that is not a separation."""
+    p4 = path_graph(4)
+    good = Separation((1,), (0,))
+    for sep, message in ((Separation((0, 1, 2), (3,)), "cut set .* larger than 2"),
+                         (Separation((1,), ()), "empty interior"),
+                         (Separation((1,), (0, 1)), "overlap"),
+                         (Separation((1,), (0, 2, 3)), "empty far side")):
+        with pytest.raises(PreconditionError, match=message):
+            is_flap(p4, sep)
+        with pytest.raises(PreconditionError, match=message):
+            are_independent(p4, good, sep)
+
+
 def test_flap_number_examples():
     assert flap_number(complete_graph(4)) == 1
     assert flap_number(complete_graph(5)) == 0
@@ -82,8 +96,20 @@ def test_flap_number_examples():
 def test_flap_number_cap():
     with pytest.raises(CapExceeded):
         flap_number(Graph.build(17, []))
+    empty, k1 = Graph.build(0, []), Graph.build(1, [])
     with pytest.raises(PreconditionError):
-        flap_number(Graph.build(0, []))
+        flap_number(empty)
+    with pytest.raises(PreconditionError):
+        flap_family_and_number(empty)
+    assert maximum_flap_family(empty) == maximum_flap_family(k1) == []
+    assert flap_number(k1) == 1 and flap_family_and_number(k1) == ([], 1)
+    # the number alone refuses the empty graph before the size cap; a call
+    # that wants the family checks the cap first
+    with pytest.raises(PreconditionError):
+        flap_number(empty, size_cap=-1)
+    for call in (flap_family_and_number, maximum_flap_family):
+        with pytest.raises(CapExceeded):
+            call(empty, size_cap=-1)
 
 
 def test_strongly_non_planar():
@@ -255,7 +281,9 @@ def test_search_matches_one_test_per_side_oracle():
         planar = is_planar(g)
         snp = is_strongly_non_planar(g)
         assert snp == (g.n > 4 and not planar and not cands)
-        family, number = flaps._family(g, cands) if cands else ([], int(planar))
+        family, number = flaps._solve(g, flaps.DEFAULT_FLAP_SIZE_CAP, family=True)
+        assert (number, bool(family)) == ((len(family), True) if cands else (int(planar), False))
+        assert family == [] or set(family) <= set(cands)
         assert maximum_flap_family(g) == family
         assert flap_number(g) == number
         assert flap_family_and_number(g) == (family, number)

@@ -1,10 +1,7 @@
 import random
 from itertools import combinations
 
-import pytest
-
 from support import contract_edge_simple, planar_oracle, random_graph
-from surfcount.errors import CapExceeded
 from surfcount.graph import Graph, complete_graph, cycle_graph
 from surfcount.planarity import is_planar
 
@@ -29,9 +26,16 @@ def test_petersen_nonplanar():
     assert not is_planar(pet)
 
 
-def test_size_cap():
-    with pytest.raises(CapExceeded):
-        is_planar(Graph.build(513, []))
+def test_no_size_cap():
+    """is_planar has no vertex cap: a grown 600-vertex triangulation is
+    planar, and the same graph beside a disjoint K5 is not."""
+    from surfcount.constructions import split_growth
+    from surfcount.surfaces import sphere_irreducible
+
+    g = split_growth(sphere_irreducible(), 600).graph
+    assert g.n == 600 and is_planar(g)
+    k5 = {(a + g.n, b + g.n) for a, b in complete_graph(5).edges}
+    assert not is_planar(Graph.build(g.n + 5, set(g.edges) | k5))
 
 
 def test_large_grid_planar():

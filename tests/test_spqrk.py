@@ -1,6 +1,8 @@
+import copy
 import inspect
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from surfcount.graph import Graph, complete_graph, cycle_graph, disjoint_union, 
 from surfcount.spqrk import (
     REAL,
     VIRTUAL,
+    SpqrkNode,
     serialize_spqrk,
     spqrk_build,
     spqrk_validate,
@@ -190,6 +193,33 @@ def test_matches_slow_builder_on_glued_graphs():
         assert serialize_spqrk(fast) == serialize_spqrk(slow), sorted(g.edges)
         assert fast.tree_edges == slow.tree_edges
 
+
+def _k5_node(tree):
+    corners = (0, 2, 4, 6, 8)
+    tree.nodes.append(SpqrkNode("K", corners, [(u, v, VIRTUAL) for u, v in combinations(corners, 2)]))
+    tree.tree_edges.append((0, len(tree.nodes) - 1))
+
+
+def test_validate_rejects_mutated_trees():
+    """Each mutation of the 3x3 grid's tree breaks one invariant that
+    spqrk_validate checks."""
+    g = _grid(3)
+    tree = spqrk_build(g)
+    assert spqrk_validate(tree, g)
+    mutations = [
+        lambda t: t.nodes[1].edges.remove((0, 1, REAL)),
+        lambda t: t.nodes[1].edges.append((0, 1, REAL)),
+        lambda t: setattr(t.nodes[0], "kind", "X"),
+        lambda t: t.tree_edges.__setitem__(0, (0, 0)),
+        lambda t: t.tree_edges.append((1, 2)),
+        lambda t: setattr(t.nodes[0], "vertices", t.nodes[0].vertices + (g.n,)),
+        lambda t: t.nodes[1].edges.append((0, 4, REAL)),
+        _k5_node,
+    ]
+    for mutate in mutations:
+        bad = copy.deepcopy(tree)
+        mutate(bad)
+        assert not spqrk_validate(bad, g, check_minors=True)
 
 GOLDEN = Path(__file__).parent / "data" / "spqrk_golden.txt"
 

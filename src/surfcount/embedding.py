@@ -106,15 +106,15 @@ class EmbeddedGraph:
 
 
 class _Table:
-    """One embedding's step rule and faces over the integer states.
+    """One embedding's faces over the integer states.
     ``head[d]`` is the vertex dart d enters. The faces are the runs of
     ``order`` that end at the offsets ``ends``; each run starts at the
     face's least state, and the runs are in the order of those states."""
 
-    __slots__ = ("nxt", "head", "order", "ends")
+    __slots__ = ("head", "order", "ends")
 
-    def __init__(self, nxt: list[int], head: list[int], order: list[int], ends: list[int]):
-        self.nxt, self.head, self.order, self.ends = nxt, head, order, ends
+    def __init__(self, head: list[int], order: list[int], ends: list[int]):
+        self.head, self.order, self.ends = head, order, ends
 
 
 def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
@@ -199,7 +199,7 @@ def _trace(eg: EmbeddedGraph) -> _Table:
     if (2 * len(order) != len(nxt)
             or list(map(step, map(mirrored, map(step, order)))) != list(map(mirrored, order))):
         raise InternalInvariantError("face orbits must pair off by traversal direction")
-    return _Table(nxt, list(map(flat.__getitem__, pos)), order, ends)
+    return _Table(list(map(flat.__getitem__, pos)), order, ends)
 
 
 def _is_connected(rotations: tuple[tuple[int, ...], ...]) -> bool:
@@ -707,11 +707,15 @@ def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[in
     at the edge-count lower bound and the search stops at the first hit.
 
     Hard caps: 8 vertices, 18 edges. ``tries`` caps the number of
-    embeddings traced."""
+    embeddings traced, over all components together."""
     if g.n > MIN_GENUS_VERTEX_CAP:
         raise CapExceeded("size_cap", f"min_genus_search vertex cap is {MIN_GENUS_VERTEX_CAP}")
     if g.m > MIN_GENUS_EDGE_CAP:
         raise CapExceeded("size_cap", f"min_genus_search edge cap is {MIN_GENUS_EDGE_CAP}")
+    return _min_genus(g, [tries])
+
+
+def _min_genus(g: Graph, budget: list[int]) -> tuple[int, EmbeddedGraph]:
     comps = connected_components(g)
     if len(comps) > 1:
         # Euler genus is additive over components
@@ -719,7 +723,7 @@ def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[in
         rotations: list[tuple[int, ...]] = [()] * g.n
         negatives: set[Edge] = set()
         for comp in comps:
-            genus, emb = min_genus_search(induced_subgraph(g, comp), tries=tries)
+            genus, emb = _min_genus(induced_subgraph(g, comp), budget)
             total += genus
             for i, v in enumerate(comp):
                 rotations[v] = tuple(comp[u] for u in emb.rotations[i])
@@ -738,7 +742,6 @@ def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[in
         lower = 1
     tree = _spanning_tree_edges(g)
     cotree = [e for e in g.sorted_edges() if e not in tree]
-    budget = [tries]
     genus = lower
     while True:
         target_f = 2 - genus - g.n + g.m

@@ -1,9 +1,10 @@
-"""Planarity testing via the left-right criterion.
+"""Planarity testing via the left-right criterion (Brandes 2009).
 
-Testing phase only (no embedding extraction). Runs after quick Euler-count
-rejections; it is exercised heavily inside the flap-enumeration loops, so
-the fast paths matter. Both DFS passes are iterative, so deep inputs stay
-away from the interpreter recursion limit and no size cap is needed.
+The testing phase only: no embedding is extracted, so no lowpoint edges
+or sides are kept, and `ref` holds just the links that chain an
+interval's return edges for trimming. Runs after quick Euler-count
+rejections, inside the flap-enumeration loops. Both DFS passes are
+iterative, so no recursion limit or size cap applies.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class _LRTest:
         self.nesting_depth: dict[DEdge, int] = {}
         self.ordered_adj: list[list[int]] = [[] for _ in range(n)]
         self.ref: dict[DEdge, DEdge | None] = {}
-        self.lowpt_edge: dict[DEdge, DEdge] = {}
         self.stack: list[_ConflictPair] = []
         self.stack_bottom: dict[DEdge, _ConflictPair | None] = {}
 
@@ -74,7 +74,6 @@ class _LRTest:
     # -- phase 1: orientation, lowpoints, nesting depth ----------------------
 
     def _dfs_orient(self, root: int) -> None:
-        oriented: set[frozenset[int]] = set()
         idx = [0] * self.n
         stack = [root]
         while stack:
@@ -83,10 +82,8 @@ class _LRTest:
             while idx[v] < len(self.adj[v]):
                 w = self.adj[v][idx[v]]
                 idx[v] += 1
-                key = frozenset((v, w))
-                if key in oriented:
+                if (w, v) in self.lowpt:  # oriented from w's side
                     continue
-                oriented.add(key)
                 vw = (v, w)
                 self.lowpt[vw] = self.height[v]
                 self.lowpt2[vw] = self.height[v]
@@ -147,31 +144,17 @@ class _LRTest:
                     frame[2] = i
                     frames.append([w, 0, None])
                 else:  # back edge
-                    self.lowpt_edge[vw] = vw
                     self.stack.append(_ConflictPair(_Interval(), _Interval(vw, vw)))
                     self._integrate(vw, e, i)
                 continue
             frames.pop()
             if e is not None:
-                u = e[0]
-                self._trim_back_edges(u)
-                if self.lowpt[e] < self.height[u]:  # e has a return edge
-                    top = self._top()
-                    if top is not None:
-                        hl, hr = top.left.high, top.right.high
-                        if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                            self.ref[e] = hl
-                        else:
-                            self.ref[e] = hr
+                self._trim_back_edges(e[0])
 
     def _integrate(self, vw: DEdge, e: DEdge | None, i: int) -> None:
-        v = vw[0]
-        if self.lowpt[vw] < self.height[v]:  # vw has a return edge
-            if i == 0:
-                if e is not None:
-                    self.lowpt_edge[e] = self.lowpt_edge[vw]
-            else:
-                self._add_constraints(vw, e)
+        # the first edge's return edges stay on the stack as they are
+        if i > 0 and self.lowpt[vw] < self.height[vw[0]]:
+            self._add_constraints(vw, e)
 
     def _conflicting(self, interval: _Interval, b: DEdge) -> bool:
         return interval.high is not None and self.lowpt[interval.high] > self.lowpt[b]
@@ -195,8 +178,6 @@ class _LRTest:
                 else:
                     self.ref[p.right.low] = q.right.high
                 p.right.low = q.right.low
-            else:  # align
-                self.ref[q.right.low] = self.lowpt_edge[e]
             if self._top() is self.stack_bottom[ei]:
                 break
         # merge conflicting return edges of earlier siblings into p.left
@@ -236,13 +217,11 @@ class _LRTest:
             p = self.stack.pop()
             while p.left.high is not None and p.left.high[1] == u:
                 p.left.high = self.ref.get(p.left.high)
-            if p.left.high is None and p.left.low is not None:
-                self.ref[p.left.low] = p.right.low
+            if p.left.high is None:
                 p.left.low = None
             while p.right.high is not None and p.right.high[1] == u:
                 p.right.high = self.ref.get(p.right.high)
-            if p.right.high is None and p.right.low is not None:
-                self.ref[p.right.low] = p.left.low
+            if p.right.high is None:
                 p.right.low = None
             self.stack.append(p)
 

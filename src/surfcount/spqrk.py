@@ -343,7 +343,9 @@ def spqrk_validate(tree: SpqrkTree, g: Graph, check_minors: bool = True) -> bool
             seen_real[e] = seen_real.get(e, 0) + 1
     if set(seen_real) != set(g.edges) or any(c != 1 for c in seen_real.values()):
         return False
-    if len(tree.tree_edges) != len(tree.nodes) - 1:
+    links = range(len(tree.nodes))
+    if len(tree.tree_edges) != len(links) - 1 or any(
+            a not in links or b not in links for a, b in tree.tree_edges):
         return False
     adj = tree.adjacency()
     seen = {0} if tree.nodes else set()

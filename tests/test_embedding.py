@@ -282,8 +282,8 @@ def test_face_list_check_reads_the_table(monkeypatch):
     triangles with the traced faces: a face too few, or faces that are not
     the listed triangles, raise."""
     trace = embedding._trace
-    for fault in (lambda t: embedding._Table(t.nxt, t.head, t.order, t.ends[:-1]),
-                  lambda t: embedding._Table(t.nxt, t.head, t.order[1:] + t.order[:1], t.ends)):
+    for fault in (lambda t: embedding._Table(t.head, t.order, t.ends[:-1]),
+                  lambda t: embedding._Table(t.head, t.order[1:] + t.order[:1], t.ends)):
         monkeypatch.setattr(embedding, "_trace", lambda eg: fault(trace(eg)))
         with pytest.raises(PreconditionError, match="failed to reproduce the face list"):
             embedding_from_faces(6, OCTA_FACES)
@@ -613,6 +613,15 @@ def test_min_genus_search_adds_over_components():
         assert emb.graph.edges == g.edges
 
 
+def test_min_genus_search_tries_is_a_total():
+    """K5 needs 10,284 traces and K3 one, so their disjoint union needs
+    10,285 in all: one fewer is over the cap."""
+    g = Graph.build(8, list(complete_graph(5).edges) + [(5, 6), (6, 7), (5, 7)])
+    with pytest.raises(CapExceeded):
+        min_genus_search(g, tries=10284)
+    assert min_genus_search(g, tries=10285)[0] == 1
+
+
 def test_fixture_projective_irreducible_7():
     eg = parse_embedding((DATA / "projective_irreducible_7.emb").read_text())
     assert eg.n == 7 and eg.m == 18
@@ -633,7 +642,7 @@ def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):
 
     def doubled(eg):
         table = trace(eg)
-        return embedding._Table(table.nxt, table.head, table.order, table.ends * 2)
+        return embedding._Table(table.head, table.order, table.ends * 2)
 
     monkeypatch.setattr(embedding, "_trace", doubled)
     with pytest.raises(InternalInvariantError):

@@ -95,3 +95,82 @@ def test_contraction_preserves_planarity():
         checked += 1
         for e in g.sorted_edges():
             assert is_planar(contract_edge_simple(g, e))
+
+
+# -- known answers at sizes the left-right test must decide ------------------
+
+K5_LINKS = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+K33_LINKS = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+def _grid_edges(r, c):
+    return ([(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+            + [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)])
+
+
+def _stacked_edges(rng, n):
+    """A random stacked triangulation of the sphere on n >= 4 vertices:
+    each new vertex goes inside a face and is joined to its corners."""
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for x in range(4, n):
+        i = rng.randrange(len(faces))
+        a, b, c = faces[i]
+        faces[i] = (a, b, x)
+        faces += [(b, c, x), (a, c, x)]
+        edges += [(a, x), (b, x), (c, x)]
+    return edges
+
+
+def _drop(rng, edges, share):
+    return rng.sample(edges, len(edges) - int(share * len(edges)))
+
+
+def _plant(rng, n, edges, links):
+    """The host plus a subdivided K5 or K3,3: its branch vertices are host
+    vertices, and each of its edges is a path through 0-20 fresh ones."""
+    branch = rng.sample(range(n), 1 + max(map(max, links)))
+    edges = list(edges)
+    for a, b in links:
+        fresh = rng.randint(0, 20)
+        path = [branch[a], *range(n, n + fresh), branch[b]]
+        edges += zip(path, path[1:])
+        n += fresh
+    return Graph.build(n, edges)
+
+
+def _sparse(g):
+    """The Euler count alone cannot reject g."""
+    assert g.m <= 3 * g.n - 6
+    return g
+
+
+def test_planted_subdivisions_nonplanar():
+    """Graphs of 100-2000 vertices that contain a subdivided K5 or K3,3."""
+    rng = random.Random(151)
+    for side, links in [(10, K5_LINKS), (10, K33_LINKS), (24, K5_LINKS),
+                        (32, K33_LINKS), (42, K5_LINKS), (42, K33_LINKS)]:
+        g = _sparse(_plant(rng, side * side, _grid_edges(side, side), links))
+        assert not is_planar(g), (side, len(links))
+    for n, links in [(100, K5_LINKS), (100, K33_LINKS), (500, K33_LINKS),
+                     (900, K5_LINKS), (1800, K5_LINKS), (1800, K33_LINKS)]:
+        host = _drop(rng, _stacked_edges(rng, n), 0.1)
+        g = _sparse(_plant(rng, n, host, links))
+        assert not is_planar(g), (n, len(links))
+
+
+def test_known_planar_hosts():
+    """Grids with one diagonal in some faces, and stacked triangulations
+    with some edges deleted."""
+    rng = random.Random(152)
+    for r, c in [(10, 10), (17, 31), (30, 30), (44, 45)]:
+        edges = _grid_edges(r, c)
+        for i in range(r - 1):
+            for j in range(c - 1):
+                if rng.random() < 0.5:  # one diagonal of the face at (i, j)
+                    k = i * c + j
+                    edges.append(rng.choice([(k, k + c + 1), (k + 1, k + c)]))
+        assert is_planar(_sparse(Graph.build(r * c, edges))), (r, c)
+    for n, share in [(100, 0.05), (700, 0.01), (1500, 0.2), (2000, 0.001)]:
+        g = _sparse(Graph.build(n, _drop(rng, _stacked_edges(rng, n), share)))
+        assert is_planar(g), n

@@ -220,6 +220,14 @@ def test_validate_rejects_mutated_trees():
         bad = copy.deepcopy(tree)
         mutate(bad)
         assert not spqrk_validate(bad, g, check_minors=True)
+    # links outside the tree: past its end, or negative (which must not wrap)
+    g = Graph.build(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+    tree = spqrk_build(g)
+    assert spqrk_validate(tree, g)
+    for link in [(0, len(tree.nodes) + 3), (0, -4)]:
+        bad = copy.deepcopy(tree)
+        bad.tree_edges[bad.tree_edges.index((0, 1))] = link
+        assert not spqrk_validate(bad, g)
 
 GOLDEN = Path(__file__).parent / "data" / "spqrk_golden.txt"
 

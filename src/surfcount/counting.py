@@ -308,6 +308,8 @@ def count_copies(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
     injective maps divided by |Aut(h)|, which acts freely on them."""
     budget = _Budget(work_cap)
     inj = _count_injective(h, g, budget)
+    if inj == 0:
+        return 0
     aut = _automorphism_count(h, budget)
     if inj % aut:
         raise InternalInvariantError(

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, connected_components, induced_subgraph, spanning_forest
 from .planarity import is_planar
 
 Edge = tuple[int, int]
@@ -202,22 +202,11 @@ def _trace(eg: EmbeddedGraph) -> _Table:
     return _Table(list(map(flat.__getitem__, pos)), order, ends)
 
 
-def _is_connected(rotations: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the rotations' graph, with at least one vertex, is
-    connected: a breadth-first search by frontiers, each one set union."""
-    reached = {0}
-    frontier = reached
-    while frontier:
-        frontier = set().union(*[rotations[v] for v in frontier]) - reached
-        reached |= frontier
-    return len(reached) == len(rotations)
-
-
 def euler_genus(eg: EmbeddedGraph) -> int:
     """2 - n + m - f for a connected embedding; always non-negative."""
     if eg.n == 0:
         raise PreconditionError("empty graph has no embedding")
-    if not _is_connected(eg.rotations):
+    if spanning_forest(eg.rotations)[0].count(-1) != 1:
         raise PreconditionError("Euler genus needs a connected graph")
     f = len(eg._table.ends) if eg.m > 0 else 1
     g = 2 - eg.n + eg.m - f
@@ -667,38 +656,6 @@ MIN_GENUS_EDGE_CAP = 18
 DEFAULT_EMBEDDING_TRIES = 5_000_000
 
 
-def _spanning_tree_edges(g: Graph) -> set[Edge]:
-    seen = {0} if g.n else set()
-    tree: set[Edge] = set()
-    stack = [0] if g.n else []
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                tree.add(_norm(v, w))
-                stack.append(w)
-    return tree
-
-
-def _is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
 def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[int, EmbeddedGraph]:
     """Minimum Euler genus over all signed rotation systems, with one
     witness embedding. Backtracks over rotations and cotree edge signs
@@ -734,14 +691,17 @@ def _min_genus(g: Graph, budget: list[int]) -> tuple[int, EmbeddedGraph]:
         raise PreconditionError("empty graph has no embedding")
     if g.m == 0:
         return 0, EmbeddedGraph.build(g, [()] * g.n, ())
+    parent, order = spanning_forest(g.adj)
     lower = 0
     if g.n >= 3:
-        bound = 2 if _is_bipartite(g) else 3
+        side = [0] * g.n  # the parity of each vertex's parent chain
+        for v in order[1:]:
+            side[v] = 1 - side[parent[v]]
+        bound = 2 if all(side[u] != side[v] for u, v in g.edges) else 3
         lower = max(0, math.ceil(g.m / bound - g.n + 2))
     if lower == 0 and not is_planar(g):
         lower = 1
-    tree = _spanning_tree_edges(g)
-    cotree = [e for e in g.sorted_edges() if e not in tree]
+    cotree = [(u, v) for u, v in g.sorted_edges() if parent[u] != v and parent[v] != u]
     genus = lower
     while True:
         target_f = 2 - genus - g.n + g.m

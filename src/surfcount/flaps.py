@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
 from .graph import (
-    Graph, add_clique, as_vertex_set, blocks, induced_subgraph, is_connected)
+    Graph, add_clique, as_vertex_set, blocks, induced_subgraph, is_connected, spanning_forest)
 from .planarity import is_planar
 
 DEFAULT_FLAP_SIZE_CAP = 16
@@ -389,33 +389,21 @@ def is_tree(t: Graph) -> bool:
 
 def forest_mis(t: Graph, allowed: set[int]) -> int:
     """Maximum stable set size in the subforest of t induced by
-    ``allowed``, by post-order dynamic programming per component. The
+    ``allowed``, by dynamic programming up each search tree: every
+    vertex, children first, adds its two best sizes into its parent. The
     induced subgraph must be a forest (true whenever t is)."""
-    seen: set[int] = set()
+    parent, order = spanning_forest(t.adj, (v for v in range(t.n) if v not in allowed))
+    take = [1] * t.n  # best in v's subtree with v in the set
+    skip = [0] * t.n  # and with v out of it
     total = 0
-    for root in sorted(allowed):
-        if root in seen:
-            continue
-        take: dict[int, int] = {}
-        skip: dict[int, int] = {}
-        stack = [(root, -1, False)]
-        seen.add(root)
-        while stack:
-            v, parent, done = stack.pop()
-            if not done:
-                stack.append((v, parent, True))
-                for w in t.adj[v]:
-                    if w in allowed and w != parent and w not in seen:
-                        seen.add(w)
-                        stack.append((w, v, False))
-            else:
-                t_v, s_v = 1, 0
-                for w in t.adj[v]:
-                    if w in allowed and w != parent and w in take:
-                        t_v += skip[w]
-                        s_v += max(take[w], skip[w])
-                take[v], skip[v] = t_v, s_v
-        total += max(take[root], skip[root])
+    for v in reversed(order):
+        best = max(take[v], skip[v])
+        p = parent[v]
+        if p < 0:
+            total += best
+        else:
+            take[p] += skip[v]
+            skip[p] += best
     return total
 
 

@@ -164,28 +164,41 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph.build(len(vs), edges)
 
 
+def spanning_forest(adj: Sequence[Iterable[int]], removed: Iterable[int] = ()
+                    ) -> tuple[list[int], list[int]]:
+    """One stack search over the neighbour lists ``adj`` (``Graph.adj``,
+    rotations, any list of lists) minus ``removed``. Returns each vertex's
+    discoverer (-1 at a root, -2 at a removed vertex) and the vertices in
+    the order popped, one component after another, each from its least
+    vertex. A vertex is marked when pushed and ``adj[v]`` is walked in the
+    given order; the parent edges form the search's spanning forest, and
+    a parent comes before its children in the order. O(n + m)."""
+    parent: list = [None] * len(adj)
+    for v in removed:
+        parent[v] = -2
+    order: list[int] = []
+    for root, p in enumerate(parent):
+        if p is not None:
+            continue
+        parent[root] = -1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in adj[v]:
+                if parent[w] is None:
+                    parent[w] = v
+                    stack.append(w)
+    return parent, order
+
+
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets of g minus ``removed``, ordered by
     smallest member."""
-    seen = [False] * g.n
-    for v in removed:
-        seen[v] = True
-    comps: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    parent, order = spanning_forest(g.adj, removed)
+    starts = [i for i, v in enumerate(order) if parent[v] == -1]
+    starts.append(len(order))
+    return [tuple(sorted(order[a:b])) for a, b in zip(starts, starts[1:])]
 
 
 def articulation_points(g: Graph, removed: Iterable[int] = ()) -> list[int]:
@@ -290,7 +303,7 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return spanning_forest(g.adj)[0].count(-1) <= 1
 
 
 def add_clique(g: Graph, vertices: Iterable[int]) -> Graph:

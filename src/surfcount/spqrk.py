@@ -10,10 +10,12 @@ node edge is virtual.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .graph import Graph, articulation_points, blocks, connected_components, is_connected
+from .graph import (Graph, articulation_points, blocks, connected_components, is_connected,
+                    spanning_forest)
 
 REAL = "R"
 VIRTUAL = "V"
@@ -258,40 +260,35 @@ def spqrk_build(g: Graph) -> SpqrkTree:
 # ---------------------------------------------------------------------------
 
 
-def _multigraph_is_minor(node: SpqrkNode, g: Graph, work_cap: int = 2_000_000) -> bool:
+MINOR_WORK_CAP = 2_000_000
+
+
+def _multigraph_is_minor(node: SpqrkNode, g: Graph) -> bool:
     """Is the node's multigraph a minor of g, with each node vertex in its
     own branch set? Branch sets grow from their roots over unused vertices;
-    distinct node edges need distinct g-edges between the branch sets."""
+    distinct node edges need distinct g-edges between the branch sets.
+    Each g-edge joins one pair of branch sets, so node edges on different
+    pairs never compete for one: the edges fit exactly when each pair has
+    at least as many g-edges between its sets as node edges."""
     roots = list(node.vertices)
     k = len(roots)
-    need = [((roots.index(u) if u in roots else -1),
+    ends = [((roots.index(u) if u in roots else -1),
              (roots.index(v) if v in roots else -1)) for u, v, _ in node.edges]
-    if any(a < 0 or b < 0 for a, b in need):
+    if any(a < 0 or b < 0 for a, b in ends):
         return False
+    need = Counter((a, b) if a < b else (b, a) for a, b in ends)
     owner = [-1] * g.n
     for i, r in enumerate(roots):
         owner[r] = i
-    budget = [work_cap]
+    budget = [MINOR_WORK_CAP]
 
-    def edges_matchable(used: set[tuple[int, int]], idx: int) -> bool:
-        if idx == len(need):
-            return True
-        a, b = need[idx]
-        for u in range(g.n):
-            if owner[u] != a:
-                continue
-            for w in g.adj[u]:
-                if owner[w] != b:
-                    continue
-                key = (u, w) if u < w else (w, u)
-                if key in used:
-                    continue
-                used.add(key)
-                if edges_matchable(used, idx + 1):
-                    used.discard(key)
-                    return True
-                used.discard(key)
-        return False
+    def edges_fit() -> bool:
+        have: Counter = Counter()
+        for u, w in g.edges:
+            a, b = owner[u], owner[w]
+            if a >= 0 and b >= 0:
+                have[(a, b) if a < b else (b, a)] += 1
+        return need <= have
 
     def branch_connected(i: int) -> bool:
         members = [v for v in range(g.n) if owner[v] == i]
@@ -311,7 +308,7 @@ def _multigraph_is_minor(node: SpqrkNode, g: Graph, work_cap: int = 2_000_000) -
         budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded("work_cap", "minor check budget exhausted")
-        if all(branch_connected(i) for i in range(k)) and edges_matchable(set(), 0):
+        if all(branch_connected(i) for i in range(k)) and edges_fit():
             return True
         if pos == len(free):
             return False
@@ -347,16 +344,8 @@ def spqrk_validate(tree: SpqrkTree, g: Graph, check_minors: bool = True) -> bool
     if len(tree.tree_edges) != len(links) - 1 or any(
             a not in links or b not in links for a, b in tree.tree_edges):
         return False
-    adj = tree.adjacency()
-    seen = {0} if tree.nodes else set()
-    stack = [0] if tree.nodes else []
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    if len(seen) != len(tree.nodes):
+    # n - 1 links make a tree exactly when they connect the nodes
+    if spanning_forest(tree.adjacency())[0].count(-1) != 1:
         return False
     if check_minors:
         for node in tree.nodes:

@@ -932,3 +932,37 @@ def slow_spqrk_build(g: Graph) -> SpqrkTree:
     builder = _SlowBuilder()
     builder.build(tuple(range(g.n)), frozenset(g.edges))
     return SpqrkTree(builder.nodes, builder.links)
+
+
+def slow_multigraph_is_minor(node: SpqrkNode, g: Graph) -> bool:
+    """Is the node's multigraph a minor of g with each node vertex in its
+    own branch set? Every assignment of the other vertices to a branch set
+    or to none, each set connected, and the node edges matched one by one
+    to distinct g-edges between the right sets by backtracking."""
+    roots = list(node.vertices)
+    if any(u not in roots or v not in roots for u, v, _ in node.edges):
+        return False
+    free = [v for v in range(g.n) if v not in roots]
+
+    def matchable(owner: list[int], used: set, idx: int) -> bool:
+        if idx == len(node.edges):
+            return True
+        a, b = roots.index(node.edges[idx][0]), roots.index(node.edges[idx][1])
+        for u, w in g.edges:
+            for x, y in ((u, w), (w, u)):
+                if owner[x] == a and owner[y] == b and (u, w) not in used:
+                    if matchable(owner, used | {(u, w)}, idx + 1):
+                        return True
+        return False
+
+    for choice in itertools.product(range(-1, len(roots)), repeat=len(free)):
+        owner = [-1] * g.n
+        for i, r in enumerate(roots):
+            owner[r] = i
+        for v, i in zip(free, choice):
+            owner[v] = i
+        if all(len(connected_components(induced_subgraph(
+                g, [v for v in range(g.n) if owner[v] == i]))) == 1
+               for i in range(len(roots))) and matchable(owner, set(), 0):
+            return True
+    return False

@@ -87,6 +87,16 @@ def test_count_and_hom(capsys, tmp_path, k5_file):
     assert "DP steps" in err and "spasm" in err
 
 
+def test_count_pattern_larger_than_host(capsys, tmp_path):
+    """No injective map exists, so no automorphism of the 3000-vertex
+    path is counted and the answer is 0."""
+    p = tmp_path / "p3000.g"
+    p.write_text(serialize_graph(path_graph(3000)))
+    k2 = tmp_path / "k2.g"
+    k2.write_text(serialize_graph(complete_graph(2)))
+    assert run(capsys, "count", str(p), str(k2)) == (0, "0\n", "")
+
+
 def test_table_sphere(capsys):
     code, out, _ = run(capsys, "table", "--surface", "sphere")
     assert code == 0

@@ -26,6 +26,7 @@ from surfcount.graph import (
     parse_graph,
     path_graph,
     serialize_graph,
+    spanning_forest,
 )
 
 
@@ -109,6 +110,36 @@ def test_connectivity_against_brute_force():
     assert articulation_points(path_graph(5)) == [1, 2, 3]
     assert articulation_points(path_graph(5), (2,)) == []
     assert articulation_points(cycle_graph(6), (0,)) == [2, 3, 4]
+
+
+def test_spanning_forest_shape():
+    """Plain neighbour lists work; a vertex is marked when pushed, so each
+    is found once, from the first popped vertex that sees it."""
+    assert spanning_forest([[1, 2, 3], [0], [0], [0]]) == ([-1, 0, 0, 0], [0, 3, 2, 1])
+    assert spanning_forest([(2, 1), (0, 2), (1, 0)]) == ([-1, 0, 0], [0, 1, 2])
+    assert spanning_forest([[1], [0, 2], [1]], (1,)) == ([-1, -2, -1], [0, 2])
+    assert spanning_forest([]) == ([], [])
+
+
+def test_spanning_forest_against_brute_force():
+    """On 200 seeded graphs with 0-2 removed vertices: the roots are the
+    least vertices of the components, each parent edge is an edge of g,
+    and each component is one run of the order, parents before children."""
+    rng = random.Random(1957)
+    for i in range(200):
+        n = i % 13
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5]))
+        removed = tuple(rng.sample(range(n), min(n, i % 3)))
+        parent, order = spanning_forest(g.adj, removed)
+        comps = _components_without(g, removed)
+        assert [v for v in range(n) if parent[v] == -2] == sorted(removed)
+        starts = [k for k, v in enumerate(order) if parent[v] == -1]
+        assert [order[k] for k in starts] == [min(c) for c in comps]
+        starts.append(len(order))
+        assert [frozenset(order[a:b]) for a, b in zip(starts, starts[1:])] == comps
+        at = {v: k for k, v in enumerate(order)}
+        for v in order:
+            assert parent[v] == -1 or (g.has_edge(v, parent[v]) and at[parent[v]] < at[v])
 
 
 def test_blocks_against_brute_force():

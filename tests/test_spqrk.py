@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from support import random_connected_graph, slow_spqrk_build
+from support import (random_connected_graph, random_graph, slow_multigraph_is_minor,
+                     slow_spqrk_build)
 from surfcount import spqrk
 from surfcount.errors import InternalInvariantError, PreconditionError
 from surfcount.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
@@ -143,6 +144,22 @@ def test_long_path_tree():
     assert spqrk_validate(tree, g, check_minors=False)
 
 
+def test_minor_check_matches_oracle():
+    """Matching node edges by their count per pair of branch sets agrees
+    with matching them one by one, on random nodes with parallel edges."""
+    rng = random.Random(1618)
+    outcomes = []
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 6), rng.choice([0.3, 0.5, 0.8]))
+        roots = sorted(rng.sample(range(g.n), rng.randint(2, min(4, g.n))))
+        edges = [(*sorted(rng.sample(roots, 2)), rng.choice([REAL, VIRTUAL]))
+                 for _ in range(rng.randint(0, 5))]
+        node = SpqrkNode("K", tuple(roots), edges)
+        outcomes.append(spqrk._multigraph_is_minor(node, g))
+        assert outcomes[-1] == slow_multigraph_is_minor(node, g), (sorted(g.edges), node)
+    assert 40 < sum(outcomes) < 160
+
+
 def test_articulation_runs(monkeypatch):
     """Cut vertices come from one block decomposition, so a path needs no
     articulation search, and the 9x9 grid one per pair scan step only."""
@@ -248,6 +265,15 @@ def _necklace(beads):
              for i in range(4) for j in range(i + 1, 4)]
     edges += [(4 * b + 3, 4 * ((b + 1) % beads)) for b in range(beads)]
     return Graph.build(4 * beads, edges)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(3000), _wheel(1500)], ids=["cycle3000", "wheel1500"])
+def test_validate_node_with_thousands_of_edges(g):
+    """One S or R node holds every edge; the minor check matches them by
+    counting per pair of branch sets, not by one frame per edge."""
+    tree = spqrk_build(g)
+    assert len(tree.nodes) == 1
+    assert spqrk_validate(tree, g)
 
 
 def golden_text(build=spqrk_build):

@@ -16,3 +16,37 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# Each function in src/ that calls itself, with what bounds its depth.
+RECURSION_BOUNDS = {
+    "counting.count_cliques.rec": "depth at most s, the clique size",
+    "embedding._min_genus": "one level: it recurses only on a connected component",
+    "embedding._search_embedding.rec": "one frame per vertex, at most 8 by the vertex cap",
+    "flaps._max_packing.rec": "one frame per kept interior, under the 16-vertex cap",
+    "graph._isomorphisms.rec": "one frame per vertex of h: unbounded",
+    "spqrk._multigraph_is_minor.rec": "one frame per vertex outside the node: unbounded",
+}
+
+
+def _self_calls(tree: ast.AST, prefix: str):
+    """Dotted names of the functions under ``tree`` that call themselves by
+    name; a nested function is named after the functions around it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{node.name}"
+            if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                   and c.func.id == node.name for c in ast.walk(node)):
+                yield name
+            yield from _self_calls(node, name)
+        elif isinstance(node, ast.ClassDef):
+            yield from _self_calls(node, f"{prefix}.{node.name}")
+
+
+def test_recursion_is_listed():
+    """Recursion depth must not grow with input size, so every recursive
+    function is listed here with the cap or shape that bounds it; the two
+    unbounded ones are known faults."""
+    found = {name for path in sorted(SRC.rglob("*.py"))
+             for name in _self_calls(ast.parse(path.read_text(), str(path)), path.stem)}
+    assert found == set(RECURSION_BOUNDS)

@@ -255,12 +255,11 @@ def _run(args) -> None:
     elif cmd == "genus":
         print(embedding.euler_genus(_load_embedding(args.embedding)))
     elif cmd == "faces":
-        eg = _load_embedding(args.embedding)
-        walks = embedding.trace_faces(eg)
+        faces = embedding.face_vertices(_load_embedding(args.embedding))
         if args.json:
-            print(json.dumps([list(w.vertices) for w in walks]))
+            print(json.dumps(faces))
         else:
-            sys.stdout.write("".join(" ".join(map(str, w.vertices)) + "\n" for w in walks))
+            sys.stdout.write("".join([" ".join(map(str, vs)) + "\n" for vs in faces]))
     elif cmd == "contract":
         eg = embedding.contract_reducible(_load_embedding(args.embedding),
                                           (args.u, args.v))

@@ -14,10 +14,11 @@ The states are integers: the directed edges (darts) are numbered in
 (from, to) order, and state 2d is dart d with sign -1, state 2d + 1 dart
 d with sign +1, so integer order is (from, to, sign) order. The step rule
 is one fixed permutation of the states, built as a flat table from a few
-sorts of the rotations, and the faces are its cycles. The table, with the
+sorts of the darts, and the faces are its cycles. The table, with the
 faces as runs of states, is cached on the (frozen) embedding, so each is
-traced once; face counts, the genus and the triangulation test read it
-directly, and only ``trace_faces`` turns it into ``FacialWalk`` objects.
+traced once; face counts, the genus, the triangulation test and the
+``faces`` command read it directly, and only ``trace_faces`` turns it
+into ``FacialWalk`` objects.
 
 Vertex switching (reverse the rotation at v, flip the signs of its edges)
 preserves the embedding; the surgery operations switch as needed to make
@@ -27,10 +28,11 @@ the edges they touch positive, which keeps the splice rules simple.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, permutations, product, repeat
+from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
 from .graph import Graph, connected_components, induced_subgraph, spanning_forest
@@ -65,7 +67,6 @@ class FacialWalk:
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    graph: Graph
     rotations: tuple[tuple[int, ...], ...]  # neighbors in cyclic order
     negative_edges: frozenset[Edge] = field(default_factory=frozenset)
 
@@ -76,21 +77,26 @@ class EmbeddedGraph:
             raise PreconditionError("one rotation per vertex required")
         for v, rot in enumerate(rots):
             if sorted(rot) != sorted(graph.adj[v]):
-                raise PreconditionError(
-                    f"rotation at {v} is not a permutation of its neighbors")
+                raise PreconditionError(f"rotation at {v} is not a permutation of its neighbors")
         neg = frozenset(_norm(u, v) for u, v in negative_edges)
         bad = neg - graph.edges
         if bad:
             raise PreconditionError(f"negative signs on non-edges: {sorted(bad)}")
-        return EmbeddedGraph(graph, rots, neg)
+        return EmbeddedGraph(rots, neg)
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return len(self.rotations)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return self.graph.m
+        return sum(map(len, self.rotations)) // 2
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The underlying graph, built from the rotations on first read."""
+        return Graph(self.n, frozenset(
+            (v, u) for v, rot in enumerate(self.rotations) for u in rot if v < u))
 
     def sign(self, u: int, v: int) -> int:
         return -1 if _norm(u, v) in self.negative_edges else 1
@@ -105,50 +111,56 @@ class EmbeddedGraph:
 # ---------------------------------------------------------------------------
 
 
-class _Table:
+class _Table(NamedTuple):
     """One embedding's faces over the integer states.
     ``head[d]`` is the vertex dart d enters. The faces are the runs of
     ``order`` that end at the offsets ``ends``; each run starts at the
     face's least state, and the runs are in the order of those states."""
 
-    __slots__ = ("head", "order", "ends")
+    head: list[int]
+    order: list[int]
+    ends: list[int]
 
-    def __init__(self, head: list[int], order: list[int], ends: list[int]):
-        self.head, self.order, self.ends = head, order, ends
+
+def face_vertices(eg: EmbeddedGraph) -> list[list[int]]:
+    """Each face, in ``trace_faces`` order, as the vertices its walk leaves,
+    read from the table's runs: a step leaves the vertex the step before it
+    entered."""
+    table = eg._table
+    to = list(map(table.head.__getitem__, map((1).__rrshift__, table.order)))
+    return [to[end - 1:end] + to[begin:end - 1]
+            for begin, end in zip([0, *table.ends], table.ends)]
 
 
 def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
     """The complete face set, as a new list of walks. Deterministic: faces
     sorted by their least traversal state. Each embedding is traced once
     (the table is cached on it); the walks are built on every call."""
-    table = eg._table
-    # a step's tail is the previous step's head
-    heads = [table.head[state >> 1] for state in table.order]
-    faces = []
-    begin = 0
-    for end in table.ends:
-        to = heads[begin:end]
-        faces.append(FacialWalk(tuple(zip(to[-1:] + to[:-1], to))))
-        begin = end
-    return faces
+    return [FacialWalk(tuple(zip(vs, vs[1:] + vs[:1]))) for vs in face_vertices(eg)]
 
 
 def _trace(eg: EmbeddedGraph) -> _Table:
     """The step table, then each face's orbit from its least state. Every
     state's mirror (the same edge walked the other way) is marked as its
-    orbit is walked, so each face is walked once, not twice."""
+    orbit is walked, so each face is walked once, not twice. Each
+    full-size list is dropped once the next one is built from it."""
     rots = eg.rotations
     n = len(rots)
-    flat = list(chain.from_iterable(rots))  # rotation positions, vertex by vertex
-    size = len(flat)
-    keys = [u * n + v for u, rot in enumerate(rots) for v in rot]
-    # pos[d]: the rotation position of dart d; dart[p]: the dart at position
-    # p; back[d]: the position of d's reverse, since a stable sort by head
-    # puts the positions in (to, from) order
-    pos = sorted(range(size), key=keys.__getitem__)
-    dart = sorted(range(size), key=pos.__getitem__)
-    back = sorted(range(size), key=flat.__getitem__)
-    even = [2 * d for d in dart]
+    flat = list(chain.from_iterable(rots))  # the head at each rotation position
+    # tail[d], head[d]: the ends of dart d, the darts numbered in (from, to)
+    # order; the positions run vertex by vertex, so tail is each position's too
+    tail = list(chain.from_iterable(map(repeat, range(n), map(len, rots))))
+    keys = [u * n + v for u, v in zip(tail, flat)]
+    pos = sorted(range(len(flat)), key=keys.__getitem__)  # pos[d]: dart d's position
+    del keys
+    # back[d]: the position of the d-th dart in (to, from) order, d's reverse; a
+    # stable sort by head turns the (from, to) order into (to, from) order
+    back = sorted(pos, key=flat.__getitem__)
+    head = list(map(flat.__getitem__, pos))
+    del flat
+    # per position, the states of its dart: even with sign -1, odd with +1
+    even = [2 * d for d in sorted(range(len(pos)), key=pos.__getitem__)]
+    del pos
     odd = [e + 1 for e in even]
     # per position, the state of the rotation successor's dart with sign +1
     # and of the predecessor's with sign -1
@@ -164,22 +176,24 @@ def _trace(eg: EmbeddedGraph) -> _Table:
     # (sign +1 after crossing) or predecessor (sign -1); a negative edge
     # swaps which sign before crossing takes which. mirror[state]: the mirror
     # of (u, v, s) is (v, u, -s * sign(uv)).
-    nxt = [0] * (2 * size)
+    size = 2 * len(back)
+    nxt = [0] * size
     nxt[0::2] = map(before.__getitem__, back)
     nxt[1::2] = map(after.__getitem__, back)
-    mirror = [0] * (2 * size)
+    del before, after
+    mirror = [0] * size
     mirror[0::2] = map(odd.__getitem__, back)
     mirror[1::2] = map(even.__getitem__, back)
-    if eg.negative_edges:
-        ordered = list(map(keys.__getitem__, pos))
-        for u, v in eg.negative_edges:
-            for key in (u * n + v, v * n + u):
-                s = 2 * bisect_left(ordered, key)
-                nxt[s], nxt[s + 1] = nxt[s + 1], nxt[s]
-                mirror[s], mirror[s + 1] = mirror[s + 1], mirror[s]
-    seen = bytearray(2 * size)
-    order: list[int] = []
-    ends: list[int] = []
+    del even, odd, back
+    for u, v in eg.negative_edges:
+        for a, b in ((u, v), (v, u)):
+            lo = bisect_left(tail, a)
+            s = 2 * bisect_left(head, b, lo, bisect_right(tail, a, lo))
+            nxt[s], nxt[s + 1] = nxt[s + 1], nxt[s]
+            mirror[s], mirror[s + 1] = mirror[s + 1], mirror[s]
+    del tail
+    seen = bytearray(size)
+    order, ends = [], []
     append = order.append
     start = seen.find(0)
     while start >= 0:
@@ -196,10 +210,10 @@ def _trace(eg: EmbeddedGraph) -> _Table:
     # mirror of a state's successor leads to its mirror, so each face's
     # mirrors form the reverse traversal
     step, mirrored = nxt.__getitem__, mirror.__getitem__
-    if (2 * len(order) != len(nxt)
+    if (2 * len(order) != size
             or list(map(step, map(mirrored, map(step, order)))) != list(map(mirrored, order))):
         raise InternalInvariantError("face orbits must pair off by traversal direction")
-    return _Table(list(map(flat.__getitem__, pos)), order, ends)
+    return _Table(head, order, ends)
 
 
 def euler_genus(eg: EmbeddedGraph) -> int:
@@ -218,9 +232,7 @@ def euler_genus(eg: EmbeddedGraph) -> int:
 def is_triangulation(eg: EmbeddedGraph) -> bool:
     """Every facial walk has three distinct vertices and three distinct
     edges: in a simple graph, every face has three steps."""
-    if eg.m == 0:
-        return False
-    return eg._table.ends == list(range(3, 2 * eg.m + 1, 3))
+    return eg.m > 0 and eg._table.ends == list(range(3, 2 * eg.m + 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -232,51 +244,65 @@ def parse_embedding(text: str) -> EmbeddedGraph:
     """Format: first line "n"; then per vertex one line "v: u1 u2- u3 ..."
     listing the neighbors in rotation order, a '-' suffix marking a
     negative edge. Both endpoints must carry the same sign mark."""
-    lines = [
-        (i + 1, ln) for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = text.splitlines()
+    if "#" in text or not all(map(str.strip, lines)):  # drop comments and blank lines
+        lines = [ln for _, ln in _numbered_lines(text)]
     if not lines:
         raise ParseError("empty embedding document")
-    lineno, header = lines[0]
     try:
-        n = int(header.strip())
+        n = int(lines[0].strip())
     except ValueError:
-        raise ParseError(f"expected vertex count, got {header!r}", lineno) from None
+        raise ParseError(f"expected vertex count, got {lines[0]!r}",
+                         _numbered_lines(text)[0][0]) from None
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} rotation lines, found {len(lines) - 1}")
-    eg = _read_rotations(n, [ln for _, ln in lines[1:]])
-    return eg if eg is not None else _read_rotations_checked(n, lines)
+    eg = _read_rotations(n, lines[1:])
+    return eg if eg is not None else _read_rotations_checked(n, _numbered_lines(text))
+
+
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The lines that are neither blank nor comments, with their numbers."""
+    return [(i + 1, ln) for i, ln in enumerate(text.splitlines())
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+def _vertex_names(n: int) -> list[str]:
+    """Each vertex's name in the text format, as ``str`` writes it."""
+    return list(map(str, range(n)))
 
 
 def _read_rotations(n: int, lines: list[str]) -> EmbeddedGraph | None:
     """The rotation lines read whole, or None on the first sign of a fault,
-    which ``_read_rotations_checked`` then names. The checks are everything
-    Graph.build and EmbeddedGraph.build check: no loops or duplicates (each
-    would leave fewer edges than half the listings), each neighbor listing
-    its vertex back (so it is in range, and every rotation is a permutation
-    of its neighbors), equal signs."""
+    which ``_read_rotations_checked`` then names. Heads and neighbors must
+    be vertex names as ``serialize_embedding`` writes them (so in range),
+    with equal sign marks at both ends; each vertex's set of neighbors then
+    shows the rest of what the checked builders check: no loops, repeats or
+    missing reverses (so every rotation is a permutation of its neighbors)."""
+    names = _vertex_names(n)
+    parts = [ln.partition(":") for ln in lines]
+    if [head for head, _, _ in parts] != names:
+        return None
+    vertex = dict(zip(names, range(n)))
+    marked = [v for v, (_, _, rest) in enumerate(parts) if "-" in rest]
+    if marked:  # the same table reads a neighbor with the negative mark
+        vertex.update(zip([name + "-" for name in names], range(n)))
     try:
-        split = [ln.partition(":") for ln in lines]
-        if list(map(int, [head for head, _, _ in split])) != list(range(n)):
-            return None
-        rests = [rest for _, _, rest in split]
-        rotations = [None if "-" in rest else tuple(map(int, rest.split())) for rest in rests]
-        negative: list[tuple[int, int]] = []  # negative marks, as (from, to)
-        for v in [v for v, rot in enumerate(rotations) if rot is None]:
-            toks = rests[v].split()
-            rotations[v] = rot = tuple(int(t[:-1]) if t[-1] == "-" else int(t) for t in toks)
-            negative += [(v, u) for t, u in zip(toks, rot) if t[-1] == "-"]
-    except ValueError:
+        rotations = tuple([tuple(map(vertex.__getitem__, rest.split())) for _, _, rest in parts])
+        marks = [(v, vertex[t]) for v in marked for t in parts[v][2].split() if t[-1] == "-"]
+    except KeyError:
         return None
-    edges = frozenset([(v, u) for v, rot in enumerate(rotations) for u in rot if v < u])
-    if (2 * len(edges) != sum(map(len, rotations))
-            or edges != {(u, v) for v, rot in enumerate(rotations) for u in rot if u < v}):
+    signed = frozenset((v, u) for v, u in marks if v < u)
+    if signed != {(u, v) for v, u in marks if u < v}:
         return None
-    signed = frozenset((v, u) for v, u in negative if v < u)
-    if signed != {(u, v) for v, u in negative if u < v}:
+    # no loops, no neighbor listed twice, and each dart's head lists its tail
+    listed = list(map(set, rotations))
+    tails = chain.from_iterable(map(repeat, range(n), map(len, rotations)))
+    at_heads = map(listed.__getitem__, chain.from_iterable(rotations))
+    if (any(map(tuple.__contains__, rotations, range(n)))
+            or sum(map(len, listed)) != sum(map(len, rotations))
+            or not all(map(set.__contains__, at_heads, tails))):
         return None
-    return EmbeddedGraph(Graph(n, edges), tuple(rotations), signed)
+    return EmbeddedGraph(rotations, signed)
 
 
 def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGraph:
@@ -295,10 +321,8 @@ def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGra
         rot = []
         listed = set()
         for tok in rest.split():
-            negative = tok.endswith("-")
-            body = tok[:-1] if negative else tok
             try:
-                u = int(body)
+                u = int(tok[:-1] if tok.endswith("-") else tok)
             except ValueError:
                 raise ParseError(f"bad neighbor token {tok!r}", lineno) from None
             if u == v:
@@ -309,9 +333,8 @@ def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGra
                 raise ParseError(f"duplicate neighbor {u} at vertex {v}", lineno)
             listed.add(u)
             rot.append(u)
-            sign_claims[(v, u)] = -1 if negative else 1
+            sign_claims[(v, u)] = -1 if tok.endswith("-") else 1
         rotations.append(tuple(rot))
-    edges = []
     negative = []
     for (v, u), sgn in sign_claims.items():
         back = sign_claims.get((u, v))
@@ -319,14 +342,13 @@ def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGra
             raise ParseError(f"vertex {u} does not list {v} back")
         if back != sgn:
             raise ParseError(f"edge {_norm(u, v)} has conflicting signs at its endpoints")
-        if v < u:
-            edges.append((v, u))
-            if sgn < 0:
-                negative.append((v, u))
-    return EmbeddedGraph(Graph(n, frozenset(edges)), tuple(rotations), frozenset(negative))
+        if v < u and sgn < 0:
+            negative.append((v, u))
+    return EmbeddedGraph(tuple(rotations), frozenset(negative))
 
 
 def serialize_embedding(eg: EmbeddedGraph) -> str:
+    names = _vertex_names(eg.n)
     negative_at: dict[int, set[int]] = {}
     for u, v in eg.negative_edges:
         negative_at.setdefault(u, set()).add(v)
@@ -334,8 +356,9 @@ def serialize_embedding(eg: EmbeddedGraph) -> str:
     out = [str(eg.n)]
     for v, rot in enumerate(eg.rotations):
         bad = negative_at.get(v)
-        toks = map(str, rot) if bad is None else [f"{u}-" if u in bad else str(u) for u in rot]
-        out.append(f"{v}: " + " ".join(toks) if rot else f"{v}:")
+        toks = map(names.__getitem__, rot) if bad is None else [
+            names[u] + "-" if u in bad else names[u] for u in rot]
+        out.append(names[v] + ": " + " ".join(toks) if rot else names[v] + ":")
     return "\n".join(out) + "\n"
 
 
@@ -351,7 +374,7 @@ def switch_vertex(eg: EmbeddedGraph, v: int) -> EmbeddedGraph:
     rots[v] = tuple(reversed(rots[v]))
     neg = set(eg.negative_edges)
     neg.symmetric_difference_update(_norm(v, w) for w in rots[v])
-    return EmbeddedGraph(eg.graph, tuple(rots), frozenset(neg))
+    return EmbeddedGraph(tuple(rots), frozenset(neg))
 
 
 def triangles_containing(g: Graph, u: int, v: int) -> list[int]:
@@ -379,12 +402,11 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
     triangles through vw must be the two faces at vw, otherwise the
     operation refuses."""
     v, w = edge
-    if not eg.graph.has_edge(v, w):
+    if not (0 <= v < eg.n and w in eg.rotations[v]):
         raise PreconditionError(f"edge ({v},{w}) not in graph")
     thirds = sorted(set(eg.rotations[v]) & set(eg.rotations[w]))
     if len(thirds) != 2:
-        raise PreconditionError(
-            f"edge ({v},{w}) lies in {len(thirds)} triangles, need exactly 2")
+        raise PreconditionError(f"edge ({v},{w}) lies in {len(thirds)} triangles, need exactly 2")
     if not is_triangulation(eg):
         raise PreconditionError("contraction is defined for triangulations")
     if eg.sign(v, w) < 0:
@@ -394,8 +416,7 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
         raise PreconditionError("degenerate contraction site")
     x, y = rot_w[1], rot_w[-1]
     if x == y or {x, y} != set(thirds):
-        raise PreconditionError(
-            f"the two faces at ({v},{w}) are not the two triangles through it")
+        raise PreconditionError(f"the two faces at ({v},{w}) are not the two triangles through it")
     arc = rot_w[2:-1]  # w's neighbors strictly between x and y
     rot_v = _rotate_to(eg.rotations[v], w)  # (w, y, ..., x) cyclically
     if rot_v[1] != y or rot_v[-1] != x:
@@ -409,18 +430,14 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
         rotations[a] = [v if u == w else u for u in rotations[a]]
     for z in (x, y):
         rotations[z] = [u for u in rotations[z] if u != w]
-    negative = set(eg.negative_edges)
-    for a in arc:
-        if _norm(w, a) in negative:
-            negative.add(_norm(v, a))
+    negative = eg.negative_edges | {_norm(v, a) for a in arc if _norm(w, a) in eg.negative_edges}
     # remove w and renumber the vertices after it, in one pass; the
     # structure is consistent by construction, so no builder re-checks it
     del rotations[w]
     renumber = list(range(w)) + [-1] + list(range(w, eg.n - 1))
     new_rots = tuple(tuple(map(renumber.__getitem__, rot)) for rot in rotations)
-    edges = frozenset((a, b) for a, rot in enumerate(new_rots) for b in rot if a < b)
     new_neg = frozenset((renumber[a], renumber[b]) for a, b in negative if w not in (a, b))
-    return EmbeddedGraph(Graph(eg.n - 1, edges), new_rots, new_neg)
+    return EmbeddedGraph(new_rots, new_neg)
 
 
 def split_path(eg: EmbeddedGraph, x: int, v: int, y: int) -> EmbeddedGraph:
@@ -429,8 +446,7 @@ def split_path(eg: EmbeddedGraph, x: int, v: int, y: int) -> EmbeddedGraph:
     becoming adjacent to x, that arc, y, and v. Inverse of
     contract_reducible at the same site. The result of splitting a
     triangulation is a triangulation of the same surface."""
-    g = eg.graph
-    if x == y or not (g.has_edge(x, v) and g.has_edge(y, v)):
+    if x == y or not (0 <= v < eg.n and x in eg.rotations[v] and y in eg.rotations[v]):
         raise PreconditionError(f"({x},{v},{y}) is not a valid split site")
     splitter = _Splitter(eg)
     splitter.split_path(x, v, y)
@@ -452,18 +468,32 @@ def split_triangle(eg: EmbeddedGraph, face: tuple[int, int, int]) -> EmbeddedGra
 class _Splitter:
     """A mutable copy of a signed rotation system for repeated splits. A
     switch or a triangle split is O(1) whatever the degrees, a path split
-    O(1 + the arc it moves). Every vertex keeps successor and predecessor
-    maps over its rotation, and its first element, which is where the
-    exported rotation starts. An edge's sign is its stored sign times a
-    parity per end, so a switch flips one parity and swaps the vertex's
-    two maps."""
+    O(1 + the arc it moves). A vertex gets successor and predecessor maps
+    over its rotation, and its first element, which is where the exported
+    rotation starts, the first time a split or switch touches it; the
+    others export their rotations as they are. An edge's sign is its stored
+    sign times a parity per end, so a switch flips one parity and swaps the
+    vertex's two maps."""
 
     def __init__(self, eg: EmbeddedGraph):
-        self.succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in eg.rotations]
-        self.pred = [dict(zip(rot, rot[-1:] + rot[:-1])) for rot in eg.rotations]
-        self.first = [rot[0] if rot else None for rot in eg.rotations]
+        self.rotations: list[tuple[int, ...]] = list(eg.rotations)
+        self.succ: list[dict[int, int] | None] = [None] * eg.n
+        self.pred: list[dict[int, int] | None] = [None] * eg.n
+        self.first: list[int | None] = [None] * eg.n
         self.parity = [1] * eg.n
         self.negative = set(eg.negative_edges)
+        self.touched: list[int] = []
+
+    def touch(self, v: int) -> dict[int, int]:
+        """v's successor map, built with the rest of v's maps unless an
+        earlier split or switch has."""
+        if self.succ[v] is None:
+            rot = self.rotations[v]
+            self.succ[v] = dict(zip(rot, rot[1:] + rot[:1]))
+            self.pred[v] = dict(zip(rot, rot[-1:] + rot[:-1]))
+            self.first[v] = rot[0] if rot else None
+            self.touched.append(v)
+        return self.succ[v]
 
     def sign(self, u: int, v: int) -> int:
         s = self.parity[u] * self.parity[v]
@@ -481,7 +511,7 @@ class _Splitter:
         are positive. Raises unless abc is a face."""
         succ = self.succ
         sides = ((a, b), (b, c), (c, a))
-        if 0 <= a and c < len(succ) and all(q in succ[p] for p, q in sides):
+        if 0 <= a and c < len(succ) and all(q in self.touch(p) for p, q in sides):
             # a facial walk has positive total sign, so zero or two of its edges
             # are negative; switching the vertex they share makes all three positive
             negative = [e for e in sides if self.sign(*e) < 0]
@@ -499,10 +529,11 @@ class _Splitter:
     def split_path(self, x: int, v: int, y: int) -> None:
         """split_path: switch x and y to make xv and yv positive; then a
         new vertex w takes over the arc of v strictly between x and y."""
-        if self.sign(x, v) < 0:
-            self.switch(x)
-        if self.sign(y, v) < 0:
-            self.switch(y)
+        self.touch(v)
+        for u in (x, y):
+            self.touch(u)
+            if self.sign(u, v) < 0:
+                self.switch(u)
         succ, pred, first = self.succ, self.pred, self.first
         w = len(succ)
         arc = []
@@ -510,13 +541,14 @@ class _Splitter:
         while a != y:
             arc.append(a)
             a = succ[v][a]
-        ring = [v, x, *arc, y]
-        succ.append(dict(zip(ring, ring[1:] + ring[:1])))
-        pred.append(dict(zip(ring, ring[-1:] + ring[:-1])))
-        first.append(v)
+        self.rotations.append((v, x, *arc, y))
+        for maps in (succ, pred, first):
+            maps.append(None)
         self.parity.append(1)
+        self.touch(w)
         # each arc vertex puts w in v's place, and the edge keeps its sign
         for a in arc:
+            self.touch(a)
             if self.sign(v, a) * self.parity[a] < 0:
                 self.negative.add((a, w))
             self.negative.discard(_norm(v, a))
@@ -542,26 +574,20 @@ class _Splitter:
         self.negative.update((u, w) for u in (v, x, y) if self.parity[u] < 0)
 
     def export(self) -> EmbeddedGraph:
-        rotations = []
-        for succ, start in zip(self.succ, self.first):
-            rot = []
-            if start is not None:
-                u = start
-                while True:
-                    rot.append(u)
-                    u = succ[u]
-                    if u == start:
-                        break
-            rotations.append(tuple(rot))
-        # a switched vertex flips the sign of each of its edges, so an edge
-        # between two switched vertices keeps its stored sign
+        rotations = list(self.rotations)
         negative = set(self.negative)
-        for v, parity in enumerate(self.parity):
-            if parity < 0:
-                negative.symmetric_difference_update(_norm(v, u) for u in rotations[v])
-        edges = frozenset((v, u) for v, rot in enumerate(rotations) for u in rot if v < u)
+        for v in self.touched:
+            start, succ = self.first[v], self.succ[v]
+            rot = [] if start is None else [start]
+            while rot and (u := succ[rot[-1]]) != start:
+                rot.append(u)
+            rotations[v] = tuple(rot)
+            # a switched vertex flips the sign of each of its edges, so an
+            # edge between two switched vertices keeps its stored sign
+            if self.parity[v] < 0:
+                negative.symmetric_difference_update(_norm(v, u) for u in rot)
         # consistent by construction: no builder re-checks it
-        return EmbeddedGraph(Graph(len(rotations), edges), tuple(rotations), frozenset(negative))
+        return EmbeddedGraph(tuple(rotations), frozenset(negative))
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +624,12 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
             raise PreconditionError(f"vertex {v} is isolated")
         if sorted(partners) != nbrs or any(len(p) != 2 for p in partners.values()):
             raise PreconditionError(f"link of vertex {v} is not a single cycle")
-        start = nbrs[0]
-        second = min(partners[start])
-        cycle = [start, second]
-        while True:
-            prev, cur = cycle[-2], cycle[-1]
-            nxts = [u for u in partners[cur] if u != prev]
-            nxt = nxts[0] if nxts else prev  # doubled link edge (degree 2)
-            if nxt == cycle[0] and len(cycle) == len(nbrs):
-                break
-            cycle.append(nxt)
-            if len(cycle) > len(nbrs):
-                raise PreconditionError(f"link of vertex {v} is not a single cycle")
-        if sorted(cycle) != nbrs:
+        # walk the link one step past its length: the last step must close it
+        cycle = [nbrs[0], min(partners[nbrs[0]])]
+        while len(cycle) <= len(nbrs):
+            a, b = partners[cycle[-1]]
+            cycle.append(b if a == cycle[-2] else a)  # at degree 2, a doubled link edge
+        if cycle.pop() != cycle[0] or sorted(cycle) != nbrs:
             raise PreconditionError(f"link of vertex {v} is not a single cycle")
         rotations.append(tuple(cycle))
     succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotations]
@@ -622,8 +641,7 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
             return 1
         if succ[v][go] == come:
             return -1
-        raise PreconditionError(
-            f"face corner at {v} ({come}->{go}) not rotation-consecutive")
+        raise PreconditionError(f"face corner at {v} ({come}->{go}) not rotation-consecutive")
 
     signs: dict[Edge, int] = {}
     for a, b, c in faces:
@@ -633,15 +651,13 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
                 raise PreconditionError(f"inconsistent sign derivation at edge {e}")
     negative = frozenset(e for e, s in signs.items() if s < 0)
     # each rotation is a permutation of its neighbors, read off the links
-    eg = EmbeddedGraph(graph, tuple(rotations), negative)
+    eg = EmbeddedGraph(tuple(rotations), negative)
     # the faces must be the listed triangles: every face has three steps
     # (fewer would give a face that is not a triangle, more would leave
     # fewer faces than triangles), and their vertex sets agree
-    table = eg._table
-    if table.ends != list(range(3, 3 * len(faces) + 1, 3)):
+    if eg._table.ends != list(range(3, 3 * len(faces) + 1, 3)):
         raise PreconditionError("face reconstruction failed to reproduce the face list")
-    heads = [table.head[state >> 1] for state in table.order]
-    got = sorted(tuple(sorted(heads[i:i + 3])) for i in range(0, len(heads), 3))
+    got = sorted(tuple(sorted(vs)) for vs in face_vertices(eg))
     if sorted(tuple(sorted(f)) for f in faces) != got:
         raise PreconditionError("face reconstruction failed to reproduce the face list")
     return eg
@@ -719,8 +735,6 @@ def _search_embedding(g: Graph, cotree: list[Edge], target_f: int,
     """Enumerate rotation systems (first vertex's rotation fixed up to
     reflection) and cotree sign patterns by increasing number of negative
     edges; return the first embedding with the target face count."""
-    from itertools import combinations, permutations
-
     rot_choices: list[list[tuple[int, ...]]] = []
     for v in range(g.n):
         nbrs = sorted(g.adj[v])
@@ -728,37 +742,21 @@ def _search_embedding(g: Graph, cotree: list[Edge], target_f: int,
             rot_choices.append([tuple(nbrs)])
         else:
             first = nbrs[0]
-            perms = [
-                (first,) + p
-                for p in permutations(nbrs[1:])
-            ]
+            perms = [(first,) + p for p in permutations(nbrs[1:])]
             if v == 0:
                 # drop mirror images: fix the orientation at the first vertex
                 perms = [p for p in perms if p[1] < p[-1]]
             rot_choices.append(perms)
 
-    sign_patterns: list[frozenset[Edge]] = []
-    for k in range(len(cotree) + 1):
-        for combo in combinations(cotree, k):
-            sign_patterns.append(frozenset(combo))
-
-    def rec(v: int, rots: list[tuple[int, ...]]) -> EmbeddedGraph | None:
-        if v == g.n:
-            for neg in sign_patterns:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise CapExceeded(
-                        "work_cap", "embedding search budget exhausted; raise tries")
-                eg = EmbeddedGraph(g, tuple(rots), neg)
-                if len(_trace(eg).ends) == target_f:
-                    return eg
-            return None
-        for rot in rot_choices[v]:
-            rots.append(rot)
-            hit = rec(v + 1, rots)
-            if hit is not None:
-                return hit
-            rots.pop()
-        return None
-
-    return rec(0, [])
+    sign_patterns = [frozenset(combo) for k in range(len(cotree) + 1)
+                     for combo in combinations(cotree, k)]
+    # the last vertex's rotation varies fastest, as in a depth-first search
+    for rots in product(*rot_choices):
+        for neg in sign_patterns:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceeded("work_cap", "embedding search budget exhausted; raise tries")
+            eg = EmbeddedGraph(rots, neg)
+            if len(_trace(eg).ends) == target_f:
+                return eg
+    return None

@@ -290,17 +290,24 @@ def _multigraph_is_minor(node: SpqrkNode, g: Graph) -> bool:
                 have[(a, b) if a < b else (b, a)] += 1
         return need <= have
 
-    def branch_connected(i: int) -> bool:
-        members = [v for v in range(g.n) if owner[v] == i]
-        seen = {members[0]}
-        stack = [members[0]]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if owner[w] == i and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(members)
+    def branches_connected() -> bool:
+        # one pass buckets the vertices by branch set, so a check is O(n + m)
+        members: list[list[int]] = [[] for _ in range(k)]
+        for v, i in enumerate(owner):
+            if i >= 0:
+                members[i].append(v)
+        for i, vs in enumerate(members):
+            seen = {vs[0]}
+            stack = [vs[0]]
+            while stack:
+                v = stack.pop()
+                for w in g.adj[v]:
+                    if owner[w] == i and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) != len(vs):
+                return False
+        return True
 
     free = [v for v in range(g.n) if owner[v] == -1]
 
@@ -308,7 +315,7 @@ def _multigraph_is_minor(node: SpqrkNode, g: Graph) -> bool:
         budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded("work_cap", "minor check budget exhausted")
-        if all(branch_connected(i) for i in range(k)) and edges_fit():
+        if branches_connected() and edges_fit():
             return True
         if pos == len(free):
             return False

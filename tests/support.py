@@ -9,8 +9,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from surfcount.embedding import EmbeddedGraph, FacialWalk, switch_vertex, trace_faces
-from surfcount.errors import InternalInvariantError, PreconditionError
+from surfcount.embedding import (
+    EmbeddedGraph, FacialWalk, _read_rotations_checked, switch_vertex, trace_faces)
+from surfcount.errors import InternalInvariantError, ParseError, PreconditionError
 from surfcount.flaps import Separation
 from surfcount.graph import (
     Graph, add_clique, articulation_points, automorphisms, connected_components,
@@ -600,6 +601,61 @@ def slow_split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:
         walk = min(trace_faces(eg), key=lambda w: sorted(w.vertices))
         eg = slow_split(eg, *walk.vertices)
     return eg
+
+
+# ---------------------------------------------------------------------------
+# Parsing through edge sets: the oracle for the parse's fast path
+# ---------------------------------------------------------------------------
+
+
+def slow_read_rotations(n: int, lines: list[str]) -> EmbeddedGraph | None:
+    """The rotation lines read whole with ``int``, or None on the first sign
+    of a fault. The checks go through two edge sets: no loops or duplicates
+    (each would leave fewer edges than half the listings), each neighbor
+    listing its vertex back (so it is in range, and every rotation is a
+    permutation of its neighbors), equal signs. The result is built through
+    the checked constructors."""
+    try:
+        split = [ln.partition(":") for ln in lines]
+        if list(map(int, [head for head, _, _ in split])) != list(range(n)):
+            return None
+        rests = [rest for _, _, rest in split]
+        rotations = [None if "-" in rest else tuple(map(int, rest.split())) for rest in rests]
+        negative: list[tuple[int, int]] = []  # negative marks, as (from, to)
+        for v in [v for v, rot in enumerate(rotations) if rot is None]:
+            toks = rests[v].split()
+            rotations[v] = rot = tuple(int(t[:-1]) if t[-1] == "-" else int(t) for t in toks)
+            negative += [(v, u) for t, u in zip(toks, rot) if t[-1] == "-"]
+    except ValueError:
+        return None
+    edges = frozenset([(v, u) for v, rot in enumerate(rotations) for u in rot if v < u])
+    if (2 * len(edges) != sum(map(len, rotations))
+            or edges != {(u, v) for v, rot in enumerate(rotations) for u in rot if u < v}):
+        return None
+    signed = frozenset((v, u) for v, u in negative if v < u)
+    if signed != {(u, v) for v, u in negative if u < v}:
+        return None
+    return EmbeddedGraph.build(Graph.build(n, edges), rotations, signed)
+
+
+def slow_parse_embedding(text: str) -> EmbeddedGraph:
+    """``parse_embedding`` with ``slow_read_rotations`` as its fast path:
+    the same header checks, and the token reader names any fault."""
+    lines = [
+        (i + 1, ln) for i, ln in enumerate(text.splitlines())
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if not lines:
+        raise ParseError("empty embedding document")
+    lineno, header = lines[0]
+    try:
+        n = int(header.strip())
+    except ValueError:
+        raise ParseError(f"expected vertex count, got {header!r}", lineno) from None
+    if len(lines) - 1 != n:
+        raise ParseError(f"expected {n} rotation lines, found {len(lines) - 1}")
+    eg = slow_read_rotations(n, [ln for _, ln in lines[1:]])
+    return eg if eg is not None else _read_rotations_checked(n, lines)
 
 
 # ---------------------------------------------------------------------------

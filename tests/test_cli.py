@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from support import random_stacked
+from support import random_stacked, slow_split_growth
 from surfcount import embedding
 from surfcount.census import render_table, surface_table
 from surfcount.cli import build_parser, main
-from surfcount.graph import complete_graph, path_graph, serialize_graph
+from surfcount.graph import Graph, complete_graph, path_graph, serialize_graph
 from surfcount.surfaces import load_bundled
 
 DATA = Path(__file__).parent / "data"
@@ -189,30 +189,44 @@ def test_split_triangle_cli_traces_nothing(capsys, monkeypatch, tmp_path):
 
 
 def test_table_paths_build_no_walks(capsys, monkeypatch, tmp_path):
-    """genus, contract and split --triangle on a 1500-vertex stack read
-    the dart table or the rotations and construct no FacialWalk; faces
-    builds one per face."""
+    """genus, faces, contract and split --triangle on a 1500-vertex stack
+    read the dart table or the rotations: they construct no FacialWalk and
+    no Graph, and the split builds maps only for the face's three vertices
+    and the new one. grow prints what it printed before."""
     eg, faces = random_stacked(random.Random(1501), 1500, hub_bias=0.5, switch_p=0.5)
     path = tmp_path / "stack.emb"
     path.write_text(embedding.serialize_embedding(eg))
-    walks = []
+    built = []
 
-    def counted(steps):
-        walks.append(steps)
-        return walk(steps)
+    def counted(kind, make):
+        def wrapped(*args, **kwargs):
+            built.append(kind)
+            return make(*args, **kwargs)
+        return wrapped
 
-    walk = embedding.FacialWalk
-    monkeypatch.setattr(embedding, "FacialWalk", counted)
+    monkeypatch.setattr(embedding, "FacialWalk", counted("walk", embedding.FacialWalk))
+    monkeypatch.setattr(Graph, "__init__", counted("graph", Graph.__init__))
+    touched = []
+    touch = embedding._Splitter.touch
+    monkeypatch.setattr(embedding._Splitter, "touch",
+                        lambda self, v: touched.append(v) or touch(self, v))
     a, b, c = faces[-1]  # the last vertex, c, has degree 3
     x, v, y = faces[777]
     for argv, want in ((["genus", str(path)], "0\n"),
+                       (["faces", str(path)], None),
                        (["contract", str(path), str(a), str(c)], None),
                        (["split", str(path), str(x), str(v), str(y), "--triangle"], None)):
         code, out, err = run(capsys, *argv)
-        assert (code, err, walks) == (0, "", []), argv
+        assert (code, err, built) == (0, "", []), argv
         assert want is None or out == want
-    code, out, err = run(capsys, "faces", str(path))
-    assert code == 0 and len(walks) == len(out.splitlines()) == 2 * 1500 - 4
+        if argv[0] == "faces":
+            assert len(out.splitlines()) == 2 * 1500 - 4
+    assert sorted(set(touched)) == sorted((x, v, y)) + [1500]
+    # growth on the splitter that builds maps on first touch prints what
+    # the retracing oracle grows
+    for seed, name, n in (("k4-sphere", "k4_sphere", 60), ("k6-projective", "k6_projective", 45)):
+        want = embedding.serialize_embedding(slow_split_growth(load_bundled(name), n))
+        assert run(capsys, "grow", seed, str(n)) == (0, want, "")
 
 
 def test_genus_of_the_empty_embedding(capsys, tmp_path):

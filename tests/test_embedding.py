@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -9,6 +10,8 @@ from support import (
     random_stacked,
     slow_contract_reducible,
     slow_embedding_from_faces,
+    slow_parse_embedding,
+    slow_read_rotations,
     slow_split_path,
     slow_trace_faces,
 )
@@ -474,8 +477,9 @@ def test_contract_matches_slow_contraction():
 
 
 def test_parse_fast_path_matches_checked_reader():
-    """The reader of whole lines gives what the token-at-a-time reader
-    gives, and declines exactly where the checked reader raises.
+    """The oracle's reader of whole lines gives what the token-at-a-time
+    reader gives, and declines exactly where the checked reader raises;
+    the parse gives the same embedding.
     Seeded signed rotation systems, serialized, then each mutated once."""
     rng = random.Random(1729)
     mutations = 0
@@ -503,7 +507,7 @@ def test_parse_fast_path_matches_checked_reader():
             toks = [t.rstrip("-") if t.rstrip("-") == tok else t for t in toks]
         lines[v + 1] = f"{head}: " + " ".join(toks)
         numbered = [(i + 1, ln) for i, ln in enumerate(lines)]
-        fast = embedding._read_rotations(eg.n, lines[1:])
+        fast = slow_read_rotations(eg.n, lines[1:])
         try:
             checked = embedding._read_rotations_checked(eg.n, numbered)
         except ParseError:
@@ -513,6 +517,131 @@ def test_parse_fast_path_matches_checked_reader():
         assert fast == checked
         assert parse_embedding("\n".join(lines)) == checked
     assert mutations > 100, mutations
+
+
+def _mutate(rng, text, kind):
+    """One seeded fault, or one harmless variation, in an embedding
+    document whose every line lists at least one neighbor."""
+    lines = text.splitlines()
+    n = int(lines[0])
+    v = rng.randrange(n)
+    head, _, rest = lines[v + 1].partition(":")
+    toks = rest.split()
+    i = rng.randrange(len(toks))
+    if kind == "loop":
+        toks.insert(i, str(v))
+    elif kind == "duplicate":  # at one end, or at both, which lists the reverse twice too
+        u = toks[rng.randrange(len(toks))]
+        toks.insert(i, u)
+        if rng.random() < 0.5:
+            w = int(u.rstrip("-"))
+            lines[w + 1] += " " + str(v) + u[len(u.rstrip("-")):]
+    elif kind == "missing":
+        del toks[i]
+    elif kind == "range":
+        toks.insert(i, rng.choice([str(n), str(n + 7), "-1"]))
+    elif kind == "sign":
+        toks[i] = toks[i][:-1] if toks[i].endswith("-") else toks[i] + "-"
+    elif kind == "order":
+        w = rng.choice([u for u in range(n) if u != v])
+        lines[v + 1], lines[w + 1] = lines[w + 1], lines[v + 1]
+        return "\n".join(lines) + "\n"
+    elif kind == "zeros":
+        toks[i] = "00" + toks[i]
+    elif kind == "plus":
+        toks[i] = "+" + toks[i]
+    elif kind == "token":
+        toks[i] = rng.choice(["x", "1.0", "1_0", "-", "3--", "0x1", "--1"])
+    elif kind == "head":
+        head = rng.choice([f" {v} ", f"0{v}", f"+{v}", "x"])
+    else:  # comment and blank lines, before the header too
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(0, len(lines)),
+                         rng.choice(["", "   ", "# note", "  # 1: 0", "#"]))
+        return "\n".join(lines) + "\n"
+    lines[v + 1] = f"{head}: " + " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_parse_matches_the_edge_set_oracle():
+    """Seeded mutations of stacked and grown documents, signed and
+    switched: the parse accepts exactly what the reader of whole lines
+    through edge sets accepts, gives equal embeddings, and raises the same
+    message on every other document."""
+    rng = random.Random(3141)
+    kinds = ["loop", "duplicate", "missing", "range", "sign", "order", "zeros", "plus",
+             "token", "head", "comments"]
+    seen = {kind: [0, 0] for kind in kinds}  # accepted, refused
+    for trial in range(440):
+        if trial % 2:
+            eg = random_stacked(rng, rng.randint(4, 60), hub_bias=rng.choice([0.0, 0.5]),
+                                switch_p=0.5)[0]
+        else:
+            seed = _switched(rng, load_bundled(rng.choice(["k4_sphere", "k6_projective"])))
+            eg = _switched(rng, split_growth(seed, seed.n + rng.randint(0, 40)))
+        kind = kinds[trial % len(kinds)]
+        text = _mutate(rng, serialize_embedding(eg), kind)
+        want = _parsed(slow_parse_embedding, text)
+        assert _parsed(parse_embedding, text) == want, (kind, text)
+        seen[kind][isinstance(want, str)] += 1
+    for kind in ("zeros", "plus", "comments"):
+        assert seen[kind][1] == 0 and seen[kind][0] > 0, (kind, seen)
+    for kind in ("loop", "duplicate", "missing", "range", "sign", "order", "token"):
+        assert seen[kind][0] == 0 and seen[kind][1] > 0, (kind, seen)
+    assert min(seen["head"]) > 0, seen
+
+
+def _orientable(eg):
+    """Whether some switching makes every edge positive: the negative edges
+    are exactly those between two sides of each component."""
+    side = [None] * eg.n
+    for root in range(eg.n):
+        if side[root] is None:
+            side[root], stack = 0, [root]
+            while stack:
+                u = stack.pop()
+                for w in eg.rotations[u]:
+                    if side[w] is None:
+                        side[w] = side[u] ^ (eg.sign(u, w) < 0)
+                        stack.append(w)
+    return all((side[u] != side[w]) == (eg.sign(u, w) < 0)
+               for u in range(eg.n) for w in eg.rotations[u])
+
+
+def test_faces_output_matches_the_tuple_oracle(capsys, tmp_path):
+    """faces and faces --json print the tuple-state oracle's walks, one
+    line or one list per walk, on seeded signed rotation systems: orientable
+    and not, with faces that are not triangles, several components,
+    isolated vertices, and no edges at all."""
+    rng = random.Random(1618)
+    cases = [random_rotation_system(rng, rng.randint(1, 12)) for _ in range(120)]
+    cases += [EmbeddedGraph.build(Graph.build(n, []), [()] * n) for n in (1, 3)]
+    cases += [_switched(rng, split_growth(load_bundled("k6_projective"), 30)),
+              random_stacked(rng, 50, hub_bias=0.5, switch_p=0.5)[0]]
+    seen = {"orientable": 0, "non-orientable": 0, "not a triangle": 0, "components": 0,
+            "isolated": 0, "no edges": 0}
+    path = tmp_path / "emb.emb"
+    for eg in cases:
+        walks = slow_trace_faces(eg)
+        path.write_text(serialize_embedding(eg))
+        text = "".join(" ".join(map(str, w.vertices)) + "\n" for w in walks)
+        assert main(["faces", str(path)]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["--json", "faces", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps([list(w.vertices) for w in walks]) + "\n"
+        seen["orientable" if _orientable(eg) else "non-orientable"] += 1
+        seen["not a triangle"] += any(len(w) != 3 for w in walks)
+        seen["components"] += len(connected_components(eg.graph)) > 1
+        seen["isolated"] += () in eg.rotations
+        seen["no edges"] += eg.m == 0
+    assert min(seen.values()) >= 2, seen
 
 
 def _triangles(g):

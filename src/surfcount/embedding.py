@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
@@ -77,12 +77,15 @@ class EmbeddedGraph:
             raise PreconditionError("one rotation per vertex required")
         for v, rot in enumerate(rots):
             if sorted(rot) != sorted(graph.adj[v]):
-                raise PreconditionError(f"rotation at {v} is not a permutation of its neighbors")
+                raise PreconditionError(
+                    f"rotation at {v} is not a permutation of its neighbors")
         neg = frozenset(_norm(u, v) for u, v in negative_edges)
         bad = neg - graph.edges
         if bad:
             raise PreconditionError(f"negative signs on non-edges: {sorted(bad)}")
-        return EmbeddedGraph(rots, neg)
+        eg = EmbeddedGraph(rots, neg)
+        eg.__dict__["graph"] = graph  # the cached property, already built
+        return eg
 
     @property
     def n(self) -> int:
@@ -232,7 +235,9 @@ def euler_genus(eg: EmbeddedGraph) -> int:
 def is_triangulation(eg: EmbeddedGraph) -> bool:
     """Every facial walk has three distinct vertices and three distinct
     edges: in a simple graph, every face has three steps."""
-    return eg.m > 0 and eg._table.ends == list(range(3, 2 * eg.m + 1, 3))
+    if eg.m == 0:
+        return False
+    return eg._table.ends == list(range(3, 2 * eg.m + 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +249,21 @@ def parse_embedding(text: str) -> EmbeddedGraph:
     """Format: first line "n"; then per vertex one line "v: u1 u2- u3 ..."
     listing the neighbors in rotation order, a '-' suffix marking a
     negative edge. Both endpoints must carry the same sign mark."""
-    lines = text.splitlines()
-    if "#" in text or not all(map(str.strip, lines)):  # drop comments and blank lines
-        lines = [ln for _, ln in _numbered_lines(text)]
+    lines = [
+        (i + 1, ln) for i, ln in enumerate(text.splitlines())
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
     if not lines:
         raise ParseError("empty embedding document")
+    lineno, header = lines[0]
     try:
-        n = int(lines[0].strip())
+        n = int(header.strip())
     except ValueError:
-        raise ParseError(f"expected vertex count, got {lines[0]!r}",
-                         _numbered_lines(text)[0][0]) from None
+        raise ParseError(f"expected vertex count, got {header!r}", lineno) from None
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} rotation lines, found {len(lines) - 1}")
-    eg = _read_rotations(n, lines[1:])
-    return eg if eg is not None else _read_rotations_checked(n, _numbered_lines(text))
-
-
-def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    """The lines that are neither blank nor comments, with their numbers."""
-    return [(i + 1, ln) for i, ln in enumerate(text.splitlines())
-            if ln.strip() and not ln.lstrip().startswith("#")]
+    eg = _read_rotations(n, [ln for _, ln in lines[1:]])
+    return eg if eg is not None else _read_rotations_checked(n, lines)
 
 
 def _vertex_names(n: int) -> list[str]:
@@ -321,8 +321,10 @@ def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGra
         rot = []
         listed = set()
         for tok in rest.split():
+            negative = tok.endswith("-")
+            body = tok[:-1] if negative else tok
             try:
-                u = int(tok[:-1] if tok.endswith("-") else tok)
+                u = int(body)
             except ValueError:
                 raise ParseError(f"bad neighbor token {tok!r}", lineno) from None
             if u == v:
@@ -333,7 +335,7 @@ def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGra
                 raise ParseError(f"duplicate neighbor {u} at vertex {v}", lineno)
             listed.add(u)
             rot.append(u)
-            sign_claims[(v, u)] = -1 if tok.endswith("-") else 1
+            sign_claims[(v, u)] = -1 if negative else 1
         rotations.append(tuple(rot))
     negative = []
     for (v, u), sgn in sign_claims.items():
@@ -406,7 +408,8 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
         raise PreconditionError(f"edge ({v},{w}) not in graph")
     thirds = sorted(set(eg.rotations[v]) & set(eg.rotations[w]))
     if len(thirds) != 2:
-        raise PreconditionError(f"edge ({v},{w}) lies in {len(thirds)} triangles, need exactly 2")
+        raise PreconditionError(
+            f"edge ({v},{w}) lies in {len(thirds)} triangles, need exactly 2")
     if not is_triangulation(eg):
         raise PreconditionError("contraction is defined for triangulations")
     if eg.sign(v, w) < 0:
@@ -416,7 +419,8 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
         raise PreconditionError("degenerate contraction site")
     x, y = rot_w[1], rot_w[-1]
     if x == y or {x, y} != set(thirds):
-        raise PreconditionError(f"the two faces at ({v},{w}) are not the two triangles through it")
+        raise PreconditionError(
+            f"the two faces at ({v},{w}) are not the two triangles through it")
     arc = rot_w[2:-1]  # w's neighbors strictly between x and y
     rot_v = _rotate_to(eg.rotations[v], w)  # (w, y, ..., x) cyclically
     if rot_v[1] != y or rot_v[-1] != x:
@@ -430,7 +434,10 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
         rotations[a] = [v if u == w else u for u in rotations[a]]
     for z in (x, y):
         rotations[z] = [u for u in rotations[z] if u != w]
-    negative = eg.negative_edges | {_norm(v, a) for a in arc if _norm(w, a) in eg.negative_edges}
+    negative = set(eg.negative_edges)
+    for a in arc:
+        if _norm(w, a) in negative:
+            negative.add(_norm(v, a))
     # remove w and renumber the vertices after it, in one pass; the
     # structure is consistent by construction, so no builder re-checks it
     del rotations[w]
@@ -624,12 +631,19 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
             raise PreconditionError(f"vertex {v} is isolated")
         if sorted(partners) != nbrs or any(len(p) != 2 for p in partners.values()):
             raise PreconditionError(f"link of vertex {v} is not a single cycle")
-        # walk the link one step past its length: the last step must close it
-        cycle = [nbrs[0], min(partners[nbrs[0]])]
-        while len(cycle) <= len(nbrs):
-            a, b = partners[cycle[-1]]
-            cycle.append(b if a == cycle[-2] else a)  # at degree 2, a doubled link edge
-        if cycle.pop() != cycle[0] or sorted(cycle) != nbrs:
+        start = nbrs[0]
+        second = min(partners[start])
+        cycle = [start, second]
+        while True:
+            prev, cur = cycle[-2], cycle[-1]
+            nxts = [u for u in partners[cur] if u != prev]
+            nxt = nxts[0] if nxts else prev  # doubled link edge (degree 2)
+            if nxt == cycle[0] and len(cycle) == len(nbrs):
+                break
+            cycle.append(nxt)
+            if len(cycle) > len(nbrs):
+                raise PreconditionError(f"link of vertex {v} is not a single cycle")
+        if sorted(cycle) != nbrs:
             raise PreconditionError(f"link of vertex {v} is not a single cycle")
         rotations.append(tuple(cycle))
     succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotations]
@@ -641,7 +655,8 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
             return 1
         if succ[v][go] == come:
             return -1
-        raise PreconditionError(f"face corner at {v} ({come}->{go}) not rotation-consecutive")
+        raise PreconditionError(
+            f"face corner at {v} ({come}->{go}) not rotation-consecutive")
 
     signs: dict[Edge, int] = {}
     for a, b, c in faces:
@@ -652,6 +667,7 @@ def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedG
     negative = frozenset(e for e, s in signs.items() if s < 0)
     # each rotation is a permutation of its neighbors, read off the links
     eg = EmbeddedGraph(tuple(rotations), negative)
+    eg.__dict__["graph"] = graph  # the cached property, already built
     # the faces must be the listed triangles: every face has three steps
     # (fewer would give a face that is not a triangle, more would leave
     # fewer faces than triangles), and their vertex sets agree
@@ -735,6 +751,8 @@ def _search_embedding(g: Graph, cotree: list[Edge], target_f: int,
     """Enumerate rotation systems (first vertex's rotation fixed up to
     reflection) and cotree sign patterns by increasing number of negative
     edges; return the first embedding with the target face count."""
+    from itertools import combinations, permutations
+
     rot_choices: list[list[tuple[int, ...]]] = []
     for v in range(g.n):
         nbrs = sorted(g.adj[v])
@@ -742,21 +760,37 @@ def _search_embedding(g: Graph, cotree: list[Edge], target_f: int,
             rot_choices.append([tuple(nbrs)])
         else:
             first = nbrs[0]
-            perms = [(first,) + p for p in permutations(nbrs[1:])]
+            perms = [
+                (first,) + p
+                for p in permutations(nbrs[1:])
+            ]
             if v == 0:
                 # drop mirror images: fix the orientation at the first vertex
                 perms = [p for p in perms if p[1] < p[-1]]
             rot_choices.append(perms)
 
-    sign_patterns = [frozenset(combo) for k in range(len(cotree) + 1)
-                     for combo in combinations(cotree, k)]
-    # the last vertex's rotation varies fastest, as in a depth-first search
-    for rots in product(*rot_choices):
-        for neg in sign_patterns:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded("work_cap", "embedding search budget exhausted; raise tries")
-            eg = EmbeddedGraph(rots, neg)
-            if len(_trace(eg).ends) == target_f:
-                return eg
-    return None
+    sign_patterns: list[frozenset[Edge]] = []
+    for k in range(len(cotree) + 1):
+        for combo in combinations(cotree, k):
+            sign_patterns.append(frozenset(combo))
+
+    def rec(v: int, rots: list[tuple[int, ...]]) -> EmbeddedGraph | None:
+        if v == g.n:
+            for neg in sign_patterns:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise CapExceeded(
+                        "work_cap", "embedding search budget exhausted; raise tries")
+                eg = EmbeddedGraph(tuple(rots), neg)
+                if len(_trace(eg).ends) == target_f:
+                    return eg
+            return None
+        for rot in rot_choices[v]:
+            rots.append(rot)
+            hit = rec(v + 1, rots)
+            if hit is not None:
+                return hit
+            rots.pop()
+        return None
+
+    return rec(0, [])

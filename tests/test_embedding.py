@@ -477,12 +477,14 @@ def test_contract_matches_slow_contraction():
 
 
 def test_parse_fast_path_matches_checked_reader():
-    """The oracle's reader of whole lines gives what the token-at-a-time
-    reader gives, and declines exactly where the checked reader raises;
-    the parse gives the same embedding.
+    """The name-table reader declines wherever the token-at-a-time reader
+    raises, and the parse then raises its message; where the token reader
+    accepts, the name-table reader gives the same embedding unless a line
+    is not spelled as ``serialize_embedding`` writes it, and the edge-set
+    oracle and the parse give it too.
     Seeded signed rotation systems, serialized, then each mutated once."""
     rng = random.Random(1729)
-    mutations = 0
+    mutations = respelled = 0
     for _ in range(300):
         eg = random_rotation_system(rng, rng.randint(1, 9))
         lines = serialize_embedding(eg).splitlines()
@@ -507,16 +509,21 @@ def test_parse_fast_path_matches_checked_reader():
             toks = [t.rstrip("-") if t.rstrip("-") == tok else t for t in toks]
         lines[v + 1] = f"{head}: " + " ".join(toks)
         numbered = [(i + 1, ln) for i, ln in enumerate(lines)]
-        fast = slow_read_rotations(eg.n, lines[1:])
+        fast = embedding._read_rotations(eg.n, lines[1:])
+        oracle = slow_read_rotations(eg.n, lines[1:])
         try:
             checked = embedding._read_rotations_checked(eg.n, numbered)
-        except ParseError:
-            assert fast is None
+        except ParseError as exc:
+            assert fast is None and oracle is None
+            assert _parsed(parse_embedding, "\n".join(lines)) == str(exc)
             mutations += 1
             continue
-        assert fast == checked
+        spelled = [ln.rstrip() for ln in lines[1:]] == serialize_embedding(checked).splitlines()[1:]
+        assert fast == checked if spelled else fast in (None, checked)
+        respelled += not spelled
+        assert oracle == checked
         assert parse_embedding("\n".join(lines)) == checked
-    assert mutations > 100, mutations
+    assert mutations > 100 and respelled > 5, (mutations, respelled)
 
 
 def _mutate(rng, text, kind):

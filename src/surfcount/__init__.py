@@ -44,10 +44,10 @@ from .counting import (
 )
 from .embedding import (
     EmbeddedGraph,
-    FacialWalk,
     contract_reducible,
     embedding_from_faces,
     euler_genus,
+    face_vertices,
     is_triangulation,
     min_genus_search,
     parse_embedding,
@@ -56,7 +56,6 @@ from .embedding import (
     split_path,
     split_triangle,
     switch_vertex,
-    trace_faces,
 )
 from .errors import CapExceeded, ParseError, PreconditionError, SurfcountError
 from .flaps import (
@@ -108,10 +107,10 @@ __all__ = [
     "check_genus_triangle_bound", "check_goodman", "count_cliques",
     "count_copies", "count_hom", "count_injective_hom", "max_clique_size",
     "scaling_exponent", "total_cliques",
-    "EmbeddedGraph", "FacialWalk", "contract_reducible", "embedding_from_faces",
-    "euler_genus", "is_triangulation", "min_genus_search", "parse_embedding",
+    "EmbeddedGraph", "contract_reducible", "embedding_from_faces", "euler_genus",
+    "face_vertices", "is_triangulation", "min_genus_search", "parse_embedding",
     "reducible_edges", "serialize_embedding", "split_path", "split_triangle",
-    "switch_vertex", "trace_faces",
+    "switch_vertex",
     "CapExceeded", "ParseError", "PreconditionError", "SurfcountError",
     "Separation", "are_independent", "enumerate_candidate_flaps", "flap_number",
     "flap_reduction", "forest_mis", "is_flap", "is_strongly_non_planar",

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import count_cliques, max_clique_size
-from .embedding import EmbeddedGraph, euler_genus, is_triangulation, triangles_containing
+from .embedding import EmbeddedGraph, euler_genus, is_triangulation, reducible_edges
 from .errors import PreconditionError
 
 
@@ -34,12 +34,7 @@ def is_irreducible(eg: EmbeddedGraph) -> bool:
     through the edge) only count when both triangles are faces and the
     result keeps at least four vertices, which keeps the tetrahedron
     irreducible."""
-    if not is_triangulation(eg):
-        return False
-    if eg.n <= 4:
-        return True
-    g = eg.graph
-    return all(len(triangles_containing(g, u, v)) != 2 for u, v in g.edges)
+    return is_triangulation(eg) and (eg.n <= 4 or not reducible_edges(eg))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import heapq
 
-from .embedding import EmbeddedGraph, _Splitter, trace_faces
+from .embedding import EmbeddedGraph, _Splitter, face_vertices, is_triangulation
 from .errors import InternalInvariantError, PreconditionError
 from .flaps import flap_family_and_number, forest_mis, is_tree, tree_beta
-from .graph import Graph, induced_subgraph, is_connected
+from .graph import Graph, is_connected
 
 
 def lower_bound_graph(h: Graph, n: int) -> Graph:
@@ -44,30 +44,21 @@ def lower_bound_graph(h: Graph, n: int) -> Graph:
         if len(sep.x) == 2:
             # drop the original interior, keep the cut edge
             deleted.update(sep.s)
-            edges.add((min(sep.x), max(sep.x)))
+            edges.add(sep.x)
     next_vertex = h.n
     for sep in family:
-        side = sorted(set(sep.x) | set(sep.s))
-        side_graph = induced_subgraph(h, side)
-        place = {v: j for j, v in enumerate(side)}
-        if len(sep.x) == 2:
-            a, b = place[sep.x[0]], place[sep.x[1]]
-            e = (min(a, b), max(a, b))
-            side_edges = set(side_graph.edges) | {e}
-        else:
-            side_edges = set(side_graph.edges)
+        # the cut vertices stay fixed in every copy, so the cut edge added
+        # above serves them all
+        side = set(sep.x) | set(sep.s)
+        side_edges = [(u, v) for u, v in h.edges if u in side and v in side]
         for _ in range(q):
-            fresh = {}
-            for v in side:
-                if v in sep.x:
-                    fresh[place[v]] = v
-                else:
-                    fresh[place[v]] = next_vertex
-                    next_vertex += 1
-            for a, b in side_edges:
-                u, v = fresh[a], fresh[b]
-                if u != v:
-                    edges.add((min(u, v), max(u, v)))
+            fresh = {v: v for v in sep.x}
+            for v in sep.s:
+                fresh[v] = next_vertex
+                next_vertex += 1
+            for u, v in side_edges:
+                u, v = fresh[u], fresh[v]
+                edges.add((u, v) if u < v else (v, u))
     # remove deleted interiors and compact indices
     keep = [v for v in range(next_vertex) if v not in deleted]
     index = {v: i for i, v in enumerate(keep)}
@@ -134,12 +125,11 @@ def split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:
     triangular face's walk starts at its least state, so its vertices are
     the sorted triple, and the split reads nothing else: faces with the
     same triple split alike, and ties need no tie-break."""
-    faces = trace_faces(seed)
-    if not faces or not all(w.is_triangle() for w in faces):
+    if not is_triangulation(seed):
         raise PreconditionError("growth needs a triangulation seed")
     if n < seed.n:
         raise PreconditionError(f"target {n} below seed order {seed.n}")
-    heap = [w.vertices for w in faces]
+    heap = [tuple(f) for f in face_vertices(seed)]
     heapq.heapify(heap)
     splitter = _Splitter(seed)
     for w in range(seed.n, n):

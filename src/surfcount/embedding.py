@@ -16,9 +16,9 @@ d with sign +1, so integer order is (from, to, sign) order. The step rule
 is one fixed permutation of the states, built as a flat table from a few
 sorts of the darts, and the faces are its cycles. The table, with the
 faces as runs of states, is cached on the (frozen) embedding, so each is
-traced once; face counts, the genus, the triangulation test and the
-``faces`` command read it directly, and only ``trace_faces`` turns it
-into ``FacialWalk`` objects.
+traced once; face counts, the genus, the triangulation test, growth and
+the ``faces`` command read it directly, and ``face_vertices`` lists each
+face as the vertices its walk leaves.
 
 Vertex switching (reverse the rotation at v, flip the signs of its edges)
 preserves the embedding; the surgery operations switch as needed to make
@@ -43,26 +43,6 @@ Edge = tuple[int, int]
 
 def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class FacialWalk:
-    """A closed walk as the cyclic sequence of directed edges it traverses."""
-
-    steps: tuple[Edge, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple([u for u, _ in self.steps])
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    def is_triangle(self) -> bool:
-        return len(self.steps) == 3 and len(self.vertex_set()) == 3
 
 
 @dataclass(frozen=True)
@@ -126,20 +106,15 @@ class _Table(NamedTuple):
 
 
 def face_vertices(eg: EmbeddedGraph) -> list[list[int]]:
-    """Each face, in ``trace_faces`` order, as the vertices its walk leaves,
-    read from the table's runs: a step leaves the vertex the step before it
-    entered."""
+    """Every face, as a new list of the vertices its walk leaves; a face's
+    steps are its consecutive vertex pairs, the last back to the first.
+    Deterministic: faces sorted by their least traversal state, each
+    starting where that state leaves. Read from the table's runs: a step
+    leaves the vertex the step before it entered."""
     table = eg._table
     to = list(map(table.head.__getitem__, map((1).__rrshift__, table.order)))
     return [to[end - 1:end] + to[begin:end - 1]
             for begin, end in zip([0, *table.ends], table.ends)]
-
-
-def trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
-    """The complete face set, as a new list of walks. Deterministic: faces
-    sorted by their least traversal state. Each embedding is traced once
-    (the table is cached on it); the walks are built on every call."""
-    return [FacialWalk(tuple(zip(vs, vs[1:] + vs[:1]))) for vs in face_vertices(eg)]
 
 
 def _trace(eg: EmbeddedGraph) -> _Table:
@@ -372,6 +347,8 @@ def serialize_embedding(eg: EmbeddedGraph) -> str:
 def switch_vertex(eg: EmbeddedGraph, v: int) -> EmbeddedGraph:
     """Reverse the rotation at v and flip the signs of its edges; the
     embedding is unchanged up to homeomorphism."""
+    if not 0 <= v < eg.n:
+        raise PreconditionError(f"vertex {v} not in graph")
     rots = list(eg.rotations)
     rots[v] = tuple(reversed(rots[v]))
     neg = set(eg.negative_edges)
@@ -751,7 +728,7 @@ def _search_embedding(g: Graph, cotree: list[Edge], target_f: int,
     """Enumerate rotation systems (first vertex's rotation fixed up to
     reflection) and cotree sign patterns by increasing number of negative
     edges; return the first embedding with the target face count."""
-    from itertools import combinations, permutations
+    from itertools import combinations, permutations, product
 
     rot_choices: list[list[tuple[int, ...]]] = []
     for v in range(g.n):
@@ -774,23 +751,13 @@ def _search_embedding(g: Graph, cotree: list[Edge], target_f: int,
         for combo in combinations(cotree, k):
             sign_patterns.append(frozenset(combo))
 
-    def rec(v: int, rots: list[tuple[int, ...]]) -> EmbeddedGraph | None:
-        if v == g.n:
-            for neg in sign_patterns:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise CapExceeded(
-                        "work_cap", "embedding search budget exhausted; raise tries")
-                eg = EmbeddedGraph(tuple(rots), neg)
-                if len(_trace(eg).ends) == target_f:
-                    return eg
-            return None
-        for rot in rot_choices[v]:
-            rots.append(rot)
-            hit = rec(v + 1, rots)
-            if hit is not None:
-                return hit
-            rots.pop()
-        return None
-
-    return rec(0, [])
+    for rots in product(*rot_choices):
+        for neg in sign_patterns:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceeded(
+                    "work_cap", "embedding search budget exhausted; raise tries")
+            eg = EmbeddedGraph(rots, neg)
+            if len(_trace(eg).ends) == target_f:
+                return eg
+    return None

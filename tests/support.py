@@ -9,10 +9,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from surfcount.embedding import (
-    EmbeddedGraph, FacialWalk, _read_rotations_checked, switch_vertex, trace_faces)
+from surfcount.embedding import EmbeddedGraph, _read_rotations_checked, switch_vertex
 from surfcount.errors import InternalInvariantError, ParseError, PreconditionError
-from surfcount.flaps import Separation
+from surfcount.flaps import Separation, flap_family_and_number
 from surfcount.graph import (
     Graph, add_clique, articulation_points, automorphisms, connected_components,
     induced_subgraph, is_connected)
@@ -539,6 +538,61 @@ def literal_strongly_non_planar(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Pasting through relabelled side graphs: the oracle for lower_bound_graph
+# ---------------------------------------------------------------------------
+
+
+def slow_lower_bound_graph(h: Graph, n: int) -> Graph:
+    """``lower_bound_graph`` with each flap side built as an induced
+    subgraph on its sorted vertices and mapped back, copy by copy, through
+    a table of fresh vertices. Refuses with the same messages."""
+    if not is_connected(h):
+        raise PreconditionError("pasting construction needs a connected graph")
+    if n < 4 * h.n:
+        raise PreconditionError(f"need n >= 4|V(H)| = {4 * h.n}")
+    family, number = flap_family_and_number(h)
+    if not family:
+        if number == 0:
+            raise PreconditionError("strongly non-planar: no flap to paste")
+        copies = n // h.n
+        edges = [(c * h.n + u, c * h.n + v) for c in range(copies) for u, v in h.edges]
+        return Graph.build(copies * h.n, edges)
+    q = n // h.n - 1
+    edges = set(h.edges)
+    deleted: set[int] = set()
+    for sep in family:
+        if len(sep.x) == 2:
+            deleted.update(sep.s)
+            edges.add((min(sep.x), max(sep.x)))
+    next_vertex = h.n
+    for sep in family:
+        side = sorted(set(sep.x) | set(sep.s))
+        side_graph = induced_subgraph(h, side)
+        place = {v: j for j, v in enumerate(side)}
+        side_edges = set(side_graph.edges)
+        if len(sep.x) == 2:
+            a, b = place[sep.x[0]], place[sep.x[1]]
+            side_edges.add((min(a, b), max(a, b)))
+        for _ in range(q):
+            fresh = {}
+            for v in side:
+                if v in sep.x:
+                    fresh[place[v]] = v
+                else:
+                    fresh[place[v]] = next_vertex
+                    next_vertex += 1
+            for a, b in side_edges:
+                u, v = fresh[a], fresh[b]
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+    keep = [v for v in range(next_vertex) if v not in deleted]
+    index = {v: i for i, v in enumerate(keep)}
+    out_edges = [(index[u], index[v]) for u, v in edges
+                 if u not in deleted and v not in deleted]
+    return Graph.build(len(keep), out_edges)
+
+
+# ---------------------------------------------------------------------------
 # Split growth by retracing: the oracle for the face heap and the splitter
 # ---------------------------------------------------------------------------
 
@@ -598,8 +652,8 @@ def slow_split_growth(seed: EmbeddedGraph, n: int) -> EmbeddedGraph:
     sorted vertex triple, the first in trace order on ties."""
     eg = seed
     while eg.n < n:
-        walk = min(trace_faces(eg), key=lambda w: sorted(w.vertices))
-        eg = slow_split(eg, *walk.vertices)
+        face = min(map(face_tail_vertices, slow_trace_faces(eg)), key=sorted)
+        eg = slow_split(eg, *face)
     return eg
 
 
@@ -675,11 +729,15 @@ def slow_step(eg: EmbeddedGraph, state: tuple[int, int, int]) -> tuple[int, int,
     return (v, rot[(i + 1) % len(rot)] if sign > 0 else rot[(i - 1) % len(rot)], sign)
 
 
-def slow_trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
-    """Every (from, to, sign) state in sorted order; each one not yet seen
-    starts a face, which is its orbit. The reverse traversal, from the
-    mirror state (v, u, -s * sign(uv)), must be an orbit of the same
-    length made of unseen states."""
+Steps = tuple[tuple[int, int], ...]
+
+
+def slow_trace_faces(eg: EmbeddedGraph) -> list[Steps]:
+    """Every face as the directed edges (from, to) its walk takes. Every
+    (from, to, sign) state in sorted order; each one not yet seen starts a
+    face, which is its orbit. The reverse traversal, from the mirror state
+    (v, u, -s * sign(uv)), must be an orbit of the same length made of
+    unseen states."""
     seen: set[tuple[int, int, int]] = set()
     faces = []
     for start in sorted((p, q, s) for u, v in eg.graph.edges
@@ -703,8 +761,18 @@ def slow_trace_faces(eg: EmbeddedGraph) -> list[FacialWalk]:
             cur = slow_step(eg, cur)
         if cur != back or size != len(orbit):
             raise AssertionError("face orbits do not pair off by traversal direction")
-        faces.append(FacialWalk(tuple((u, v) for u, v, _ in orbit)))
+        faces.append(tuple((u, v) for u, v, _ in orbit))
     return faces
+
+
+def face_tail_vertices(steps: Steps) -> tuple[int, ...]:
+    """The vertex each step of a face leaves, in walk order."""
+    return tuple(u for u, _ in steps)
+
+
+def is_triangle_face(steps: Steps) -> bool:
+    """Three steps through three distinct vertices."""
+    return len(steps) == 3 and len(set(face_tail_vertices(steps))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +795,7 @@ def slow_contract_reducible(eg: EmbeddedGraph, edge: tuple[int, int]) -> Embedde
     if len(thirds) != 2:
         raise PreconditionError(
             f"edge ({v},{w}) lies in {len(thirds)} triangles, need exactly 2")
-    if not all(walk.is_triangle() for walk in slow_trace_faces(eg)):
+    if not all(map(is_triangle_face, slow_trace_faces(eg))):
         raise PreconditionError("contraction is defined for triangulations")
     rotations = list(eg.rotations)
     negative = set(eg.negative_edges)
@@ -855,7 +923,7 @@ def slow_embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> Embe
     negative = {e for e, s in signs.items() if s < 0}
     eg = EmbeddedGraph.build(graph, rotations, negative)
     want = sorted(tuple(sorted(f)) for f in faces)
-    got = sorted(tuple(sorted(w.vertex_set())) for w in trace_faces(eg))
+    got = sorted(tuple(sorted(face_tail_vertices(f))) for f in slow_trace_faces(eg))
     if want != got:
         raise PreconditionError("face reconstruction failed to reproduce the face list")
     return eg

@@ -30,11 +30,11 @@ from surfcount.counting import (
 from surfcount.embedding import (
     contract_reducible,
     euler_genus,
+    face_vertices,
     parse_embedding,
     reducible_edges,
     split_path,
     split_triangle,
-    trace_faces,
     triangles_containing,
 )
 from surfcount.flaps import (
@@ -191,7 +191,7 @@ def test_criterion_9_inequalities():
         # the derivation is tight on triangulations: the triangular face
         # count meets the bound exactly (the subgraph-triangle count can
         # only exceed it)
-        assert len(trace_faces(eg)) == rep.rhs
+        assert len(face_vertices(eg)) == rep.rhs
         assert rep.lhs >= rep.rhs
     _report(9, "Goodman holds on 500 graphs; the genus triangle bound is tight "
                "on grown sphere triangulations", t0)
@@ -229,12 +229,12 @@ def test_criterion_11_surgery_round_trip():
         seed = seeds[trial % 2]
         eg = split_growth(seed, seed.n + rng.randint(2, 8))
         genus = euler_genus(eg)
-        faces_before = sorted(tuple(sorted(w.vertex_set())) for w in trace_faces(eg))
+        faces_before = sorted(tuple(sorted(f)) for f in face_vertices(eg))
         # split then contract
-        tri = tuple(sorted(rng.choice(trace_faces(eg)).vertex_set()))
+        tri = tuple(sorted(rng.choice(face_vertices(eg))))
         grown = split_triangle(eg, tri)
         back = contract_reducible(grown, (tri[1], grown.n - 1))
-        assert sorted(tuple(sorted(w.vertex_set())) for w in trace_faces(back)) == faces_before
+        assert sorted(tuple(sorted(f)) for f in face_vertices(back)) == faces_before
         assert euler_genus(back) == genus
         # contract then split
         v, w = rng.choice(reducible_edges(eg))
@@ -251,7 +251,7 @@ def test_criterion_11_surgery_round_trip():
         restored = False
         for a, b in ((thirds[0], thirds[1]), (thirds[1], thirds[0])):
             candidate = split_path(contracted, remap(a), remap(v), remap(b))
-            got = sorted(tuple(sorted(x.vertex_set())) for x in trace_faces(candidate))
+            got = sorted(tuple(sorted(f)) for f in face_vertices(candidate))
             if got == expected and euler_genus(candidate) == genus:
                 restored = True
                 break

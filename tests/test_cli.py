@@ -190,9 +190,9 @@ def test_split_triangle_cli_traces_nothing(capsys, monkeypatch, tmp_path):
 
 def test_table_paths_build_no_walks(capsys, monkeypatch, tmp_path):
     """genus, faces, contract and split --triangle on a 1500-vertex stack
-    read the dart table or the rotations: they construct no FacialWalk and
-    no Graph, and the split builds maps only for the face's three vertices
-    and the new one. grow prints what it printed before."""
+    read the dart table or the rotations: they construct no Graph, and the
+    split builds maps only for the face's three vertices and the new one.
+    grow prints what it printed before."""
     eg, faces = random_stacked(random.Random(1501), 1500, hub_bias=0.5, switch_p=0.5)
     path = tmp_path / "stack.emb"
     path.write_text(embedding.serialize_embedding(eg))
@@ -204,7 +204,6 @@ def test_table_paths_build_no_walks(capsys, monkeypatch, tmp_path):
             return make(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(embedding, "FacialWalk", counted("walk", embedding.FacialWalk))
     monkeypatch.setattr(Graph, "__init__", counted("graph", Graph.__init__))
     touched = []
     touch = embedding._Splitter.touch

@@ -3,23 +3,24 @@ from pathlib import Path
 
 import pytest
 
-from support import random_connected_graph, random_tree, slow_split, slow_split_growth
-from surfcount import constructions, embedding
+from support import (
+    random_connected_graph, random_tree, slow_lower_bound_graph, slow_split, slow_split_growth)
+from surfcount import embedding
 from surfcount.constructions import lower_bound_graph, split_growth, tree_blowup
 from surfcount.counting import count_cliques, count_copies
 from surfcount.embedding import (
     EmbeddedGraph,
     euler_genus,
+    face_vertices,
     is_triangulation,
     parse_embedding,
     serialize_embedding,
     split_triangle,
     switch_vertex,
-    trace_faces,
 )
 from surfcount.errors import PreconditionError
 from surfcount.flaps import flap_number, tree_beta
-from surfcount.graph import complete_graph, disjoint_union, path_graph
+from surfcount.graph import complete_graph, disjoint_union, path_graph, serialize_graph
 from surfcount.planarity import is_planar
 from surfcount.surfaces import load_bundled, projective_k6, sphere_irreducible
 
@@ -66,6 +67,27 @@ def test_paste_guarantee_random():
         assert count_copies(h, out) >= q ** k
         if is_planar(h):
             assert is_planar(out)
+
+
+def test_paste_matches_relabelling_oracle():
+    """Sides taken straight from H's edges give the graph that building
+    each side as a relabelled induced subgraph gives, or the same refusal,
+    on seeded connected patterns at n = 4|H|, 4|H| + 7 and 10|H|."""
+    rng = random.Random(4417)
+    pasted = 0
+    for _ in range(300):
+        h = random_connected_graph(rng, rng.randint(3, 9), rng.choice([0.0, 0.2, 0.5]))
+        for n in (4 * h.n, 4 * h.n + 7, 10 * h.n):
+            try:
+                want = serialize_graph(slow_lower_bound_graph(h, n))
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as got:
+                    lower_bound_graph(h, n)
+                assert str(got.value) == str(exc)
+                continue
+            assert serialize_graph(lower_bound_graph(h, n)) == want
+            pasted += 1
+    assert pasted >= 600
 
 
 def test_blowup_examples():
@@ -142,9 +164,8 @@ def test_split_growth_traces_once_per_step(monkeypatch):
         calls.append(eg.n)
         return trace(eg)
 
-    trace = embedding.trace_faces
-    monkeypatch.setattr(embedding, "trace_faces", counted)
-    monkeypatch.setattr(constructions, "trace_faces", counted)
+    trace = embedding._trace
+    monkeypatch.setattr(embedding, "_trace", counted)
     for n in (60, 600):
         calls.clear()
         assert split_growth(load_bundled("k4_sphere"), n).n == n
@@ -172,7 +193,7 @@ def test_split_growth_matches_retracing_oracle():
         grown = split_growth(seed, n)
         assert serialize_embedding(grown) == serialize_embedding(slow_split_growth(seed, n))
         grown = switched(grown)
-        face = rng.choice(trace_faces(grown)).vertices
+        face = rng.choice(face_vertices(grown))
         assert (serialize_embedding(split_triangle(grown, face))
                 == serialize_embedding(slow_split(grown, *face)))
     seed = seeds[0]

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from support import (
+    face_tail_vertices,
+    is_triangle_face,
     random_connected_graph,
     random_rotation_system,
     random_stacked,
@@ -24,6 +26,7 @@ from surfcount.embedding import (
     contract_reducible,
     embedding_from_faces,
     euler_genus,
+    face_vertices,
     is_triangulation,
     min_genus_search,
     parse_embedding,
@@ -32,7 +35,6 @@ from surfcount.embedding import (
     split_path,
     split_triangle,
     switch_vertex,
-    trace_faces,
 )
 from surfcount.errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
 from surfcount.graph import (
@@ -53,13 +55,18 @@ OCTA_FACES = [(0, 2, 4), (0, 4, 3), (0, 3, 5), (0, 5, 2),
 
 
 def face_multiset(eg):
-    return sorted(tuple(sorted(w.vertex_set())) for w in trace_faces(eg))
+    return sorted(tuple(sorted(f)) for f in face_vertices(eg))
+
+
+def face_steps(eg):
+    """The faces as the oracle lists them: each face's directed edges."""
+    return [tuple(zip(f, f[1:] + f[:1])) for f in face_vertices(eg)]
 
 
 def test_tetrahedron():
     k4 = sphere_irreducible()
-    walks = trace_faces(k4)
-    assert len(walks) == 4 and all(w.is_triangle() for w in walks)
+    faces = face_vertices(k4)
+    assert len(faces) == 4 and all(len(set(f)) == len(f) == 3 for f in faces)
     assert euler_genus(k4) == 0
     assert is_triangulation(k4)
 
@@ -67,7 +74,7 @@ def test_tetrahedron():
 def test_k6_projective():
     k6 = projective_k6()
     assert k6.graph.edges == complete_graph(6).edges
-    assert len(trace_faces(k6)) == 10
+    assert len(face_vertices(k6)) == 10
     assert euler_genus(k6) == 1
     assert is_triangulation(k6)
     assert reducible_edges(k6) == []
@@ -80,7 +87,7 @@ def test_bundled_files_match_builders():
 
 def test_k6_is_antipodal_icosahedron_quotient():
     ico = icosahedron()
-    assert euler_genus(ico) == 0 and len(trace_faces(ico)) == 20
+    assert euler_genus(ico) == 0 and len(face_vertices(ico)) == 20
     pairs = icosahedron_antipodal_classes()
     cls = {}
     anti = {}
@@ -92,15 +99,13 @@ def test_k6_is_antipodal_icosahedron_quotient():
     g = ico.graph
     assert all(g.has_edge(anti[u], anti[v]) for u, v in g.edges)  # automorphism
     assert all(not g.has_edge(a, b) for a, b in pairs)  # fixed-point free on edges
-    quotient_faces = {tuple(sorted(cls[v] for v in w.vertex_set()))
-                      for w in trace_faces(ico)}
+    quotient_faces = {tuple(sorted(cls[v] for v in f)) for f in face_vertices(ico)}
     assert quotient_faces == {tuple(sorted(f)) for f in PROJECTIVE_K6_FACES}
 
 
 def test_single_edge_face():
     k2 = EmbeddedGraph.build(complete_graph(2), [(1,), (0,)])
-    walks = trace_faces(k2)
-    assert len(walks) == 1 and len(walks[0]) == 2
+    assert face_vertices(k2) == [[0, 1]]
     assert euler_genus(k2) == 0
 
 
@@ -114,7 +119,7 @@ def test_k5_toroidal_rotation():
     # surface of Euler genus 2 (found by exhaustive search, frozen here)
     rotations = [(1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 4, 3), (0, 2, 1, 4), (0, 3, 1, 2)]
     eg = EmbeddedGraph.build(complete_graph(5), rotations)
-    assert len(trace_faces(eg)) == 5
+    assert len(face_vertices(eg)) == 5
     assert euler_genus(eg) == 2
 
 
@@ -132,9 +137,9 @@ def test_face_side_count_invariant():
     rng = random.Random(3)
     eg = projective_k6()
     for _ in range(6):
-        faces = trace_faces(eg)
-        assert sum(len(w) for w in faces) == 2 * eg.m
-        eg = split_triangle(eg, tuple(rng.choice(faces).vertex_set()))
+        faces = face_vertices(eg)
+        assert sum(map(len, faces)) == 2 * eg.m
+        eg = split_triangle(eg, tuple(rng.choice(faces)))
 
 
 def test_parse_errors():
@@ -209,8 +214,7 @@ def face_cycles(eg):
     """The faces as cyclic vertex sequences up to rotation and reversal,
     sorted: the face multiset of the walks themselves."""
     out = []
-    for walk in trace_faces(eg):
-        seq = walk.vertices
+    for seq in face_vertices(eg):
         turns = [seq[i:] + seq[:i] for i in range(len(seq))]
         out.append(min(turns + [t[::-1] for t in turns]))
     return sorted(out)
@@ -250,6 +254,15 @@ def test_switch_vertex_properties():
                 assert euler_genus(switched) == genus
             assert switch_vertex(switched, v) == eg
     assert min(seen.values()) >= 10, seen
+
+
+def test_switch_vertex_refuses_a_missing_vertex():
+    """A vertex outside range(n) is refused, not read from the end of the
+    rotations or past it."""
+    k4 = sphere_irreducible()
+    for v in (-1, k4.n):
+        with pytest.raises(PreconditionError, match=f"vertex {v} not in graph"):
+            switch_vertex(k4, v)
 
 
 def test_embedding_from_faces_matches_the_face_scan():
@@ -306,7 +319,7 @@ def test_k4_reducible_edges_definitional():
     assert len(reducible_edges(k4)) == 6
     k3 = contract_reducible(k4, (2, 3))
     assert k3.n == 3 and euler_genus(k3) == 0
-    assert len(trace_faces(k3)) == 2
+    assert len(face_vertices(k3)) == 2
 
 
 def test_split_triangle_counts():
@@ -326,11 +339,9 @@ def test_split_then_contract_restores():
     rng = random.Random(17)
     eg = projective_k6()
     for _ in range(8):
-        faces = trace_faces(eg)
-        eg = split_triangle(eg, tuple(rng.choice(faces).vertex_set()))
+        eg = split_triangle(eg, tuple(rng.choice(face_vertices(eg))))
     for _ in range(20):
-        faces = trace_faces(eg)
-        tri = tuple(sorted(rng.choice(faces).vertex_set()))
+        tri = tuple(sorted(rng.choice(face_vertices(eg))))
         before = (set(eg.graph.edges), face_multiset(eg))
         grown = split_triangle(eg, tri)
         w = grown.n - 1
@@ -345,8 +356,7 @@ def test_contract_then_split_restores():
     rng = random.Random(23)
     eg = projective_k6()
     for _ in range(8):
-        faces = trace_faces(eg)
-        eg = split_triangle(eg, tuple(rng.choice(faces).vertex_set()))
+        eg = split_triangle(eg, tuple(rng.choice(face_vertices(eg))))
     for _ in range(15):
         red = reducible_edges(eg)
         v, w = rng.choice(red)
@@ -382,7 +392,7 @@ def test_split_path_matches_tuple_oracle():
         else:
             eg = projective_k6() if i % 2 else sphere_irreducible()
             for _ in range(rng.randint(0, 6)):
-                eg = split_triangle(eg, rng.choice(trace_faces(eg)).vertices)
+                eg = split_triangle(eg, rng.choice(face_vertices(eg)))
             for v in rng.sample(range(eg.n), rng.randint(0, eg.n)):
                 eg = switch_vertex(eg, v)
         sites = [v for v in range(eg.n) if eg.graph.degree(v) >= 2]
@@ -402,15 +412,15 @@ def test_trace_matches_tuple_oracle():
     rng = random.Random(4242)
     for _ in range(400):
         eg = random_rotation_system(rng, rng.randint(1, 12))
-        assert [w.steps for w in trace_faces(eg)] == [w.steps for w in slow_trace_faces(eg)]
+        assert face_steps(eg) == slow_trace_faces(eg)
     for n in (4, 5, 9, 40, 150, 400):
         eg, _ = random_stacked(rng, n, hub_bias=0.5, switch_p=0.5)
-        assert [w.steps for w in trace_faces(eg)] == [w.steps for w in slow_trace_faces(eg)]
+        assert face_steps(eg) == slow_trace_faces(eg)
         assert euler_genus(eg) == 0
         assert n < 40 or eg.graph.degree(0) > n / 3
     for name in ("k4_sphere", "k6_projective"):
         eg = _switched(rng, split_growth(load_bundled(name), 60))
-        assert [w.steps for w in trace_faces(eg)] == [w.steps for w in slow_trace_faces(eg)]
+        assert face_steps(eg) == slow_trace_faces(eg)
 
 
 def test_table_counts_match_the_tuple_oracle():
@@ -426,8 +436,8 @@ def test_table_counts_match_the_tuple_oracle():
     seen = {"connected": 0, "disconnected": 0, "triangulation": 0, "negative": 0}
     for eg in cases:
         walks = slow_trace_faces(eg)
-        assert len(trace_faces(eg)) == len(walks)
-        assert is_triangulation(eg) == (eg.m > 0 and all(w.is_triangle() for w in walks))
+        assert len(face_vertices(eg)) == len(walks)
+        assert is_triangulation(eg) == (eg.m > 0 and all(map(is_triangle_face, walks)))
         if is_connected(eg.graph):
             f = len(walks) if eg.m > 0 else 1
             assert euler_genus(eg) == 2 - eg.n + eg.m - f
@@ -636,13 +646,13 @@ def test_faces_output_matches_the_tuple_oracle(capsys, tmp_path):
             "isolated": 0, "no edges": 0}
     path = tmp_path / "emb.emb"
     for eg in cases:
-        walks = slow_trace_faces(eg)
+        walks = [face_tail_vertices(f) for f in slow_trace_faces(eg)]
         path.write_text(serialize_embedding(eg))
-        text = "".join(" ".join(map(str, w.vertices)) + "\n" for w in walks)
+        text = "".join(" ".join(map(str, w)) + "\n" for w in walks)
         assert main(["faces", str(path)]) == 0
         assert capsys.readouterr().out == text
         assert main(["--json", "faces", str(path)]) == 0
-        assert capsys.readouterr().out == json.dumps([list(w.vertices) for w in walks]) + "\n"
+        assert capsys.readouterr().out == json.dumps([list(w) for w in walks]) + "\n"
         seen["orientable" if _orientable(eg) else "non-orientable"] += 1
         seen["not a triangle"] += any(len(w) != 3 for w in walks)
         seen["components"] += len(connected_components(eg.graph)) > 1
@@ -672,7 +682,7 @@ def test_split_triangle_accepts_exactly_the_facial_triangles():
     accepted = 0
     for eg in embeddings:
         oracle = slow_trace_faces(eg)
-        facial = {w.vertex_set() for w in oracle if w.is_triangle()}
+        facial = {frozenset(face_tail_vertices(f)) for f in oracle if is_triangle_face(f)}
         triangles = _triangles(eg.graph)
         others = [tuple(rng.sample(range(eg.n), 3)) for _ in range(10)]
         for tri in triangles + [t for t in others if tuple(sorted(t)) not in triangles]:
@@ -682,14 +692,15 @@ def test_split_triangle_accepts_exactly_the_facial_triangles():
                 continue
             accepted += 1
             out = split_triangle(eg, tri)
-            if not all(w.is_triangle() for w in oracle):
+            if not all(map(is_triangle_face, oracle)):
                 continue
-            before = sorted(tuple(sorted(w.vertex_set())) for w in oracle)
+            before = sorted(tuple(sorted(face_tail_vertices(f))) for f in oracle)
             before.remove(tuple(sorted(tri)))
             a, b, c = sorted(tri)
             w = eg.n
             expect = sorted(before + [(a, b, w), (a, c, w), (b, c, w)])
-            assert sorted(tuple(sorted(f.vertex_set())) for f in slow_trace_faces(out)) == expect
+            assert sorted(tuple(sorted(face_tail_vertices(f)))
+                          for f in slow_trace_faces(out)) == expect
     assert accepted > 1000
 
 
@@ -803,7 +814,7 @@ def _switched(rng, eg):
 
 
 def _walks_text(eg):
-    return "".join(" ".join(f"{u}>{v}" for u, v in w.steps) + "\n" for w in trace_faces(eg))
+    return "".join(" ".join(f"{u}>{v}" for u, v in steps) + "\n" for steps in face_steps(eg))
 
 
 def golden_text():
@@ -832,7 +843,7 @@ def golden_text():
             out.append(f"# switched {i}, walks\n{_walks_text(eg)}")
         eg = _switched(rng, eg)
         for _ in range(3):
-            face = tuple(sorted(rng.choice(trace_faces(eg)).vertex_set()))
+            face = tuple(sorted(rng.choice(face_vertices(eg))))
             eg = split_triangle(eg, face)
             out.append(f"# switched {i}, split at {face}\n{serialize_embedding(eg)}")
     prism = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),

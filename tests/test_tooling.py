@@ -22,7 +22,6 @@ def test_no_assert_statements_in_src():
 RECURSION_BOUNDS = {
     "counting.count_cliques.rec": "depth at most s, the clique size",
     "embedding._min_genus": "one level: it recurses only on a connected component",
-    "embedding._search_embedding.rec": "one frame per vertex, at most 8 by the vertex cap",
     "flaps._max_packing.rec": "one frame per kept interior, under the 16-vertex cap",
     "graph._isomorphisms.rec": "one frame per vertex of h: unbounded",
     "spqrk._multigraph_is_minor.rec": "one frame per vertex outside the node: unbounded",

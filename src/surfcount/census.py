@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import count_cliques, max_clique_size
+from .counting import clique_counts, count_cliques
 from .embedding import EmbeddedGraph, euler_genus, is_triangulation, reducible_edges
 from .errors import PreconditionError
 
@@ -105,8 +105,14 @@ def max_excess(triangulations: list[EmbeddedGraph], s: int) -> tuple[int, list[i
     genera = {euler_genus(eg) for eg in triangulations}
     if len(genera) != 1:
         raise PreconditionError(f"mixed genera in list: {sorted(genera)}")
+    return _max_excess(triangulations, [count_cliques(eg.graph, s) for eg in triangulations], s)
+
+
+def _max_excess(triangulations: list[EmbeddedGraph], counts: list[int],
+                s: int) -> tuple[int, list[int]]:
+    """``max_excess`` from the members' s-clique counts."""
     weight = 3 if s == 3 else 1
-    values = [count_cliques(eg.graph, s) - weight * eg.n for eg in triangulations]
+    values = [c - weight * eg.n for c, eg in zip(counts, triangulations)]
     phi = max(values)
     return phi, [i for i, v in enumerate(values) if v == phi]
 
@@ -117,9 +123,14 @@ def surface_table(surface: str, genus: int, triangulations: list[EmbeddedGraph],
     list contains every irreducible triangulation of the surface; the
     members themselves are verified (triangulation, genus, irreducible)."""
     _validate_list(triangulations, genus)
-    phi3, arg3 = max_excess(triangulations, 3)
-    phi4, arg4 = max_excess(triangulations, 4)
-    smax = max(max_clique_size(eg.graph) for eg in triangulations)
+    vectors = [clique_counts(eg.graph) for eg in triangulations]
+
+    def column(s: int) -> list[int]:
+        return [c[s] if s < len(c) else 0 for c in vectors]
+
+    phi3, arg3 = _max_excess(triangulations, column(3), 3)
+    phi4, arg4 = _max_excess(triangulations, column(4), 4)
+    smax = max(map(len, vectors)) - 1
     entries = [LinearForm(0, 1), LinearForm(1, 0), LinearForm(3, 3 * (genus - 2)),
                LinearForm(3, phi3), LinearForm(1, phi4)]
     thresholds = [0, 1,
@@ -127,10 +138,10 @@ def surface_table(surface: str, genus: int, triangulations: list[EmbeddedGraph],
                   min(triangulations[i].n for i in arg3),
                   min(triangulations[i].n for i in arg4)]
     for s in range(5, smax + 1):
-        best = max(count_cliques(eg.graph, s) for eg in triangulations)
+        counts = column(s)
+        best = max(counts)
         entries.append(LinearForm(0, best))
-        thresholds.append(min(eg.n for eg in triangulations
-                              if count_cliques(eg.graph, s) == best))
+        thresholds.append(min(eg.n for eg, c in zip(triangulations, counts) if c == best))
     total = LinearForm(sum(e.a for e in entries), sum(e.b for e in entries))
     return SurfaceCensus(surface, genus, complete, tuple(entries), total,
                          tuple(thresholds), max(thresholds))

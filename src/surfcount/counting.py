@@ -10,7 +10,11 @@ the host and the pattern's width, not with the number of maps counted:
   have unmapped neighbors, to the number of partial maps that reach them
   (treewidth DP, Diaz-Serna-Thilikos 2002). It runs on G's twin quotient,
   one vertex per class of false twins weighted by the class size, so a
-  host built by replicating vertices costs what its quotient costs.
+  host built by replicating vertices costs what its quotient costs. True
+  twins of F (equal closed neighborhoods) take rising images in a fixed
+  order of Q, and the count is multiplied by k! per class of k of them.
+- cliques are hom(K_s, G) / s! through the same DP, whose twin rule
+  lists each s-clique once (the spasm of K_s is K_s alone).
 - inj(H, G) is the sum over spasm classes F of c_F * hom(F, G). The spasm
   of H is the set of quotients of H by partitions of V(H) into independent
   blocks, and c_F sums the Moebius value prod_B (-1)^(|B|-1) (|B|-1)! over
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .graph import (Graph, _isomorphisms, connected_components, induced_subgraph,
-                    is_isomorphic)
+from .graph import (Graph, _isomorphisms, complete_graph, connected_components,
+                    induced_subgraph, is_isomorphic)
 
 DEFAULT_WORK_CAP = 10**9
 
@@ -127,6 +131,13 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
     once: it multiplies each state by its candidates' total weight and adds
     no state. One DP step is one state visited or one candidate entered as
     a state.
+
+    True twins of h (equal closed neighborhoods) are adjacent, so their
+    images are distinct, and swapping two of them maps homomorphisms to
+    homomorphisms of the same weight. So a vertex with a true twin placed
+    before it takes only the later Q-neighbors (``Graph._up``) of the image
+    of the class member placed last before it, and the count is multiplied
+    by k! for each class of k true twins: one map per orbit is counted.
     """
     q, weight = g._twin_quotient
     unit = q is g
@@ -140,9 +151,27 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
     everything = range(q.n)
     frontier: list[int] = []
     states: dict[tuple[int, ...], int] = {(): 1}
+    rank = [1] * h.n  # 1 + the number of v's true twins placed before v
+    ties = 1  # product of k! over the classes of k true twins
+    hadj = h.adj
     for i, v in enumerate(order):
         slot = {w: k for k, w in enumerate(frontier)}
-        anchors = [slot[w] for w in h.adj[v] if pos[w] < i]
+        nbrs = hadj[v]
+        anchors: list[int] = []
+        twin = -1  # v's true twin placed last before it, if any
+        for w in nbrs:
+            if pos[w] < i:
+                anchors.append(slot[w])
+                if (len(hadj[w]) == len(nbrs) and (twin < 0 or pos[w] > pos[twin])
+                        and hadj[w] - {v} == nbrs - {w}):
+                    twin = w
+        start = adj
+        if twin >= 0:
+            rank[v] = rank[twin] + 1
+            ties *= rank[v]
+            anchors.remove(slot[twin])
+            anchors.insert(0, slot[twin])
+            start = q._up
         first, rest = (anchors[0], anchors[1:]) if anchors else (None, [])
         kept = [k for k, w in enumerate(frontier) if last[w] > i]
         project = _projector(kept, len(frontier))
@@ -156,7 +185,7 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
             if first is None:
                 cands = everything
             else:
-                cands = adj[key[first]]
+                cands = start[key[first]]
                 for a in rest:
                     cands = cands & adj[key[a]]
             left -= 1 + len(cands) if stays else 1
@@ -172,7 +201,7 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
                 nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
         budget.left = left
         states = nxt
-    return sum(states.values())
+    return sum(states.values()) * ties
 
 
 def _class_key(f: Graph) -> tuple:
@@ -323,48 +352,32 @@ def count_copies(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
 
 
 def count_cliques(g: Graph, s: int) -> int:
-    """Number of s-vertex cliques; s=0 counts the empty clique once."""
+    """Number of s-vertex cliques; s=0 counts the empty clique once.
+
+    hom(K_s, g) / s! through the DP, whose twin rule lists each clique
+    once, in increasing (degree, index) order of its vertices."""
     if s < 0:
         raise PreconditionError("clique size must be non-negative")
-    if s == 0:
-        return 1
-    if s == 1:
-        return g.n
-    if s == 2:
-        return g.m
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
-    rank = [0] * g.n
-    for i, v in enumerate(order):
-        rank[v] = i
-    later = [frozenset(w for w in g.adj[v] if rank[w] > rank[v]) for v in range(g.n)]
+    budget = _Budget(DEFAULT_WORK_CAP)
+    budget.total = 1
+    return _hom_dp(complete_graph(s), g, budget) // math.factorial(s)
 
-    def rec(cands: frozenset[int], chosen: int) -> int:
-        if chosen == s:
-            return 1
-        if len(cands) < s - chosen:
-            return 0
-        return sum(rec(cands & later[v], chosen + 1) for v in cands)
 
-    return sum(rec(later[v], 1) for v in order)
+def clique_counts(g: Graph) -> list[int]:
+    """The number of s-cliques for s = 0 up to the clique number."""
+    counts = [1]
+    while c := count_cliques(g, len(counts)):
+        counts.append(c)
+    return counts
 
 
 def total_cliques(g: Graph) -> int:
     """Total number of complete subgraphs, the empty one included."""
-    total = 1 + g.n
-    s = 2
-    while True:
-        c = count_cliques(g, s)
-        if c == 0:
-            return total
-        total += c
-        s += 1
+    return sum(clique_counts(g))
 
 
 def max_clique_size(g: Graph) -> int:
-    s = 1 if g.n else 0
-    while count_cliques(g, s + 1) > 0:
-        s += 1
-    return s
+    return len(clique_counts(g)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +431,21 @@ def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:
     triangles >= 2m - 4n + 4 + 4c - 4genus (c = component count).
 
     The homomorphism form (6x the triangle form, with c=1) is evaluated
-    alongside and checked against a separately computed hom count.
+    alongside. The triangle count is checked against the sum over edges
+    uv of |N(u) & N(v)|, which sees each triangle three times without the
+    DP.
     """
     if genus < 0:
         raise PreconditionError("Euler genus must be non-negative")
     t = count_cliques(g, 3)
     c = len(connected_components(g))
     rhs = 2 * g.m - 4 * g.n + 4 + 4 * c - 4 * genus
-    hom3 = count_hom(_K3, g)
-    if hom3 != 6 * t:
+    adj = g.adj
+    by_edges = sum(len(adj[u] & adj[v]) for u, v in g.edges)
+    if by_edges != 3 * t:
         raise InternalInvariantError(
-            f"triangle count and hom(K3) routes disagree: 6*{t} != {hom3}")
+            f"triangle count and edge-sum routes disagree: 3*{t} != {by_edges}")
+    hom3 = 6 * t
     hom_rhs = 6 * count_hom(_K2, g) - 24 * count_hom(_K1, g) + 48 - 24 * genus
     # the hom form is six times the connected (c=1) triangle form
     if hom_rhs != 6 * (2 * g.m - 4 * g.n + 8 - 4 * genus):

@@ -406,21 +406,25 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
     rotations = list(eg.rotations)
     # v's new rotation, cyclically (x, arc, y, rest); w's arc edges move to
     # v, keeping their signs, and vw, wx, wy go
-    rotations[v] = arc + [y] + rest + [x]
+    rotations[v] = tuple(arc + [y] + rest + [x])
     for a in arc:
-        rotations[a] = [v if u == w else u for u in rotations[a]]
+        rotations[a] = tuple(v if u == w else u for u in rotations[a])
     for z in (x, y):
-        rotations[z] = [u for u in rotations[z] if u != w]
+        rotations[z] = tuple(u for u in rotations[z] if u != w)
     negative = set(eg.negative_edges)
     for a in arc:
         if _norm(w, a) in negative:
             negative.add(_norm(v, a))
+    negative.difference_update(_norm(w, u) for u in rot_w)
     # remove w and renumber the vertices after it, in one pass; the
-    # structure is consistent by construction, so no builder re-checks it
+    # structure is consistent by construction, so no builder re-checks it.
+    # When w is the last vertex, no rotation is renumbered
     del rotations[w]
+    if w == eg.n - 1:
+        return EmbeddedGraph(tuple(rotations), frozenset(negative))
     renumber = list(range(w)) + [-1] + list(range(w, eg.n - 1))
     new_rots = tuple(tuple(map(renumber.__getitem__, rot)) for rot in rotations)
-    new_neg = frozenset((renumber[a], renumber[b]) for a, b in negative if w not in (a, b))
+    new_neg = frozenset((renumber[a], renumber[b]) for a, b in negative)
     return EmbeddedGraph(new_rots, new_neg)
 
 

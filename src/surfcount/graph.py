@@ -85,6 +85,13 @@ class Graph:
         edges = frozenset(_norm_edge(where[u], where[v]) for u, v in self.edges)
         return Graph(len(classes), edges), tuple(len(c) for c in classes)
 
+    @cached_property
+    def _up(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's later neighbors in the (degree, index) order."""
+        rank = [(len(a), v) for v, a in enumerate(self.adj)]
+        return tuple(frozenset(w for w in a if rank[w] > rank[v])
+                     for v, a in enumerate(self.adj))
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -251,6 +251,28 @@ def backtrack_copies(h: Graph, g: Graph) -> int:
     return _backtrack_maps(h, g, injective=True, leaf_filter=least_in_orbit)
 
 
+def slow_count_cliques(g: Graph, s: int) -> int:
+    """s-cliques by a recursive search over each vertex's later neighbors
+    in the (degree, index) order, each clique reached once from its
+    earliest vertex."""
+    if s == 0:
+        return 1
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    later = [frozenset(w for w in g.adj[v] if rank[w] > rank[v]) for v in range(g.n)]
+
+    def rec(cands: frozenset[int], chosen: int) -> int:
+        if chosen == s:
+            return 1
+        if len(cands) < s - chosen:
+            return 0
+        return sum(rec(cands & later[v], chosen + 1) for v in cands)
+
+    return sum(rec(later[v], 1) for v in order)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force minor detection and the planarity oracle
 # ---------------------------------------------------------------------------

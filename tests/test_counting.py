@@ -11,6 +11,8 @@ from support import (
     backtrack_injective,
     random_connected_graph,
     random_graph,
+    random_stacked,
+    slow_count_cliques,
 )
 from surfcount import counting
 from surfcount.cli import main
@@ -244,6 +246,98 @@ def test_twin_hosts_against_backtracking_oracle():
     assert min(seen.values()) >= 10, seen
 
 
+def _twin_pattern(rng):
+    """A connected pattern with a class of true twins: a clique, a clique
+    less an edge (a diamond at four vertices), a clique with a pendant
+    path, or a random connected graph with a vertex copied onto its own
+    closed neighborhood one to three times."""
+    kind = rng.choice(["clique", "clique-e", "pendant", "copied"])
+    if kind == "clique":
+        return kind, complete_graph(rng.randint(2, 5))
+    if kind == "clique-e":
+        s = rng.randint(4, 5)
+        return kind, Graph.build(s, [e for e in complete_graph(s).edges if e != (0, 1)])
+    if kind == "pendant":
+        s, tail = rng.randint(3, 4), rng.randint(1, 2)
+        edges = list(complete_graph(s).edges) + [(s + i - 1 if i else 0, s + i)
+                                                 for i in range(tail)]
+        return kind, Graph.build(s + tail, edges)
+    g = random_connected_graph(rng, rng.randint(2, 4), 0.4)
+    n, edges = g.n, list(g.edges)
+    v = rng.randrange(g.n)
+    for _ in range(rng.randint(1, 3)):
+        edges += [(w, n) for w in g.adj[v] | {v}]
+        n += 1
+    return kind, Graph.build(n, edges)
+
+
+def test_true_twin_patterns_against_backtracking_oracle():
+    """hom, inj and copies of patterns with true-twin classes, whose DP
+    takes rising images along each class, against the backtracking oracle
+    on 160 seeded hosts, with and without false twins."""
+    rng = random.Random(0x7317)
+    seen = {"clique": 0, "clique-e": 0, "pendant": 0, "copied": 0, "twin host": 0}
+    checked = 0
+    while checked < 160:
+        kind, h = _twin_pattern(rng)
+        g = random_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.5, 0.7]))
+        if rng.random() < 0.5:
+            g = _with_twins(rng, g, rng.choice([0, 2]))
+        if _oracle_cost(h, g) > 300_000:
+            continue
+        checked += 1
+        seen[kind] += 1
+        seen["twin host"] += g._twin_quotient[0] is not g
+        assert count_hom(h, g) == backtrack_hom(h, g), (sorted(h.edges), sorted(g.edges), g.n)
+        assert count_injective_hom(h, g) == backtrack_injective(h, g)
+        assert count_copies(h, g) == backtrack_copies(h, g)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_cliques_match_degree_ordered_search():
+    """count_cliques through the DP against the recursive search over later
+    neighbors, for s = 0 up to the first empty size, on seeded random graphs, the same with false
+    twins, and stacked triangulations of the sphere; clique_counts,
+    total_cliques and max_clique_size read the same numbers."""
+    rng = random.Random(0xC11)
+    hosts = [random_graph(rng, rng.randint(0, 12), rng.choice([0.3, 0.6, 0.9]))
+             for _ in range(40)]
+    hosts += [_with_twins(rng, random_graph(rng, rng.randint(2, 9), 0.6), rng.choice([0, 2]))
+              for _ in range(30)]
+    hosts += [random_stacked(rng, n, hub_bias=hub)[0].graph
+              for n in (4, 5, 9, 40, 150) for hub in (0.0, 0.5)]
+    for g in hosts:
+        want = [1]
+        while want[-1]:
+            want.append(slow_count_cliques(g, len(want)))
+        assert [count_cliques(g, s) for s in range(len(want))] == want, (sorted(g.edges), g.n)
+        vector = want[:-1]
+        assert counting.clique_counts(g) == vector
+        assert total_cliques(g) == sum(vector)
+        assert max_clique_size(g) == len(vector) - 1
+
+
+def test_clique_dp_lists_each_clique_once():
+    """On a twin-free stacked triangulation, hom(K_s) spends
+    1 + 2(c_1 + ... + c_{s-1}) DP steps, c_j the number of j-cliques: each
+    (j-1)-clique is one state, entered once and visited once, where it
+    was entered j! times before the twin rule. C4 and P3 have no true
+    twins and keep their steps: 1 + 3n for P3 and the parent's 31,445 for
+    C4."""
+    g = random_stacked(random.Random(2019), 200, hub_bias=0.5)[0].graph
+    assert g._twin_quotient[0] is g
+    c = [slow_count_cliques(g, j) for j in range(6)]
+    assert c[:5] == [1, g.n, g.m, 3 * g.n - 8, g.n - 3] and c[5] == 0
+    for s in range(1, 6):
+        budget = _Budget(10**9)
+        assert _hom_dp(complete_graph(s), g, budget) == math.factorial(s) * c[s]
+        assert budget.cap - budget.left == 1 + 2 * sum(c[1:s])
+    for h, hom, steps in ((path_graph(3), 16974, 1 + 3 * g.n), (cycle_graph(4), 46768, 31445)):
+        budget = _Budget(10**9)
+        assert _hom_dp(h, g, budget) == hom
+        assert budget.cap - budget.left == steps
+
+
 def test_hom_multiplies_over_pattern_components():
     """hom(H1 + H2, G) = hom(H1, G) * hom(H2, G) on hosts with twins."""
     rng = random.Random(1717)
@@ -440,6 +534,7 @@ def test_genus_triangle_bound():
     assert rep.hom_lhs == 24 and rep.hom_rhs == 24
     rep = check_genus_triangle_bound(OCTAHEDRON, 0)
     assert (rep.lhs, rep.rhs, rep.holds) == (8, 8, True)
+    assert rep.hom_lhs == count_hom(complete_graph(3), OCTAHEDRON) == 48
     for n in (3, 5, 8):
         rep = check_genus_triangle_bound(path_graph(n), 0)
         assert rep.lhs == 0 and rep.rhs <= 0 and rep.holds

@@ -465,7 +465,8 @@ def test_contract_matches_slow_contraction():
     through the checked constructors, on every edge, both ways round, of
     seeded switched stacked triangulations and switched grown seeds, and
     on non-edges and non-triangulations; the refusals carry the same
-    message."""
+    message. Contractions of the last vertex, where nothing is renumbered,
+    are counted, and the last split of larger growths is undone too."""
     rng = random.Random(3141)
     cases = [random_stacked(rng, n, hub_bias=hub, switch_p=0.5)[0]
              for n in (4, 5, 7, 12, 30) for hub in (0.0, 0.5)]
@@ -474,7 +475,7 @@ def test_contract_matches_slow_contraction():
     for seed in seeds:
         cases.append(_switched(rng, split_growth(seed, seed.n + rng.randint(0, 20))))
     cases += [random_rotation_system(rng, rng.randint(3, 8)) for _ in range(20)]
-    done = refused = 0
+    done = refused = last = 0
     for eg in cases:
         edges = [(u, v) for a, b in eg.graph.sorted_edges() for u, v in ((a, b), (b, a))]
         edges += [(0, 0), (0, eg.n), (-1, 1)]
@@ -483,7 +484,15 @@ def test_contract_matches_slow_contraction():
             assert got == _contraction(slow_contract_reducible, eg, edge), (eg, edge)
             done += not got.startswith("refused")
             refused += got.startswith("refused")
-    assert done > 300 and refused > 300, (done, refused)
+            last += edge[1] == eg.n - 1 and not got.startswith("refused")
+    for seed in seeds[:2]:
+        grown = _switched(rng, split_growth(seed, 300))
+        for v in grown.rotations[-1]:
+            edge = (v, grown.n - 1)
+            got = _contraction(contract_reducible, grown, edge)
+            assert got == _contraction(slow_contract_reducible, grown, edge), edge
+            last += not got.startswith("refused")
+    assert done > 300 and refused > 300 and last > 30, (done, refused, last)
 
 
 def test_parse_fast_path_matches_checked_reader():

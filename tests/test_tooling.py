@@ -20,7 +20,6 @@ def test_no_assert_statements_in_src():
 
 # Each function in src/ that calls itself, with what bounds its depth.
 RECURSION_BOUNDS = {
-    "counting.count_cliques.rec": "depth at most s, the clique size",
     "embedding._min_genus": "one level: it recurses only on a connected component",
     "flaps._max_packing.rec": "one frame per kept interior, under the 16-vertex cap",
     "graph._isomorphisms.rec": "one frame per vertex of h: unbounded",

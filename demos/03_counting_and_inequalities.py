@@ -3,7 +3,8 @@
 
 Copies are subgraphs isomorphic to the pattern; injective homomorphisms
 count labeled embeddings, so copies times automorphisms equals injective
-maps. Goodman's triangle bound holds for every graph; the Euler-formula
+maps. An injective map of the pattern into itself is an automorphism, so
+|Aut| is the pattern's injective count into itself. Goodman's triangle bound holds for every graph; the Euler-formula
 variant ties the triangle count to the genus of a surface the graph
 embeds in.
 """
@@ -16,7 +17,6 @@ from surfcount import (
     count_copies,
     count_hom,
     count_injective_hom,
-    count_isomorphisms,
     cycle_graph,
     path_graph,
     total_cliques,
@@ -31,7 +31,7 @@ pairs = [
 for name, h, g in pairs:
     copies = count_copies(h, g)
     inj = count_injective_hom(h, g)
-    aut = count_isomorphisms(h, h)
+    aut = count_injective_hom(h, h)
     print(f"  {name}: copies={copies}  injective={inj}  |Aut|={aut}"
           f"  (copies*|Aut| == injective: {copies * aut == inj})")
 print(f"  hom(K_2, K_5) = {count_hom(complete_graph(2), complete_graph(5))}"

@@ -74,10 +74,8 @@ from .flaps import (
 from .graph import (
     Graph,
     add_clique,
-    automorphisms,
     complete_graph,
     connected_components,
-    count_isomorphisms,
     cycle_graph,
     disjoint_union,
     induced_subgraph,
@@ -115,10 +113,9 @@ __all__ = [
     "Separation", "are_independent", "enumerate_candidate_flaps", "flap_number",
     "flap_reduction", "forest_mis", "is_flap", "is_strongly_non_planar",
     "is_tree", "maximum_flap_family", "tree_beta",
-    "Graph", "add_clique", "automorphisms", "complete_graph",
-    "connected_components", "count_isomorphisms", "cycle_graph",
-    "disjoint_union", "induced_subgraph", "is_connected", "parse_graph",
-    "path_graph", "serialize_graph",
+    "Graph", "add_clique", "complete_graph", "connected_components",
+    "cycle_graph", "disjoint_union", "induced_subgraph", "is_connected",
+    "parse_graph", "path_graph", "serialize_graph",
     "is_planar",
     "SpqrkNode", "SpqrkTree", "serialize_spqrk", "spqrk_build", "spqrk_validate",
     "icosahedron", "icosahedron_antipodal_classes", "load_bundled",

@@ -22,12 +22,13 @@ the host and the pattern's width, not with the number of maps counted:
   STOC 2017). Isolated vertices of H stay out of the spasm: they take any
   of the host vertices left over, a falling factorial.
 - copies(H, G) is inj(H, G) / |Aut(H)|, exact because Aut(H) acts freely
-  on injective maps; |Aut(H)| comes from H's components and their twin
-  classes.
+  on injective maps, and |Aut(H)| = inj(H, H): the injective maps of H
+  into itself are its automorphisms. One spasm gives both, and every host
+  of a scaling fit.
 
-One work cap bounds a whole call: every partition, DP step and automorphism
-enumerated spends from the same budget. On overrun, CapExceeded reports how
-many spasm classes were counted out of the total.
+One work cap bounds a whole call: every partition and DP step spends from
+the same budget. On overrun, CapExceeded reports how many spasm terms, one
+per class and host, were counted out of the total.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .graph import (Graph, _isomorphisms, complete_graph, connected_components,
-                    induced_subgraph, is_isomorphic)
+from .graph import (Graph, complete_graph, connected_components, induced_subgraph,
+                    is_isomorphic)
 
 DEFAULT_WORK_CAP = 10**9
 
@@ -78,8 +79,8 @@ def _search_order(h: Graph) -> list[int]:
 class _Budget:
     """The work cap of one call, in DP steps, shared by every stage of it.
 
-    ``done`` and ``total`` track spasm classes counted; ``total`` is None
-    while the spasm is still being enumerated."""
+    ``done`` and ``total`` track spasm terms counted, one per class and
+    host; ``total`` is None while the spasm is still being enumerated."""
 
     __slots__ = ("left", "cap", "done", "total")
 
@@ -96,7 +97,7 @@ class _Budget:
 
     def exceeded(self) -> None:
         where = ("while enumerating the spasm" if self.total is None
-                 else f"with {self.done} of {self.total} spasm classes counted")
+                 else f"with {self.done} of {self.total} spasm terms counted")
         raise CapExceeded(
             "work_cap",
             f"counting aborted after {self.cap} DP steps {where}",
@@ -272,78 +273,65 @@ def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
     return [(f, c) for f, c in found if c]
 
 
-def _count_injective(h: Graph, g: Graph, budget: _Budget) -> int:
-    """inj(h, g): the spasm sum for h without its isolated vertices, times
-    the ways to place those injectively in the host vertices left over."""
-    if h.n > g.n:
-        return 0
+def _count_injective(h: Graph, hosts: list[Graph], budget: _Budget) -> list[int]:
+    """inj(h, g) for each host g, over one enumeration of h's spasm: the
+    spasm sum for h without its isolated vertices, times the ways to place
+    those injectively in the host vertices left over. A host smaller than
+    h gets 0 and costs nothing; without a host that fits, the spasm is not
+    enumerated."""
+    fits = [g.n >= h.n for g in hosts]
+    if not any(fits):
+        return [0] * len(hosts)
     core = [v for v in range(h.n) if h.adj[v]]
     isolated = h.n - len(core)
     if isolated:
         h = induced_subgraph(h, core)
     spasm = _spasm(h, budget)
-    budget.total = len(spasm)
-    total = 0
-    for f, coeff in spasm:
-        total += coeff * _hom_dp(f, g, budget)
-        budget.done += 1
-    return total * math.perm(g.n - h.n, isolated)
+    budget.total = len(spasm) * sum(fits)
+    counts = []
+    for g, fit in zip(hosts, fits):
+        if not fit:
+            counts.append(0)
+            continue
+        total = 0
+        for f, coeff in spasm:
+            total += coeff * _hom_dp(f, g, budget)
+            budget.done += 1
+        counts.append(total * math.perm(g.n - h.n, isolated))
+    return counts
 
 
-def _automorphism_count(h: Graph, budget: _Budget) -> int:
-    """|Aut(h)|: k components isomorphic to C contribute |Aut(C)|^k * k!.
-
-    An automorphism of C permutes its twin classes, and every permutation
-    inside a class is one, so |Aut(C)| is the number of automorphisms of
-    C's twin quotient that keep class sizes times the product of the class
-    sizes' factorials. Each quotient automorphism enumerated costs one
-    step."""
-    classes: list[list] = []  # [component, copies]
-    for comp in connected_components(h):
-        c = induced_subgraph(h, comp)
-        entry = next((e for e in classes if is_isomorphic(c, e[0])), None)
-        if entry is None:
-            classes.append([c, 1])
-        else:
-            entry[1] += 1
-    total = 1
-    for c, k in classes:
-        q, weight = c._twin_quotient
-        aut = 0
-        for _ in _isomorphisms(q, q, (weight, weight)):
-            budget.spend(1)
-            aut += 1
-        for size in weight:
-            aut *= math.factorial(size)
-        total *= aut ** k * math.factorial(k)
-    return total
+def _count_copies(h: Graph, hosts: list[Graph], budget: _Budget) -> list[int]:
+    """copies(h, g) for each host g: inj(h, g) / inj(h, h), since an
+    injective map of h into itself is an automorphism and Aut(h) acts
+    freely on injective maps. One spasm serves every host and h."""
+    if all(g.n < h.n for g in hosts):
+        return [0] * len(hosts)
+    *injs, aut = _count_injective(h, [*hosts, h], budget)
+    for inj in injs:
+        if inj % aut:
+            raise InternalInvariantError(
+                f"{inj} injective maps do not split into orbits of |Aut(H)| = {aut}")
+    return [inj // aut for inj in injs]
 
 
 def count_injective_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
-    """Number of injective adjacency-preserving maps V(h) -> V(g)."""
-    return _count_injective(h, g, _Budget(work_cap))
+    """Number of injective adjacency-preserving maps V(h) -> V(g);
+    count_injective_hom(h, h) is |Aut(h)|."""
+    return _count_injective(h, [g], _Budget(work_cap))[0]
 
 
 def count_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
     """Number of adjacency-preserving maps V(h) -> V(g). For progress on
-    overrun, h is its own single spasm class."""
+    overrun, h is its own single spasm term."""
     budget = _Budget(work_cap)
     budget.total = 1
     return _hom_dp(h, g, budget)
 
 
 def count_copies(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
-    """Number of subgraphs of g isomorphic to h (vertex-and-edge subsets):
-    injective maps divided by |Aut(h)|, which acts freely on them."""
-    budget = _Budget(work_cap)
-    inj = _count_injective(h, g, budget)
-    if inj == 0:
-        return 0
-    aut = _automorphism_count(h, budget)
-    if inj % aut:
-        raise InternalInvariantError(
-            f"{inj} injective maps do not split into orbits of |Aut(H)| = {aut}")
-    return inj // aut
+    """Number of subgraphs of g isomorphic to h (vertex-and-edge subsets)."""
+    return _count_copies(h, [g], _Budget(work_cap))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +472,8 @@ def scaling_exponent(h: Graph, sizes, generator,
     requested size. Sizes must be strictly increasing with at least three
     points. Zero counts make the log undefined and are reported per size;
     hosts that all have one order leave no spread to fit and are refused.
+    Every host and the denominator inj(h, h) are counted over one
+    enumeration of h's spasm, and ``work_cap`` is one total for the call.
     """
     sizes = tuple(sizes)
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -493,7 +483,7 @@ def scaling_exponent(h: Graph, sizes, generator,
     if len(set(orders)) < 2:
         raise PreconditionError(
             f"host orders {','.join(map(str, orders))} all equal: log-log slope undefined")
-    counts = [count_copies(h, host, work_cap=work_cap) for host in hosts]
+    counts = _count_copies(h, hosts, _Budget(work_cap))
     zero_at = [n for n, c in zip(sizes, counts) if c == 0]
     if zero_at:
         raise PreconditionError(

@@ -324,72 +324,56 @@ def add_clique(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism counting
+# Isomorphism test
 # ---------------------------------------------------------------------------
 
 
-def _isomorphisms(h: Graph, g: Graph,
-                  labels: tuple[Sequence[int], Sequence[int]] | None = None,
-                  ) -> Iterator[tuple[int, ...]]:
-    """Yield each edge-and-non-edge-preserving bijection V(h) -> V(g) as a
-    tuple ``phi`` with ``phi[i]`` the image of i. With ``labels``, a pair
-    of vertex labelings of h and g, only the bijections keeping labels."""
+def is_isomorphic(h: Graph, g: Graph) -> bool:
+    """True iff some bijection V(h) -> V(g) preserves edges and non-edges.
+
+    A depth-first search with an explicit stack that stops at the first
+    such bijection. h's vertices are placed by degree descending, then
+    index, each among the neighbors of an earlier neighbor's image when it
+    has one, on an unused vertex of equal degree that agrees with every
+    earlier placement."""
     if h.n != g.n or h.m != g.m:
-        return
+        return False
     hadj, gadj = h.adj, g.adj
-    hkey: list = [len(a) for a in hadj]
-    gkey: list = [len(a) for a in gadj]
-    if labels is not None:
-        hkey = list(zip(hkey, labels[0]))
-        gkey = list(zip(gkey, labels[1]))
-    if sorted(hkey) != sorted(gkey):
-        return
+    if sorted(map(len, hadj)) != sorted(map(len, gadj)):
+        return False
     n = h.n
-    # Order h's vertices by degree descending, then index, to prune early.
     order = sorted(range(n), key=lambda v: (-len(hadj[v]), v))
     # per position: the earlier vertices, and one earlier neighbor if any
     earlier = [order[:i] for i in range(n)]
-    anchor = [next((w for w in order[:i] if w in hadj[v]), -1)
+    anchor = [next((w for w in earlier[i] if w in hadj[v]), -1)
               for i, v in enumerate(order)]
-    everything = range(n)
-    image: list[int] = [-1] * n
+    image = [-1] * n
     used = [False] * n
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(image)
-            return
+    untried: list[Iterator[int]] = []  # per placed position, candidates left
+    i = 0
+    while i < n:
         v = order[i]
+        if len(untried) == i:
+            a = anchor[i]
+            untried.append(iter(gadj[image[a]] if a >= 0 else range(n)))
+        else:  # back from a dead end: free v's last image
+            used[image[v]] = False
         hv = hadj[v]
-        kv = hkey[v]
-        a = anchor[i]
-        for c in (gadj[image[a]] if a >= 0 else everything):
-            if used[c] or gkey[c] != kv:
-                continue
+        for c in untried[i]:
             gc = gadj[c]
-            if all((w in hv) == (image[w] in gc) for w in earlier[i]):
+            if (not used[c] and len(gc) == len(hv)
+                    and all((w in hv) == (image[w] in gc) for w in earlier[i])):
                 image[v] = c
                 used[c] = True
-                yield from rec(i + 1)
-                used[c] = False
-                image[v] = -1
-
-    yield from rec(0)
-
-
-def count_isomorphisms(h: Graph, g: Graph) -> int:
-    """Number of isomorphisms h -> g; count_isomorphisms(h, h) is |Aut(h)|."""
-    return sum(1 for _ in _isomorphisms(h, g))
-
-
-def is_isomorphic(h: Graph, g: Graph) -> bool:
-    """True iff h and g are isomorphic; stops at the first isomorphism."""
-    return next(_isomorphisms(h, g), None) is not None
-
-
-def automorphisms(h: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms of h as image tuples."""
-    return list(_isomorphisms(h, h))
+                i += 1
+                break
+        else:
+            image[v] = -1
+            untried.pop()
+            if i == 0:
+                return False
+            i -= 1
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from surfcount.embedding import EmbeddedGraph, _read_rotations_checked, switch_v
 from surfcount.errors import InternalInvariantError, ParseError, PreconditionError
 from surfcount.flaps import Separation, flap_family_and_number
 from surfcount.graph import (
-    Graph, add_clique, articulation_points, automorphisms, connected_components,
-    induced_subgraph, is_connected)
+    Graph, add_clique, articulation_points, connected_components, induced_subgraph,
+    is_connected)
 from surfcount.planarity import is_planar
 from surfcount.spqrk import REAL, VIRTUAL, SpqrkNode, SpqrkTree
 
@@ -236,7 +236,7 @@ def backtrack_injective(h: Graph, g: Graph) -> int:
 def backtrack_copies(h: Graph, g: Graph) -> int:
     """Injective maps, keeping one per automorphism orbit: the image tuple
     that no automorphism makes lexicographically smaller."""
-    nontrivial = [a for a in automorphisms(h) if any(a[i] != i for i in range(h.n))]
+    nontrivial = [a for a in slow_automorphisms(h) if any(a[i] != i for i in range(h.n))]
 
     def least_in_orbit(image: list[int]) -> bool:
         for a in nontrivial:
@@ -249,6 +249,38 @@ def backtrack_copies(h: Graph, g: Graph) -> int:
         return True
 
     return _backtrack_maps(h, g, injective=True, leaf_filter=least_in_orbit)
+
+
+def slow_automorphisms(h: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of h as an image tuple, enumerated one at a time:
+    vertices by degree descending, each among the neighbors of an earlier
+    neighbor's image when it has one, checked against every earlier
+    vertex. The oracle for |Aut(h)| = inj(h, h)."""
+    hadj = h.adj
+    order = sorted(range(h.n), key=lambda v: (-len(hadj[v]), v))
+    anchor = [next((w for w in order[:i] if w in hadj[v]), -1)
+              for i, v in enumerate(order)]
+    image = [-1] * h.n
+    used = [False] * h.n
+    found: list[tuple[int, ...]] = []
+
+    def rec(i: int) -> None:
+        if i == h.n:
+            found.append(tuple(image))
+            return
+        v = order[i]
+        a = anchor[i]
+        for c in (hadj[image[a]] if a >= 0 else range(h.n)):
+            if (not used[c] and len(hadj[c]) == len(hadj[v])
+                    and all((w in hadj[v]) == (image[w] in hadj[c]) for w in order[:i])):
+                image[v] = c
+                used[c] = True
+                rec(i + 1)
+                used[c] = False
+        image[v] = -1
+
+    rec(0)
+    return found
 
 
 def slow_count_cliques(g: Graph, s: int) -> int:

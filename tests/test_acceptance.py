@@ -11,6 +11,7 @@ from support import (
     literal_strongly_non_planar,
     random_graph,
     random_tree,
+    slow_automorphisms,
 )
 from surfcount.census import (
     bounds,
@@ -44,7 +45,7 @@ from surfcount.flaps import (
     maximum_flap_family,
     tree_beta,
 )
-from surfcount.graph import complete_graph, count_isomorphisms, path_graph
+from surfcount.graph import complete_graph, path_graph
 from surfcount.surfaces import projective_k6, sphere_irreducible
 
 DATA = Path(__file__).parent / "data"
@@ -153,7 +154,7 @@ def test_criterion_7_counting_cross_oracle():
     for _ in range(300):
         h = random_graph(rng, rng.randint(1, 5), rng.choice([0.25, 0.5, 0.75]))
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.25, 0.5, 0.75]))
-        assert count_copies(h, g) * count_isomorphisms(h, h) == count_injective_hom(h, g)
+        assert count_copies(h, g) * len(slow_automorphisms(h)) == count_injective_hom(h, g)
     _report(7, "copies times automorphisms equals injective maps on 300 pairs", t0)
 
 

@@ -12,6 +12,7 @@ from support import (
     random_connected_graph,
     random_graph,
     random_stacked,
+    slow_automorphisms,
     slow_count_cliques,
 )
 from surfcount import counting
@@ -36,7 +37,6 @@ from surfcount.graph import (
     Graph,
     complete_graph,
     connected_components,
-    count_isomorphisms,
     cycle_graph,
     disjoint_union,
     is_isomorphic,
@@ -133,7 +133,7 @@ def test_copy_aut_injective_identity():
     for _ in range(100):
         h = random_graph(rng, rng.randint(1, 5), rng.choice([0.3, 0.5, 0.7]))
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.7]))
-        assert count_copies(h, g) * count_isomorphisms(h, h) == count_injective_hom(h, g)
+        assert count_copies(h, g) * len(slow_automorphisms(h)) == count_injective_hom(h, g)
 
 
 def test_hom_dominates_injective():
@@ -165,7 +165,7 @@ def _oracle_cost(h, g):
     component, a root image and a neighbor for each later vertex, times the
     automorphisms its leaf filter tries."""
     top = max((g.degree(v) for v in range(g.n)), default=0)
-    cost = count_isomorphisms(h, h)
+    cost = len(slow_automorphisms(h))
     for comp in connected_components(h):
         cost *= g.n * top ** (len(comp) - 1)
     return cost
@@ -466,42 +466,64 @@ def test_isolated_vertices_and_automorphisms_are_cheap():
     assert time.perf_counter() - start < 0.05
     h = disjoint_union(disjoint_union(cycle_graph(4), cycle_graph(4)), Graph.build(3, []))
     g = random_graph(random.Random(8), 11, 0.6)
-    assert count_copies(h, g) * count_isomorphisms(h, h) == count_injective_hom(h, g)
+    assert count_copies(h, g) * len(slow_automorphisms(h)) == count_injective_hom(h, g)
+
+
+def _steps(run):
+    """DP steps that ``run(budget)`` spends from a fresh, ample budget."""
+    budget = _Budget(10**9)
+    run(budget)
+    return budget.cap - budget.left
 
 
 def test_automorphisms_spend_the_work_cap():
-    """Each automorphism enumerated costs one step of the same budget as
-    the spasm and its DPs. C6 has no twins, so all 12 of its automorphisms
-    are enumerated: a cap that covers the rest but not all 12 is
-    exceeded."""
+    """The denominator |Aut(H)| = inj(H, H) is counted over the numerator's
+    spasm, with DP steps from the same budget: the spasm and both sums are
+    exactly enough, a cap one step short of the denominator's last class
+    raises, and a cap inside the denominator reports the terms counted of
+    the numerator's and the denominator's."""
     c6, host = cycle_graph(6), complete_graph(6)
-    budget = _Budget(10**9)
-    counting._count_injective(c6, host, budget)
-    need = budget.cap - budget.left + 12
+    spasm = _spasm(c6, _Budget(10**9))
+    enumerate_steps = _steps(lambda b: _spasm(c6, b))
+    numerator = [_steps(lambda b: _hom_dp(f, host, b)) for f, _ in spasm]
+    denominator = [_steps(lambda b: _hom_dp(f, c6, b)) for f, _ in spasm]
+    need = enumerate_steps + sum(numerator) + sum(denominator)
+    assert _steps(lambda b: counting._count_copies(c6, [host], b)) == need
     assert count_copies(c6, host, work_cap=need) == 60
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as err:
         count_copies(c6, host, work_cap=need - 1)
+    assert err.value.progress == (2 * len(spasm) - 1, 2 * len(spasm))
+    j = len(spasm) // 2
+    with pytest.raises(CapExceeded) as err:
+        count_copies(c6, host, work_cap=need - sum(denominator[j:]))
+    assert err.value.progress == (len(spasm) + j, 2 * len(spasm))
 
 
 def test_automorphisms_through_twin_classes():
-    """|Aut(K1,k)| = k! comes from the twin quotient K2, whose one
-    automorphism keeping class sizes is the only one enumerated, times
-    1! * k!."""
-    star, host = Graph.build(9, [(0, i) for i in range(1, 9)]), complete_graph(9)
-    budget = _Budget(10**9)
-    counting._count_injective(star, host, budget)
-    need = budget.cap - budget.left + 1
-    assert count_copies(star, host, work_cap=need) == 9
-    with pytest.raises(CapExceeded):
-        count_copies(star, host, work_cap=need - 1)
-    assert count_copies(Graph.build(11, [(0, i) for i in range(1, 11)]),
-                        complete_graph(12)) == 132
+    """|Aut(K1,k)| = k! comes from DPs on the star's own twin quotient K2,
+    weighted 1 and k. The spasm classes are K1,j for j = 1..k, and each
+    takes at most 3 + 2j steps there, so the denominator costs at most
+    k(k + 4) steps, not k! maps."""
+    for k, host, copies in ((8, complete_graph(9), 9), (10, complete_graph(12), 132)):
+        star = Graph.build(k + 1, [(0, i) for i in range(1, k + 1)])
+        spasm = _spasm(star, _Budget(10**9))
+        budget = _Budget(10**9)
+        assert sum(c * _hom_dp(f, star, budget) for f, c in spasm) == math.factorial(k)
+        steps = budget.cap - budget.left
+        assert len(spasm) == k and steps <= k * (k + 4), (k, steps)
+        assert count_copies(star, host) == copies
 
 
 def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):
-    """A wrong |Aut(H)| is caught by an explicit check, not an assert, and
-    the CLI reports it in one line with exit 1."""
-    monkeypatch.setattr(counting, "_automorphism_count", lambda h, budget: 7)
+    """A wrong |Aut(H)| = inj(H, H) is caught by an explicit check, not an
+    assert, and the CLI reports it in one line with exit 1."""
+    real = counting._count_injective
+
+    def wrong_denominator(h, hosts, budget):
+        *injs, aut = real(h, hosts, budget)
+        return [*injs, 7]
+
+    monkeypatch.setattr(counting, "_count_injective", wrong_denominator)
     with pytest.raises(InternalInvariantError):
         count_copies(path_graph(3), complete_graph(4))
     pattern, host = tmp_path / "p3.g", tmp_path / "k4.g"
@@ -510,6 +532,67 @@ def test_invariant_errors_survive_optimization(monkeypatch, capsys, tmp_path):
     assert main(["count", str(pattern), str(host)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _aut_pattern(rng, kind):
+    """A pattern of up to 8 vertices: plain random, two components, a
+    connected part plus isolated vertices, or a random graph with false or
+    true twins copied in."""
+    if kind in ("random", "disconnected", "isolated"):
+        return _oracle_pattern(rng, kind)
+    base = random_connected_graph(rng, rng.randint(1, 6), 0.4)
+    n, edges = base.n, list(base.edges)
+    for v in rng.sample(range(base.n), min(base.n, rng.randint(1, 2))):
+        if n < 8:
+            edges += [(w, n) for w in base.adj[v]] + ([(v, n)] if kind == "true" else [])
+            n += 1
+    return Graph.build(n, edges)
+
+
+def test_denominator_is_the_automorphism_count():
+    """inj(H, H) equals the number of automorphisms enumerated one at a
+    time, on seeded patterns of up to 8 vertices: random, disconnected,
+    with isolated vertices, and with false or true twins."""
+    rng = random.Random(0xA07)
+    kinds = ["random", "disconnected", "isolated", "false", "true"]
+    for i in range(150):
+        h = _aut_pattern(rng, kinds[i % len(kinds)])
+        assert count_injective_hom(h, h) == len(slow_automorphisms(h)), (h.n, sorted(h.edges))
+    for h in (complete_graph(8), Graph.build(8, []), cycle_graph(8),
+              disjoint_union(cycle_graph(4), cycle_graph(4))):
+        assert count_injective_hom(h, h) == len(slow_automorphisms(h))
+
+
+def test_clique_copies_are_cheap():
+    """count_copies(K10, K12) is 66 within 20,000 DP steps: K10's spasm is
+    K10 alone, and the denominator is one DP into K10, not 10! maps."""
+    assert count_copies(complete_graph(10), complete_graph(12), work_cap=20_000) == 66
+
+
+def test_scaling_counts_over_one_spasm(monkeypatch):
+    """scaling_exponent enumerates h's spasm once for all hosts and the
+    denominator, and its work cap is one total for the call: the summed
+    steps of the parts pass, one step fewer raises."""
+    h, sizes = path_graph(3), (6, 9, 12)
+    hosts = [tree_blowup(h, n) for n in sizes]
+    calls = []
+    real = counting._spasm
+
+    def counted(f, budget):
+        calls.append(f)
+        return real(f, budget)
+
+    monkeypatch.setattr(counting, "_spasm", counted)
+    rep = scaling_exponent(h, sizes, lambda n: tree_blowup(h, n))
+    assert len(calls) == 1
+    assert list(rep.counts) == [count_copies(h, g) for g in hosts]
+    spasm = real(h, _Budget(10**9))
+    need = (_steps(lambda b: real(h, b))
+            + sum(_steps(lambda b: _hom_dp(f, g, b)) for f, _ in spasm for g in [*hosts, h]))
+    assert scaling_exponent(h, sizes, lambda n: tree_blowup(h, n), work_cap=need) == rep
+    with pytest.raises(CapExceeded) as err:
+        scaling_exponent(h, sizes, lambda n: tree_blowup(h, n), work_cap=need - 1)
+    assert err.value.progress == (4 * len(spasm) - 1, 4 * len(spasm))
 
 
 def test_goodman():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,20 +10,20 @@ from support import (
     contract_edge_simple,
     random_glued_graph,
     random_graph,
+    slow_automorphisms,
 )
 from surfcount.errors import ParseError, PreconditionError
 from surfcount.graph import (
     Graph,
     add_clique,
     articulation_points,
-    automorphisms,
     blocks,
     complete_graph,
     connected_components,
-    count_isomorphisms,
     cycle_graph,
     disjoint_union,
     induced_subgraph,
+    is_isomorphic,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -189,8 +190,32 @@ def test_add_remove_clique():
 
 
 def test_count_isomorphisms():
-    assert count_isomorphisms(complete_graph(3), complete_graph(3)) == 6
-    assert count_isomorphisms(path_graph(3), complete_graph(3)) == 0
-    assert count_isomorphisms(cycle_graph(4), cycle_graph(4)) == 8
-    assert count_isomorphisms(path_graph(2), path_graph(3)) == 0
-    assert len(automorphisms(path_graph(5))) == 2
+    assert len(slow_automorphisms(complete_graph(3))) == 6
+    assert not is_isomorphic(path_graph(3), complete_graph(3))
+    assert len(slow_automorphisms(cycle_graph(4))) == 8
+    assert not is_isomorphic(path_graph(2), path_graph(3))
+    assert len(slow_automorphisms(path_graph(5))) == 2
+
+
+def test_is_isomorphic_against_permutations():
+    """is_isomorphic against a check of every bijection on seeded pairs of
+    up to 6 vertices with equal order and size, half of them relabelings
+    of each other; and on a 2000-vertex path, deeper than the default
+    recursion limit, since the search keeps its own stack."""
+    rng = random.Random(0x150)
+    agree = 0
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        a = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        if rng.random() < 0.5:
+            perm = rng.sample(range(n), n)
+            b = Graph.build(n, [(perm[u], perm[v]) for u, v in a.edges])
+        else:
+            b = random_graph(rng, n, a.m / max(1, n * (n - 1) // 2))
+        brute = a.m == b.m and any(
+            all(b.has_edge(p[u], p[v]) for u, v in a.edges)
+            for p in itertools.permutations(range(n)))
+        assert is_isomorphic(a, b) == brute, (n, sorted(a.edges), sorted(b.edges))
+        agree += brute
+    assert 150 <= agree < 300
+    assert is_isomorphic(path_graph(2000), path_graph(2000))

@@ -22,7 +22,6 @@ def test_no_assert_statements_in_src():
 RECURSION_BOUNDS = {
     "embedding._min_genus": "one level: it recurses only on a connected component",
     "flaps._max_packing.rec": "one frame per kept interior, under the 16-vertex cap",
-    "graph._isomorphisms.rec": "one frame per vertex of h: unbounded",
     "spqrk._multigraph_is_minor.rec": "one frame per vertex outside the node: unbounded",
 }
 
@@ -43,8 +42,8 @@ def _self_calls(tree: ast.AST, prefix: str):
 
 def test_recursion_is_listed():
     """Recursion depth must not grow with input size, so every recursive
-    function is listed here with the cap or shape that bounds it; the two
-    unbounded ones are known faults."""
+    function is listed here with the cap or shape that bounds it; the
+    unbounded one is a known fault."""
     found = {name for path in sorted(SRC.rglob("*.py"))
              for name in _self_calls(ast.parse(path.read_text(), str(path)), path.stem)}
     assert found == set(RECURSION_BOUNDS)

@@ -38,7 +38,6 @@ from .counting import (
     count_copies,
     count_hom,
     count_injective_hom,
-    max_clique_size,
     scaling_exponent,
     total_cliques,
 )
@@ -77,7 +76,6 @@ from .graph import (
     complete_graph,
     connected_components,
     cycle_graph,
-    disjoint_union,
     induced_subgraph,
     is_connected,
     parse_graph,
@@ -103,7 +101,7 @@ __all__ = [
     "lower_bound_graph", "split_growth", "tree_blowup",
     "GenusTriangleReport", "InequalityReport", "ScalingReport",
     "check_genus_triangle_bound", "check_goodman", "count_cliques",
-    "count_copies", "count_hom", "count_injective_hom", "max_clique_size",
+    "count_copies", "count_hom", "count_injective_hom",
     "scaling_exponent", "total_cliques",
     "EmbeddedGraph", "contract_reducible", "embedding_from_faces", "euler_genus",
     "face_vertices", "is_triangulation", "min_genus_search", "parse_embedding",
@@ -114,7 +112,7 @@ __all__ = [
     "flap_reduction", "forest_mis", "is_flap", "is_strongly_non_planar",
     "is_tree", "maximum_flap_family", "tree_beta",
     "Graph", "add_clique", "complete_graph", "connected_components",
-    "cycle_graph", "disjoint_union", "induced_subgraph", "is_connected",
+    "cycle_graph", "induced_subgraph", "is_connected",
     "parse_graph", "path_graph", "serialize_graph",
     "is_planar",
     "SpqrkNode", "SpqrkTree", "serialize_spqrk", "spqrk_build", "spqrk_validate",

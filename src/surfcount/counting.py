@@ -364,10 +364,6 @@ def total_cliques(g: Graph) -> int:
     return sum(clique_counts(g))
 
 
-def max_clique_size(g: Graph) -> int:
-    return len(clique_counts(g)) - 1
-
-
 # ---------------------------------------------------------------------------
 # Homomorphism inequalities
 # ---------------------------------------------------------------------------

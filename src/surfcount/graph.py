@@ -393,8 +393,3 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise PreconditionError("cycle needs at least 3 vertices")
     return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return Graph.build(a.n + b.n, edges)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from surfcount.counting import clique_counts
 from surfcount.embedding import EmbeddedGraph, _read_rotations_checked, switch_vertex
 from surfcount.errors import InternalInvariantError, ParseError, PreconditionError
 from surfcount.flaps import Separation, flap_family_and_number
@@ -17,6 +18,20 @@ from surfcount.graph import (
     is_connected)
 from surfcount.planarity import is_planar
 from surfcount.spqrk import REAL, VIRTUAL, SpqrkNode, SpqrkTree
+
+
+# ---------------------------------------------------------------------------
+# Graph helpers that only tests need
+# ---------------------------------------------------------------------------
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return Graph.build(a.n + b.n, edges)
+
+
+def max_clique_size(g: Graph) -> int:
+    return len(clique_counts(g)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from support import (
-    random_connected_graph, random_tree, slow_lower_bound_graph, slow_split, slow_split_growth)
+    disjoint_union, random_connected_graph, random_tree, slow_lower_bound_graph, slow_split,
+    slow_split_growth)
 from surfcount import embedding
 from surfcount.constructions import lower_bound_graph, split_growth, tree_blowup
 from surfcount.counting import count_cliques, count_copies
@@ -20,7 +21,7 @@ from surfcount.embedding import (
 )
 from surfcount.errors import PreconditionError
 from surfcount.flaps import flap_number, tree_beta
-from surfcount.graph import complete_graph, disjoint_union, path_graph, serialize_graph
+from surfcount.graph import complete_graph, path_graph, serialize_graph
 from surfcount.planarity import is_planar
 from surfcount.surfaces import load_bundled, projective_k6, sphere_irreducible
 

@@ -9,6 +9,8 @@ from support import (
     backtrack_copies,
     backtrack_hom,
     backtrack_injective,
+    disjoint_union,
+    max_clique_size,
     random_connected_graph,
     random_graph,
     random_stacked,
@@ -28,7 +30,6 @@ from surfcount.counting import (
     count_copies,
     count_hom,
     count_injective_hom,
-    max_clique_size,
     scaling_exponent,
     total_cliques,
 )
@@ -38,7 +39,6 @@ from surfcount.graph import (
     complete_graph,
     connected_components,
     cycle_graph,
-    disjoint_union,
     is_isomorphic,
     path_graph,
     serialize_graph,

@@ -8,6 +8,7 @@ from support import (
     brute_blocks,
     brute_cut_vertices,
     contract_edge_simple,
+    disjoint_union,
     random_glued_graph,
     random_graph,
     slow_automorphisms,
@@ -21,7 +22,6 @@ from surfcount.graph import (
     complete_graph,
     connected_components,
     cycle_graph,
-    disjoint_union,
     induced_subgraph,
     is_isomorphic,
     parse_graph,

@@ -44,7 +44,6 @@ from .counting import (
 from .embedding import (
     EmbeddedGraph,
     contract_reducible,
-    embedding_from_faces,
     euler_genus,
     face_vertices,
     is_triangulation,
@@ -84,13 +83,7 @@ from .graph import (
 )
 from .planarity import is_planar
 from .spqrk import SpqrkNode, SpqrkTree, serialize_spqrk, spqrk_build, spqrk_validate
-from .surfaces import (
-    icosahedron,
-    icosahedron_antipodal_classes,
-    load_bundled,
-    projective_k6,
-    sphere_irreducible,
-)
+from .surfaces import load_bundled, projective_k6, sphere_irreducible
 
 __version__ = "0.1.0"
 
@@ -103,7 +96,7 @@ __all__ = [
     "check_genus_triangle_bound", "check_goodman", "count_cliques",
     "count_copies", "count_hom", "count_injective_hom",
     "scaling_exponent", "total_cliques",
-    "EmbeddedGraph", "contract_reducible", "embedding_from_faces", "euler_genus",
+    "EmbeddedGraph", "contract_reducible", "euler_genus",
     "face_vertices", "is_triangulation", "min_genus_search", "parse_embedding",
     "reducible_edges", "serialize_embedding", "split_path", "split_triangle",
     "switch_vertex",
@@ -116,6 +109,5 @@ __all__ = [
     "parse_graph", "path_graph", "serialize_graph",
     "is_planar",
     "SpqrkNode", "SpqrkTree", "serialize_spqrk", "spqrk_build", "spqrk_validate",
-    "icosahedron", "icosahedron_antipodal_classes", "load_bundled",
-    "projective_k6", "sphere_irreducible",
+    "load_bundled", "projective_k6", "sphere_irreducible",
 ]

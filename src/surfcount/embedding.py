@@ -579,88 +579,6 @@ class _Splitter:
 
 
 # ---------------------------------------------------------------------------
-# Building an embedding from a triangular face list
-# ---------------------------------------------------------------------------
-
-
-def embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedGraph:
-    """Reconstruct a signed rotation system whose face set is the given
-    list of triangles. Each edge must lie in exactly two faces (counting
-    multiplicity) and each vertex link must be a single cycle. One pass
-    buckets the face corners by vertex, so the cost is near-linear."""
-    edge_faces: dict[Edge, list[int]] = {}
-    for i, f in enumerate(faces):
-        if len(set(f)) != 3:
-            raise PreconditionError(f"face {f} is not a triangle")
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            edge_faces.setdefault(_norm(a, b), []).append(i)
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise PreconditionError(f"edge {e} lies in {len(fs)} faces, need 2")
-    graph = Graph.build(n, edge_faces.keys())
-    # vertex links: each neighbor's partners around v, in face order
-    links: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    for a, b, c in faces:
-        for v, p, q in ((a, b, c), (b, a, c), (c, a, b)):
-            links[v].setdefault(p, []).append(q)
-            links[v].setdefault(q, []).append(p)
-    rotations = []
-    for v in range(n):
-        partners = links[v]
-        nbrs = sorted(graph.adj[v])
-        if not nbrs:
-            raise PreconditionError(f"vertex {v} is isolated")
-        if sorted(partners) != nbrs or any(len(p) != 2 for p in partners.values()):
-            raise PreconditionError(f"link of vertex {v} is not a single cycle")
-        start = nbrs[0]
-        second = min(partners[start])
-        cycle = [start, second]
-        while True:
-            prev, cur = cycle[-2], cycle[-1]
-            nxts = [u for u in partners[cur] if u != prev]
-            nxt = nxts[0] if nxts else prev  # doubled link edge (degree 2)
-            if nxt == cycle[0] and len(cycle) == len(nbrs):
-                break
-            cycle.append(nxt)
-            if len(cycle) > len(nbrs):
-                raise PreconditionError(f"link of vertex {v} is not a single cycle")
-        if sorted(cycle) != nbrs:
-            raise PreconditionError(f"link of vertex {v} is not a single cycle")
-        rotations.append(tuple(cycle))
-    succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotations]
-
-    # derive edge signs from corner orientations: walking a face, the sign
-    # of each step edge is the product of the corner senses at its ends
-    def corner_sense(v: int, come: int, go: int) -> int:
-        if succ[v][come] == go:
-            return 1
-        if succ[v][go] == come:
-            return -1
-        raise PreconditionError(
-            f"face corner at {v} ({come}->{go}) not rotation-consecutive")
-
-    signs: dict[Edge, int] = {}
-    for a, b, c in faces:
-        sa, sb, sc = corner_sense(a, c, b), corner_sense(b, a, c), corner_sense(c, b, a)
-        for e, lam in ((_norm(a, b), sa * sb), (_norm(b, c), sb * sc), (_norm(c, a), sc * sa)):
-            if signs.setdefault(e, lam) != lam:
-                raise PreconditionError(f"inconsistent sign derivation at edge {e}")
-    negative = frozenset(e for e, s in signs.items() if s < 0)
-    # each rotation is a permutation of its neighbors, read off the links
-    eg = EmbeddedGraph(tuple(rotations), negative)
-    eg.__dict__["graph"] = graph  # the cached property, already built
-    # the faces must be the listed triangles: every face has three steps
-    # (fewer would give a face that is not a triangle, more would leave
-    # fewer faces than triangles), and their vertex sets agree
-    if eg._table.ends != list(range(3, 3 * len(faces) + 1, 3)):
-        raise PreconditionError("face reconstruction failed to reproduce the face list")
-    got = sorted(tuple(sorted(vs)) for vs in face_vertices(eg))
-    if sorted(tuple(sorted(f)) for f in faces) != got:
-        raise PreconditionError("face reconstruction failed to reproduce the face list")
-    return eg
-
-
-# ---------------------------------------------------------------------------
 # Minimum-genus search over signed rotation systems (small graphs)
 # ---------------------------------------------------------------------------
 

@@ -1,63 +1,36 @@
 """Bundled embeddings and their loaders.
 
-Two embeddings ship with the package: the tetrahedron (the unique
-irreducible triangulation of the sphere) and the complete graph on six
-vertices triangulating the projective plane, obtained as the antipodal
-quotient of the icosahedron. Both are stored as data files in the
-embedding text format and re-derivable in code.
+Two embeddings ship with the package as data files in the embedding text
+format: the tetrahedron (the unique irreducible triangulation of the
+sphere) and the complete graph on six vertices triangulating the
+projective plane, the antipodal quotient of the icosahedron. The files
+are the only copy; the tests re-derive both from their face lists.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .embedding import EmbeddedGraph, embedding_from_faces, parse_embedding
+from .embedding import EmbeddedGraph, parse_embedding
+from .errors import PreconditionError
 
-TETRAHEDRON_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-
-# Faces of the icosahedron's antipodal quotient: class 0 is the pole pair,
-# classes 1..5 the five ring pairs.
-PROJECTIVE_K6_FACES = [
-    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
-]
-
-
-def icosahedron() -> EmbeddedGraph:
-    """The icosahedron: top pole 0, upper ring 1..5, lower ring 6..10,
-    bottom pole 11."""
-    up = [1, 2, 3, 4, 5]
-    lo = [6, 7, 8, 9, 10]
-    faces = []
-    for j in range(5):
-        faces.append((0, up[j], up[(j + 1) % 5]))
-        faces.append((11, lo[j], lo[(j + 1) % 5]))
-        faces.append((up[j], up[(j + 1) % 5], lo[j]))
-        faces.append((up[(j + 1) % 5], lo[j], lo[(j + 1) % 5]))
-    return embedding_from_faces(12, faces)
-
-
-def icosahedron_antipodal_classes() -> list[tuple[int, int]]:
-    """Vertex pairs identified by the antipodal map, matching the labeling
-    of icosahedron(): poles pair up, and upper vertex j pairs with the
-    lower vertex two steps around."""
-    pairs = [(0, 11)]
-    for j in range(5):
-        pairs.append((1 + j, 6 + (j + 2) % 5))
-    return pairs
-
-
-def sphere_irreducible() -> EmbeddedGraph:
-    """The tetrahedron, built in as the sphere's irreducible triangulation."""
-    return embedding_from_faces(4, TETRAHEDRON_FACES)
-
-
-def projective_k6() -> EmbeddedGraph:
-    """K6 triangulating the projective plane (Euler genus 1, 10 faces)."""
-    return embedding_from_faces(6, PROJECTIVE_K6_FACES)
+_BUNDLED = ("k4_sphere", "k6_projective")
 
 
 def load_bundled(name: str) -> EmbeddedGraph:
     """Load a bundled embedding data file: 'k4_sphere' or 'k6_projective'."""
+    if name not in _BUNDLED:
+        raise PreconditionError(
+            f"no bundled embedding {name!r}: expected one of {', '.join(_BUNDLED)}")
     path = resources.files("surfcount.data").joinpath(f"{name}.emb")
     return parse_embedding(path.read_text())
+
+
+def sphere_irreducible() -> EmbeddedGraph:
+    """The tetrahedron, built in as the sphere's irreducible triangulation."""
+    return load_bundled("k4_sphere")
+
+
+def projective_k6() -> EmbeddedGraph:
+    """K6 triangulating the projective plane (Euler genus 1, 10 faces)."""
+    return load_bundled("k6_projective")

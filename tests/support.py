@@ -921,9 +921,10 @@ def _norm_pair(a: int, b: int) -> tuple[int, int]:
 
 
 def slow_embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> EmbeddedGraph:
-    """The signed rotation system of a triangle list, as
-    ``embedding_from_faces`` builds it, with each vertex link read by a scan
-    over every face: O(n * f)."""
+    """The signed rotation system whose faces are the listed triangles.
+    Each edge must lie in exactly two faces (counting multiplicity) and
+    each vertex link must be a single cycle. Each vertex link is read by a
+    scan over every face: O(n * f)."""
     edge_faces: dict[tuple[int, int], list[int]] = {}
     for i, f in enumerate(faces):
         if len(set(f)) != 3:
@@ -996,6 +997,47 @@ def slow_embedding_from_faces(n: int, faces: list[tuple[int, int, int]]) -> Embe
     if want != got:
         raise PreconditionError("face reconstruction failed to reproduce the face list")
     return eg
+
+
+# ---------------------------------------------------------------------------
+# Face lists of the bundled surfaces and their derivation
+# ---------------------------------------------------------------------------
+
+TETRAHEDRON_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+# Faces of the icosahedron's antipodal quotient: class 0 is the pole pair,
+# classes 1..5 the five ring pairs.
+PROJECTIVE_K6_FACES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+]
+
+OCTA_FACES = [(0, 2, 4), (0, 4, 3), (0, 3, 5), (0, 5, 2),
+              (1, 2, 4), (1, 4, 3), (1, 3, 5), (1, 5, 2)]
+
+
+def icosahedron() -> EmbeddedGraph:
+    """The icosahedron: top pole 0, upper ring 1..5, lower ring 6..10,
+    bottom pole 11."""
+    up = [1, 2, 3, 4, 5]
+    lo = [6, 7, 8, 9, 10]
+    faces = []
+    for j in range(5):
+        faces.append((0, up[j], up[(j + 1) % 5]))
+        faces.append((11, lo[j], lo[(j + 1) % 5]))
+        faces.append((up[j], up[(j + 1) % 5], lo[j]))
+        faces.append((up[(j + 1) % 5], lo[j], lo[(j + 1) % 5]))
+    return slow_embedding_from_faces(12, faces)
+
+
+def icosahedron_antipodal_classes() -> list[tuple[int, int]]:
+    """Vertex pairs identified by the antipodal map, matching the labeling
+    of icosahedron(): poles pair up, and upper vertex j pairs with the
+    lower vertex two steps around."""
+    pairs = [(0, 11)]
+    for j in range(5):
+        pairs.append((1 + j, 6 + (j + 2) % 5))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from support import OCTA_FACES, slow_embedding_from_faces
 from surfcount.census import (
     bounds,
     extremal_count,
@@ -11,15 +12,11 @@ from surfcount.census import (
     render_table,
     surface_table,
 )
-from surfcount.embedding import embedding_from_faces, parse_embedding
+from surfcount.embedding import parse_embedding
 from surfcount.errors import PreconditionError
 from surfcount.surfaces import projective_k6, sphere_irreducible
 
 DATA = Path(__file__).parent / "data"
-
-OCTA_FACES = [(0, 2, 4), (0, 4, 3), (0, 3, 5), (0, 5, 2),
-              (1, 2, 4), (1, 4, 3), (1, 3, 5), (1, 5, 2)]
-
 
 def second_projective():
     return parse_embedding((DATA / "projective_irreducible_7.emb").read_text())
@@ -29,7 +26,7 @@ def test_irreducibility_judgments():
     assert is_irreducible(sphere_irreducible())  # the tetrahedron stays in
     assert is_irreducible(projective_k6())
     assert is_irreducible(second_projective())
-    octa = embedding_from_faces(6, OCTA_FACES)
+    octa = slow_embedding_from_faces(6, OCTA_FACES)
     assert not is_irreducible(octa)
 
 
@@ -76,7 +73,7 @@ def test_projective_row_partial_lower_bounds():
 
 
 def test_list_verification():
-    octa = embedding_from_faces(6, OCTA_FACES)
+    octa = slow_embedding_from_faces(6, OCTA_FACES)
     with pytest.raises(PreconditionError, match="irreducible"):
         surface_table("S0", 0, [octa], complete=True)
     with pytest.raises(PreconditionError, match="genus"):

@@ -5,7 +5,12 @@ from pathlib import Path
 import pytest
 
 from support import (
+    OCTA_FACES,
+    PROJECTIVE_K6_FACES,
+    TETRAHEDRON_FACES,
     face_tail_vertices,
+    icosahedron,
+    icosahedron_antipodal_classes,
     is_triangle_face,
     random_connected_graph,
     random_rotation_system,
@@ -24,7 +29,6 @@ from surfcount.counting import count_cliques
 from surfcount.embedding import (
     EmbeddedGraph,
     contract_reducible,
-    embedding_from_faces,
     euler_genus,
     face_vertices,
     is_triangulation,
@@ -39,19 +43,9 @@ from surfcount.embedding import (
 from surfcount.errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
 from surfcount.graph import (
     Graph, complete_graph, connected_components, induced_subgraph, is_connected)
-from surfcount.surfaces import (
-    PROJECTIVE_K6_FACES,
-    icosahedron,
-    icosahedron_antipodal_classes,
-    load_bundled,
-    projective_k6,
-    sphere_irreducible,
-)
+from surfcount.surfaces import load_bundled, projective_k6, sphere_irreducible
 
 DATA = Path(__file__).parent / "data"
-
-OCTA_FACES = [(0, 2, 4), (0, 4, 3), (0, 3, 5), (0, 5, 2),
-              (1, 2, 4), (1, 4, 3), (1, 3, 5), (1, 5, 2)]
 
 
 def face_multiset(eg):
@@ -81,8 +75,19 @@ def test_k6_projective():
 
 
 def test_bundled_files_match_builders():
-    assert load_bundled("k4_sphere") == sphere_irreducible()
-    assert load_bundled("k6_projective") == projective_k6()
+    """Each bundled file is, byte for byte, its face list's embedding."""
+    data = Path(embedding.__file__).parent / "data"
+    for name, n, faces in (("k4_sphere", 4, TETRAHEDRON_FACES),
+                           ("k6_projective", 6, PROJECTIVE_K6_FACES)):
+        assert ((data / f"{name}.emb").read_text()
+                == serialize_embedding(slow_embedding_from_faces(n, faces)))
+
+
+def test_load_bundled_refuses_other_names():
+    """Only the two bundled names load; no other name becomes a path."""
+    for name in ("nope", "../x", "data/k4_sphere", "k4_sphere.emb", ""):
+        with pytest.raises(PreconditionError, match="no bundled embedding"):
+            load_bundled(name)
 
 
 def test_k6_is_antipodal_icosahedron_quotient():
@@ -265,48 +270,30 @@ def test_switch_vertex_refuses_a_missing_vertex():
             switch_vertex(k4, v)
 
 
-def test_embedding_from_faces_matches_the_face_scan():
-    """The bucketed reconstruction serializes byte for byte like the one
-    that scans every face for each vertex, on stacked sphere triangulations
-    (some with a hub vertex), the bundled face lists and relabelled
-    copies; bad face lists raise the same error."""
-    rng = random.Random(4000)
-    lists = [(6, OCTA_FACES), (6, list(PROJECTIVE_K6_FACES))]
-    for n in (4, 5, 9, 30, 120, 400):
-        for hub in (0.0, 0.5):
-            lists.append((n, random_stacked(rng, n, hub)[1]))
-    for n, faces in list(lists):
-        perm = rng.sample(range(n), n)
-        lists.append((n, [tuple(perm[v] for v in f) for f in rng.sample(faces, len(faces))]))
-    for n, faces in lists:
-        assert (serialize_embedding(embedding_from_faces(n, faces))
-                == serialize_embedding(slow_embedding_from_faces(n, faces)))
+def test_face_list_refusals():
+    """A face list that is not a closed triangulated surface raises, each
+    with the first fault it finds."""
     bad = [(6, OCTA_FACES[:-1]), (7, OCTA_FACES), (6, OCTA_FACES[:-1] + [(1, 5, 5)]),
            (6, [(0, 1, 2), (0, 2, 1)] * 2 + OCTA_FACES),
            (5, [(0, 1, 2), (0, 2, 1), (2, 3, 4), (2, 4, 3)]),
            (5, OCTA_FACES)]
+    messages = []
     for n, faces in bad:
-        with pytest.raises(PreconditionError) as fast:
-            embedding_from_faces(n, faces)
-        with pytest.raises(PreconditionError) as slow:
+        with pytest.raises(PreconditionError) as err:
             slow_embedding_from_faces(n, faces)
-        assert str(fast.value) == str(slow.value)
-
-
-def test_face_list_check_reads_the_table(monkeypatch):
-    """The closing check of embedding_from_faces compares the listed
-    triangles with the traced faces: a face too few, or faces that are not
-    the listed triangles, raise."""
-    trace = embedding._trace
-    for fault in (lambda t: embedding._Table(t.head, t.order, t.ends[:-1]),
-                  lambda t: embedding._Table(t.head, t.order[1:] + t.order[:1], t.ends)):
-        monkeypatch.setattr(embedding, "_trace", lambda eg: fault(trace(eg)))
-        with pytest.raises(PreconditionError, match="failed to reproduce the face list"):
-            embedding_from_faces(6, OCTA_FACES)
+        messages.append(str(err.value))
+    assert messages == [
+        "edge (2, 5) lies in 1 faces, need 2",
+        "vertex 6 is isolated",
+        "face (1, 5, 5) is not a triangle",
+        "edge (0, 1) lies in 4 faces, need 2",
+        "link of vertex 2 is not a single cycle",
+        "edge (3,5) out of range for n=5",
+    ]
 
 
 def test_octahedron_contract():
-    octa = embedding_from_faces(6, OCTA_FACES)
+    octa = slow_embedding_from_faces(6, OCTA_FACES)
     assert is_triangulation(octa) and euler_genus(octa) == 0
     assert len(reducible_edges(octa)) == 12
     smaller = contract_reducible(octa, (0, 2))
@@ -717,7 +704,7 @@ def test_contract_with_nonfacial_triangles_around():
     # triangular bipyramid: the equator triangle (0,1,2) is not a face, and
     # every spoke edge lies in exactly two triangles whose faces match
     faces = [(0, 1, 3), (0, 3, 2), (1, 2, 3), (0, 1, 4), (0, 4, 2), (1, 2, 4)]
-    eg = embedding_from_faces(5, faces)
+    eg = slow_embedding_from_faces(5, faces)
     assert is_triangulation(eg) and euler_genus(eg) == 0
     reds = reducible_edges(eg)
     assert (0, 3) in reds and (0, 1) not in reds  # equator edges sit in 3 triangles

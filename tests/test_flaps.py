@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from support import (
+    icosahedron,
     literal_flap_number,
     literal_strongly_non_planar,
     random_connected_graph,
@@ -34,7 +35,6 @@ from surfcount.graph import (
     Graph, blocks, complete_graph, connected_components, cycle_graph, induced_subgraph,
     is_connected, path_graph, serialize_graph)
 from surfcount.planarity import is_planar
-from surfcount.surfaces import icosahedron
 
 K5_PENDANT = Graph.build(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)])
 # two K5s sharing the edge 01: the one separation has two non-planar sides

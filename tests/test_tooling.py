@@ -1,9 +1,13 @@
 """Checks on the source tree itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from surfcount.embedding import serialize_embedding
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_no_assert_statements_in_src():
@@ -46,3 +50,16 @@ def test_recursion_is_listed():
     found = {name for path in sorted(SRC.rglob("*.py"))
              for name in _self_calls(ast.parse(path.read_text(), str(path)), path.stem)}
     assert found == set(RECURSION_BOUNDS)
+
+
+def test_derive_tool_rebuilds_its_data_file():
+    """The derivation tool still finds the committed 7-vertex projective
+    triangulation, byte for byte."""
+    path = ROOT / "tools" / "derive_n1_triangulation.py"
+    spec = importlib.util.spec_from_file_location("derive_n1_triangulation", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    found = tool.derive()
+    assert found is not None
+    assert (serialize_embedding(found)
+            == (ROOT / "tests" / "data" / "projective_irreducible_7.emb").read_text())

@@ -5,21 +5,27 @@ A 7-vertex triangulation of a genus-1 surface has 18 edges and 12
 triangular faces, so its complement in K7 has exactly 3 edges. This
 script tries every 3-edge complement shape, searches for a face set (12
 triangles covering every edge exactly twice, every vertex link a single
-cycle), reconstructs the signed rotation system, verifies genus 1 and
-irreducibility, and writes the result to tests/data/.
+cycle), reconstructs the signed rotation system with the test oracle
+``slow_embedding_from_faces``, verifies genus 1 and irreducibility, and
+writes the result to tests/data/.
 
-Run once; the output file is committed as the user-supplied second member
-of the projective-plane irreducible list.
+Run once, from anywhere: ``python tools/derive_n1_triangulation.py``. The
+output file is committed as the user-supplied second member of the
+projective-plane irreducible list; a test re-derives it through
+``derive()``.
 """
 
 import itertools
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "tests" / "data" / "projective_irreducible_7.emb"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from support import slow_embedding_from_faces
 from surfcount.embedding import (
-    embedding_from_faces,
+    EmbeddedGraph,
     euler_genus,
     is_triangulation,
     reducible_edges,
@@ -73,7 +79,9 @@ def triangulating_face_sets(g: Graph, want_faces: int):
     yield from rec(0)
 
 
-def main() -> None:
+def derive() -> EmbeddedGraph | None:
+    """The first irreducible genus-1 triangulation found on K7 minus three
+    edges, trying each complement shape in turn; None if none has one."""
     n = 7
     all_pairs = list(itertools.combinations(range(n), 2))
     # complement shapes on 3 edges, up to the labeling that puts them first
@@ -84,29 +92,26 @@ def main() -> None:
         "matching+edge": [(0, 1), (2, 3), (4, 5)],
         "edge+path": [(0, 1), (2, 3), (3, 4)],
     }
-    for name, missing in complements.items():
+    for missing in complements.values():
         g = Graph.build(n, [e for e in all_pairs if e not in missing])
-        found = None
         for faces in triangulating_face_sets(g, want_faces=12):
             try:
-                eg = embedding_from_faces(n, faces)
+                eg = slow_embedding_from_faces(n, faces)
             except PreconditionError:
                 continue
             if euler_genus(eg) == 1 and is_triangulation(eg) and not reducible_edges(eg):
-                found = eg
-                break
-        if found is None:
-            print(f"complement {name}: no projective triangulation")
-            continue
-        print(f"complement {name}: SUCCESS")
-        print(serialize_embedding(found))
-        out = Path(__file__).resolve().parent.parent / "tests" / "data" / "projective_irreducible_7.emb"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(serialize_embedding(found))
-        print(f"written to {out}")
-        return
-    print("no candidate complement worked", file=sys.stderr)
-    sys.exit(1)
+                return eg
+    return None
+
+
+def main() -> None:
+    found = derive()
+    if found is None:
+        print("no candidate complement worked", file=sys.stderr)
+        sys.exit(1)
+    print(serialize_embedding(found))
+    OUT.write_text(serialize_embedding(found))
+    print(f"written to {OUT}")
 
 
 if __name__ == "__main__":

@@ -600,26 +600,24 @@ def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[in
         raise CapExceeded("size_cap", f"min_genus_search vertex cap is {MIN_GENUS_VERTEX_CAP}")
     if g.m > MIN_GENUS_EDGE_CAP:
         raise CapExceeded("size_cap", f"min_genus_search edge cap is {MIN_GENUS_EDGE_CAP}")
-    return _min_genus(g, [tries])
+    if g.n == 0:
+        raise PreconditionError("empty graph has no embedding")
+    # Euler genus is additive over components
+    budget = [tries]
+    total = 0
+    rotations: list[tuple[int, ...]] = [()] * g.n
+    negatives: set[Edge] = set()
+    for comp in connected_components(g):
+        genus, emb = _min_genus(induced_subgraph(g, comp), budget)
+        total += genus
+        for i, v in enumerate(comp):
+            rotations[v] = tuple(comp[u] for u in emb.rotations[i])
+        negatives.update(_norm(comp[u], comp[v]) for u, v in emb.negative_edges)
+    return total, EmbeddedGraph.build(g, rotations, negatives)
 
 
 def _min_genus(g: Graph, budget: list[int]) -> tuple[int, EmbeddedGraph]:
-    comps = connected_components(g)
-    if len(comps) > 1:
-        # Euler genus is additive over components
-        total = 0
-        rotations: list[tuple[int, ...]] = [()] * g.n
-        negatives: set[Edge] = set()
-        for comp in comps:
-            genus, emb = _min_genus(induced_subgraph(g, comp), budget)
-            total += genus
-            for i, v in enumerate(comp):
-                rotations[v] = tuple(comp[u] for u in emb.rotations[i])
-            negatives.update(_norm(comp[u], comp[v]) for u, v in emb.negative_edges)
-        return total, EmbeddedGraph.build(g, rotations, negatives)
-
-    if g.n == 0:
-        raise PreconditionError("empty graph has no embedding")
+    """Minimum Euler genus of a connected graph, with a witness."""
     if g.m == 0:
         return 0, EmbeddedGraph.build(g, [()] * g.n, ())
     parent, order = spanning_forest(g.adj)

@@ -189,11 +189,12 @@ def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
     return _search(h)[0]
 
 
-def _interiors(h: Graph, cands: list[Separation]) -> tuple[list[tuple[int, int]], list[Separation]]:
+def _interiors(h: Graph, cands: list[Separation],
+               ) -> tuple[list[tuple[int, int]], list[Separation], list[int]]:
     """The distinct interiors in first-appearance order, as (vertex mask,
-    blocked mask) packing items, and the first candidate of each.
-    Independence of two flaps depends only on their interiors: disjoint,
-    with no edge between."""
+    blocked mask) packing items, the first candidate of each, and the
+    indices of the inclusion-minimal items. Independence of two flaps
+    depends only on their interiors: disjoint, with no edge between."""
     firsts: dict[tuple[int, ...], Separation] = {}
     for cand in cands:
         firsts.setdefault(cand.s, cand)
@@ -205,56 +206,63 @@ def _interiors(h: Graph, cands: list[Separation]) -> tuple[list[tuple[int, int]]
             for w in h.adj[v]:
                 block |= 1 << w
         items.append((smask, block))
-    return items, list(firsts.values())
+    minimal = [i for i, (mask, _) in enumerate(items)
+               if not any(j != i and other & ~mask == 0 for j, (other, _) in enumerate(items))]
+    return items, list(firsts.values()), minimal
 
 
 def _valid_first(cands: list[Separation], items: list[tuple[int, int]],
-                 firsts: list[Separation]) -> tuple[int, list[Separation]]:
-    """The flap number of a graph with candidates, and the candidates that
-    are valid first members: those whose interior extends to some maximum
-    independent family (extension depends only on the interior)."""
-    k = len(_max_packing(items))
-    valid = {first.s for i, first in enumerate(firsts)
-             if len(_max_packing(items, forced=i)) == k}
-    return k, [c for c in cands if c.s in valid]
+                 firsts: list[Separation], minimal: list[int],
+                 ) -> tuple[int, list[Separation], list[list[int]]]:
+    """The flap number of a graph with candidates, the candidates that are
+    valid first members: those whose interior extends to some maximum
+    independent family (extension depends only on the interior), and each
+    interior's packing with it forced."""
+    packings = [_max_packing(items, minimal, forced=i) for i in range(len(firsts))]
+    # a maximum packing holds some item, and that item's forced packing
+    # is as large, so the largest forced packing is the maximum
+    k = max(map(len, packings))
+    valid = {first.s for first, packing in zip(firsts, packings) if len(packing) == k}
+    return k, [c for c in cands if c.s in valid], packings
 
 
-def _max_packing(items: list[tuple[int, int]], forced: int | None = None) -> list[int]:
+def _max_packing(items: list[tuple[int, int]], minimal: list[int],
+                 forced: int | None = None) -> list[int]:
     """Maximum set of mutually compatible items (i compatible with j iff
-    mask_i & block_j == 0). Branch and bound in item order with a greedy
-    incumbent, so ties resolve to the lexicographically first maximum.
-    ``forced`` includes that item and narrows the search to the items
-    compatible with it."""
-    live = range(len(items))
+    mask_i & block_j == 0) among the inclusion-minimal items ``minimal``:
+    a member with a larger interior can be swapped for a contained one
+    without disturbing the rest (interiors are distinct). Branch and bound
+    in item order, each item tried in before out, so ties resolve to the
+    lexicographically first maximum. ``forced`` includes that item and
+    keeps the minimal items compatible with it, which are the minimal
+    ones among all its compatible items: an interior inside a compatible
+    one is compatible too."""
+    keep = minimal
     if forced is not None:
         fmask, fblock = items[forced]
-        live = [i for i in live if i != forced
+        keep = [i for i in minimal if i != forced
                 and not (items[i][0] & fblock) and not (items[i][1] & fmask)]
-    # inclusion-minimal interiors suffice for the value and give a valid
-    # packing: any family member with a larger interior can be swapped for
-    # a contained one without disturbing the rest (interiors are distinct)
-    keep = [i for i in live
-            if not any(j != i and items[j][0] & ~items[i][0] == 0 for j in live)]
     pruned = [items[i] for i in keep]
     k = len(pruned)
     best: list[int] = []
-    chosen: list[int] = []
-
-    def rec(i: int, blocked: int) -> None:
-        nonlocal best
-        if len(chosen) + (k - i) <= len(best):
-            return
-        if i == k:
-            best = chosen.copy()
-            return
-        mask, block = pruned[i]
-        if not (mask & blocked):
-            chosen.append(i)
-            rec(i + 1, blocked | block)
-            chosen.pop()
-        rec(i + 1, blocked)
-
-    rec(0, 0)
+    chosen: list[tuple[int, int]] = []  # each included position, and the mask blocked before it
+    blocked = i = 0
+    while True:
+        if len(chosen) + (k - i) > len(best):
+            if i == k:
+                best = [pos for pos, _ in chosen]
+            else:
+                mask, block = pruned[i]
+                if not (mask & blocked):
+                    chosen.append((i, blocked))
+                    blocked |= block
+                i += 1
+                continue
+        if not chosen:
+            break
+        # the next untried branch leaves out the last included position
+        i, blocked = chosen.pop()
+        i += 1
     return ([] if forced is None else [forced]) + [keep[i] for i in best]
 
 
@@ -286,16 +294,16 @@ def _solve(h: Graph, size_cap: int, family: bool, number: bool = True,
             raise InternalInvariantError(
                 "planar graph with a small separation but no flap candidate")
         return [], int(planar)
-    items, firsts = _interiors(h, cands)
+    items, firsts, minimal = _interiors(h, cands)
     if not family:
-        return [], len(_max_packing(items))
-    k, pool = _valid_first(cands, items, firsts)
+        return [], len(_max_packing(items, minimal))
+    k, pool, packings = _valid_first(cands, items, firsts, minimal)
     sides = [set(c.x) | set(c.s) for c in pool]
     first = next((cand for pos, cand in enumerate(pool)
                   if not any(sides[pos] < side for side in sides)), None)
     if first is None:
         raise InternalInvariantError("no candidate flap is maximal by side inclusion")
-    packing = _max_packing(items, forced=[c.s for c in firsts].index(first.s))
+    packing = packings[[c.s for c in firsts].index(first.s)]
     return [first] + [firsts[i] for i in packing[1:]], k
 
 
@@ -363,8 +371,7 @@ def flap_reduction(h: Graph, family: list[Separation],
     # the family's flaps each contain a single-component flap, since
     # planarity is closed under subgraphs, so candidates exist
     cands, _ = _search(h)
-    items, firsts = _interiors(h, cands)
-    k, pool = _valid_first(cands, items, firsts)
+    k, pool, _ = _valid_first(cands, *_interiors(h, cands))
     if len(family) != k:
         raise PreconditionError(
             f"family of {len(family)} is not maximum (flap number {k})")

@@ -334,8 +334,10 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
     A depth-first search with an explicit stack that stops at the first
     such bijection. h's vertices are placed by degree descending, then
     index, each among the neighbors of an earlier neighbor's image when it
-    has one, on an unused vertex of equal degree that agrees with every
-    earlier placement."""
+    has one, on an unused vertex c of equal degree into whose neighborhood
+    every earlier neighbor maps. The images are distinct, so no other
+    earlier vertex maps there when N(c) holds exactly as many used
+    vertices as there are earlier neighbors."""
     if h.n != g.n or h.m != g.m:
         return False
     hadj, gadj = h.adj, g.adj
@@ -343,10 +345,14 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
         return False
     n = h.n
     order = sorted(range(n), key=lambda v: (-len(hadj[v]), v))
-    # per position: the earlier vertices, and one earlier neighbor if any
-    earlier = [order[:i] for i in range(n)]
-    anchor = [next((w for w in earlier[i] if w in hadj[v]), -1)
-              for i, v in enumerate(order)]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    back: list[list[int]] = [[] for _ in range(n)]  # per position: earlier neighbors, as placed
+    for i, v in enumerate(order):
+        for w in hadj[v]:
+            if pos[w] > i:
+                back[pos[w]].append(v)
     image = [-1] * n
     used = [False] * n
     untried: list[Iterator[int]] = []  # per placed position, candidates left
@@ -354,15 +360,15 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
     while i < n:
         v = order[i]
         if len(untried) == i:
-            a = anchor[i]
-            untried.append(iter(gadj[image[a]] if a >= 0 else range(n)))
+            untried.append(iter(gadj[image[back[i][0]]] if back[i] else range(n)))
         else:  # back from a dead end: free v's last image
             used[image[v]] = False
-        hv = hadj[v]
+        hv, bv = hadj[v], back[i]
         for c in untried[i]:
             gc = gadj[c]
             if (not used[c] and len(gc) == len(hv)
-                    and all((w in hv) == (image[w] in gc) for w in earlier[i])):
+                    and all(image[w] in gc for w in bv)
+                    and sum(used[x] for x in gc) == len(bv)):
                 image[v] = c
                 used[c] = True
                 i += 1

@@ -556,6 +556,42 @@ def slow_flap_candidates(g: Graph) -> tuple[list[Separation], bool]:
     return cands, separable
 
 
+def slow_max_packing(items: list[tuple[int, int]], forced: int | None = None) -> list[int]:
+    """``flaps._max_packing`` as a recursive branch and bound that prunes
+    to the inclusion-minimal items on every call: the maximum set of
+    mutually compatible items (i compatible with j iff mask_i & block_j
+    == 0), ties to the lexicographically first. ``forced`` includes that
+    item and narrows the search to the items compatible with it."""
+    live = range(len(items))
+    if forced is not None:
+        fmask, fblock = items[forced]
+        live = [i for i in live if i != forced
+                and not (items[i][0] & fblock) and not (items[i][1] & fmask)]
+    keep = [i for i in live
+            if not any(j != i and items[j][0] & ~items[i][0] == 0 for j in live)]
+    pruned = [items[i] for i in keep]
+    k = len(pruned)
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def rec(i: int, blocked: int) -> None:
+        nonlocal best
+        if len(chosen) + (k - i) <= len(best):
+            return
+        if i == k:
+            best = chosen.copy()
+            return
+        mask, block = pruned[i]
+        if not (mask & blocked):
+            chosen.append(i)
+            rec(i + 1, blocked | block)
+            chosen.pop()
+        rec(i + 1, blocked)
+
+    rec(0, 0)
+    return ([] if forced is None else [forced]) + [keep[i] for i in best]
+
+
 def literal_flap_number(g: Graph) -> int:
     """Flap number straight from the definition: maximum pairwise independent
     family of flaps, over separations with arbitrary component unions."""

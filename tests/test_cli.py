@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from support import random_stacked, slow_split_growth
-from surfcount import embedding
+from support import random_stacked, slow_split_growth, slow_split_path
+from surfcount import counting, embedding
 from surfcount.census import render_table, surface_table
 from surfcount.cli import build_parser, main
 from surfcount.graph import Graph, complete_graph, path_graph, serialize_graph
@@ -120,6 +120,24 @@ def test_table_text_and_json_agree(capsys):
     assert cells[4] == "3n+2" and record["entries"]["3"] == {"a": 3, "b": 2}
     assert cells[-1] == "8n+16" and record["total"] == {"a": 8, "b": 16}
     assert record["complete"] is True
+
+
+def test_custom_surface(capsys):
+    """A custom surface takes its genus, name and members from the flags;
+    without a name it is called after its genus. It needs both a genus
+    and a member file."""
+    member = DATA / "projective_irreducible_7.emb"
+    table = surface_table("N1b", 1, [embedding.parse_embedding(member.read_text())], False)
+    assert run(capsys, "table", "--surface", "custom", "--genus", "1", "--name", "N1b",
+               "--list", str(member)) == (0, render_table(table), "")
+    code, out, _ = run(capsys, "census", "--surface", "custom", "--genus", "1",
+                       "--list", str(member))
+    assert code == 0
+    assert json.loads(out) == {**table.as_dict(), "surface": "genus1"}
+    assert run(capsys, "table", "--surface", "custom", "--list", str(member)) == (
+        1, "", "error: custom surface needs --genus\n")
+    assert run(capsys, "census", "--surface", "custom", "--genus", "1") == (
+        1, "", "error: custom surface needs at least one --list file\n")
 
 
 def test_census_partial_mode(capsys):
@@ -296,6 +314,16 @@ def test_contract_split_cli(capsys, tmp_path):
     assert code == 0
 
 
+def test_split_path_cli(capsys, tmp_path):
+    """Without --triangle, split is the path form x v y."""
+    eg = embedding.parse_embedding(run(capsys, "grow", "k6-projective", "9")[1])
+    path = tmp_path / "g.emb"
+    path.write_text(embedding.serialize_embedding(eg))
+    x, y = eg.rotations[0][:2]
+    want = embedding.serialize_embedding(slow_split_path(eg, x, 0, y))
+    assert run(capsys, "split", str(path), str(x), "0", str(y)) == (0, want, "")
+
+
 def test_scaling_cli(capsys, tmp_path):
     p3 = tmp_path / "p3.g"
     p3.write_text(serialize_graph(path_graph(3)))
@@ -304,6 +332,23 @@ def test_scaling_cli(capsys, tmp_path):
     assert code == 0
     kv = dict(ln.split("=") for ln in out.strip().splitlines())
     assert 1.5 <= float(kv["slope"]) <= 2.5
+
+
+def test_scaling_split_growth_json(capsys, tmp_path):
+    """split-growth grows its hosts from a seed file, and --json prints the
+    whole report as one record."""
+    seed = tmp_path / "seed.emb"
+    seed.write_text(embedding.serialize_embedding(load_bundled("k6_projective")))
+    k3 = tmp_path / "k3.g"
+    k3.write_text(serialize_graph(complete_graph(3)))
+    code, out, err = run(capsys, "--json", "scaling", "--graph", str(k3), "--generator",
+                         "split-growth", "--seed", str(seed), "--sizes", "10,20,40")
+    assert code == 0, err
+    rep = counting.scaling_exponent(
+        complete_graph(3), [10, 20, 40],
+        lambda n: slow_split_growth(load_bundled("k6_projective"), n).graph)
+    assert out == json.dumps(rep.as_dict(), sort_keys=True) + "\n"
+    assert json.loads(out)["host_orders"] == [10, 20, 40]
 
 
 def test_scaling_cli_past_planarity_cap(capsys, tmp_path):

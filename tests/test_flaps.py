@@ -14,6 +14,7 @@ from support import (
     random_graph,
     random_tree,
     slow_flap_candidates,
+    slow_max_packing,
 )
 from surfcount import flaps
 from surfcount.cli import main
@@ -318,6 +319,51 @@ def test_planarity_calls_follow_the_blocks(monkeypatch):
     assert not is_strongly_non_planar(K5_PENDANT)
     assert calls == [6]
     assert visited == [(), (0,)]
+
+
+def _check_packings(h, cands):
+    """The packing over the interiors of ``cands``, unforced and with each
+    interior forced, against the oracle; returns the item count."""
+    items, _, minimal = flaps._interiors(h, cands)
+    assert flaps._max_packing(items, minimal) == slow_max_packing(items)
+    for i in range(len(items)):
+        assert flaps._max_packing(items, minimal, i) == slow_max_packing(items, i), i
+    return len(items)
+
+
+def test_packing_matches_recursive_oracle():
+    """The looped packing over interiors pruned once agrees with the
+    recursive one that prunes on every call: on seeded random vertex sets
+    of random graphs, many nested, and on the interiors of the golden
+    graphs' candidate flaps."""
+    rng = random.Random(2222)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.1, 0.2, 0.35]))
+        sets = {tuple(sorted(rng.sample(range(g.n), rng.randint(1, min(4, g.n)))))
+                for _ in range(rng.randint(1, 16))}
+        _check_packings(g, [Separation((), s) for s in sorted(sets)])
+    total = 0
+    for _, g in _golden_graphs():
+        if g.n >= 2:
+            total += _check_packings(g, enumerate_candidate_flaps(g))
+    assert total > 1000, total
+
+
+def test_one_packing_per_interior(monkeypatch):
+    """The flap number takes one packing; the family takes one forced
+    packing per interior and reads the first member's packing back."""
+    calls = []
+    packing = flaps._max_packing
+    monkeypatch.setattr(flaps, "_max_packing",
+                        lambda *args, **kw: calls.append(args) or packing(*args, **kw))
+    g = random_connected_graph(random.Random(7), 11, 0.1)
+    interiors = len(flaps._interiors(g, enumerate_candidate_flaps(g))[0])
+    assert interiors > 10
+    flap_number(g)
+    assert len(calls) == 1
+    calls.clear()
+    flap_family_and_number(g)
+    assert len(calls) == interiors
 
 
 GOLDEN = Path(__file__).parent / "data" / "flaps_golden.txt"

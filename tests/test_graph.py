@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -219,3 +220,15 @@ def test_is_isomorphic_against_permutations():
         agree += brute
     assert 150 <= agree < 300
     assert is_isomorphic(path_graph(2000), path_graph(2000))
+
+
+def test_is_isomorphic_checks_only_neighbors():
+    """A path against a triangle beside a shorter path: equal order, size
+    and degrees, so the search tries every start. Each candidate is
+    checked against the placed neighbors and a count of used vertices
+    around it, not against every placed vertex, so 1000 vertices stay
+    well inside 5 s."""
+    n = 1000
+    start = time.perf_counter()
+    assert not is_isomorphic(path_graph(n), disjoint_union(cycle_graph(3), path_graph(n - 3)))
+    assert time.perf_counter() - start < 5

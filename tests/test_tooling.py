@@ -22,13 +22,6 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-# Each function in src/ that calls itself, with what bounds its depth.
-RECURSION_BOUNDS = {
-    "embedding._min_genus": "one level: it recurses only on a connected component",
-    "flaps._max_packing.rec": "one frame per kept interior, under the 16-vertex cap",
-}
-
-
 def _self_calls(tree: ast.AST, prefix: str):
     """Dotted names of the functions under ``tree`` that call themselves by
     name; a nested function is named after the functions around it."""
@@ -43,13 +36,12 @@ def _self_calls(tree: ast.AST, prefix: str):
             yield from _self_calls(node, f"{prefix}.{node.name}")
 
 
-def test_recursion_is_listed():
-    """Recursion depth must not grow with input size, so every recursive
-    function is listed here with the cap or shape that bounds it. None
-    left is unbounded, and a new one fails this test until it is listed."""
-    found = {name for path in sorted(SRC.rglob("*.py"))
-             for name in _self_calls(ast.parse(path.read_text(), str(path)), path.stem)}
-    assert found == set(RECURSION_BOUNDS)
+def test_no_function_calls_itself():
+    """Recursion depth must not grow with input size, so no function in
+    the package calls itself: each search keeps an explicit stack."""
+    found = [name for path in sorted(SRC.rglob("*.py"))
+             for name in _self_calls(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert found == []
 
 
 def test_derive_tool_rebuilds_its_data_file():

@@ -208,23 +208,27 @@ def bounds(g: int, s: int, n: int | None = None) -> Bounds:
         raise PreconditionError("bounds need Euler genus g >= 1")
     if s < 3:
         raise PreconditionError("bounds cover s >= 3")
-    if s in (3, 4):
-        if n is None:
-            raise PreconditionError(f"s={s} bounds are linear in n; n required")
-        if n < math.sqrt(6 * g):
-            raise PreconditionError(
-                f"lower bound needs n >= sqrt(6g) = {math.sqrt(6 * g):.2f}")
-    if s == 3:
-        lower = 3 * n + math.sqrt(6) * g ** 1.5
-        upper = 3 * n + 10.5 * g ** 1.5 + 270 * g + 36 * g * math.log(13 * g)
-        return Bounds(lower, upper)
-    if s == 4:
-        lower = n + 1.5 * g * g
-        upper = (n + (283 / 24) * g * g + 27 * g ** 1.5
-                 + 108 * g * (math.log(13 * g) + 1) + 468 * g)
-        return Bounds(lower, upper)
-    lower = (math.sqrt(6 * g) / s) ** s
-    upper = (300 * math.sqrt(g) / s) ** s
+    try:
+        if s in (3, 4):
+            if n is None:
+                raise PreconditionError(f"s={s} bounds are linear in n; n required")
+            if n < math.sqrt(6 * g):
+                raise PreconditionError(
+                    f"lower bound needs n >= sqrt(6g) = {math.sqrt(6 * g):.2f}")
+        if s == 3:
+            lower = 3 * n + math.sqrt(6) * g ** 1.5
+            upper = 3 * n + 10.5 * g ** 1.5 + 270 * g + 36 * g * math.log(13 * g)
+        elif s == 4:
+            lower = n + 1.5 * g * g
+            upper = (n + (283 / 24) * g * g + 27 * g ** 1.5
+                     + 108 * g * (math.log(13 * g) + 1) + 468 * g)
+        else:
+            lower = (math.sqrt(6 * g) / s) ** s
+            upper = (300 * math.sqrt(g) / s) ** s
+    except OverflowError:  # an int too large for a float, or a float result
+        lower = upper = math.inf
+    if math.inf in (lower, upper):  # a float sum or product past the largest float
+        raise PreconditionError("the bounds at these g, s and n overflow a float")
     return Bounds(lower, upper)
 
 

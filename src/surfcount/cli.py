@@ -21,12 +21,12 @@ from .surfaces import load_bundled
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.exists():
-        raise SurfcountError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except FileNotFoundError:
+        raise SurfcountError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SurfcountError(f"cannot read {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> graph_mod.Graph:

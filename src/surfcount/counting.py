@@ -118,7 +118,7 @@ def _projector(kept: list[int], width: int):
     return itemgetter(*kept)
 
 
-def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
+def _hom_dp(h: Graph, g: Graph, budget: _Budget, totals: list[int] | None = None) -> int:
     """hom(h, g) by a DP over ``_search_order(h)`` on g's twin quotient Q.
 
     Twins are interchangeable images, so hom(h, g) is the hom count into Q
@@ -139,6 +139,9 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
     before it takes only the later Q-neighbors (``Graph._up``) of the image
     of the class member placed last before it, and the count is multiplied
     by k! for each class of k true twins: one map per orbit is counted.
+
+    The run stops once no state is left. With ``totals``, the weighted
+    state total after each step is appended to it.
     """
     q, weight = g._twin_quotient
     unit = q is g
@@ -202,6 +205,10 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget) -> int:
                 nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
         budget.left = left
         states = nxt
+        if not states:
+            return 0
+        if totals is not None:
+            totals.append(sum(states.values()))
     return sum(states.values()) * ties
 
 
@@ -352,10 +359,16 @@ def count_cliques(g: Graph, s: int) -> int:
 
 
 def clique_counts(g: Graph) -> list[int]:
-    """The number of s-cliques for s = 0 up to the clique number."""
+    """The number of s-cliques for s = 0 up to the clique number, from one
+    DP run for K_t: after j of its vertices are placed, the weighted state
+    total is the number of j-cliques, since the twin rule lists each clique
+    once. A clique's lowest vertex in the quotient's (degree, index) order
+    sees all the others, so t = 1 + the largest ``_up`` set is enough."""
+    t = 1 + max(map(len, g._twin_quotient[0]._up), default=-1)
+    budget = _Budget(DEFAULT_WORK_CAP)
+    budget.total = 1
     counts = [1]
-    while c := count_cliques(g, len(counts)):
-        counts.append(c)
+    _hom_dp(complete_graph(t), g, budget, counts)
     return counts
 
 

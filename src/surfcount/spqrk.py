@@ -109,20 +109,46 @@ def _q_levels(parts: list[tuple[int, ...]], holding: list[list[int]]
 class _Builder:
     """Adds the nodes and tree links in the order of a recursive build: a
     split node, then each child's subtree whole, each followed by the link
-    from the split node to its anchor in that subtree."""
+    from the split node to its anchor in that subtree.
+
+    Each link is open in ``anchor`` until its ("L", split node, key) item,
+    and ``add_node`` records its anchor there. A P link's key is its shared
+    pair (u, v), open from the start of the child's subtree. A Q link's key
+    is its cut vertex c, open from the start of the child's block holding
+    c, the one block of that subtree that holds c."""
 
     def __init__(self):
         self.nodes: list[SpqrkNode] = []
         self.links: list[tuple[int, int]] = []
+        self.anchor: dict = {}  # open link's key -> its anchor so far, or None
 
     def add_node(self, node: SpqrkNode) -> int:
+        """Append the node with its open pairs' edges virtual, and record it
+        as the anchor of each open link it holds: the one node with a P
+        link's pair, and the first node of the block with a Q link's cut
+        vertex, which is a P node if another node holds that vertex too."""
+        i = len(self.nodes)
+        for k, (u, v, _) in enumerate(node.edges):
+            if (u, v) in self.anchor:
+                if self.anchor[u, v] is not None:
+                    raise InternalInvariantError(f"virtual edge {u, v} lands in two nodes")
+                self.anchor[u, v] = i
+                node.edges[k] = (u, v, VIRTUAL)
+        for c in node.vertices:
+            if c in self.anchor:
+                first = self.anchor[c]
+                if first is None:
+                    self.anchor[c] = i
+                elif self.nodes[first].kind != "P":
+                    raise InternalInvariantError(f"multiplied vertex {c} lies in no P node")
         self.nodes.append(node)
-        return len(self.nodes) - 1
+        return i
 
     def build(self, g: Graph) -> None:
-        """Q levels from the recursion of ``_q_levels``, by an explicit
-        stack of nodes to place and ("L", Q node, c, block) links to make;
-        each block goes once through ``block``."""
+        """One explicit stack of ("Q", c) and ("B", block) items from the
+        recursion of ``_q_levels``, pieces (vertices, edges, P node or None,
+        shared pair, where the pair scan starts) and ("L", split node, key)
+        links to make."""
         parts = blocks(g)
         if not parts:  # one vertex or none
             self.add_node(SpqrkNode("K", tuple(range(g.n)), []))
@@ -141,42 +167,31 @@ class _Builder:
                 (b,) = set(holding[u]).intersection(holding[v])
             part_edges[b].append((u, v))
         root, children = _q_levels(parts, holding)
-        span: dict[int, range] = {}
         work: list[tuple] = [root]
         while work:
             item = work.pop()
-            if item[0] == "B":
-                b = item[1]
-                span[b] = self.block(parts[b], part_edges[b])
-            elif item[0] == "Q":
+            if item[0] == "Q":
                 c = item[1]
                 q = self.add_node(SpqrkNode("Q", (c,), []))
-                for _, node, b in reversed(children[c]):
-                    work.append(("L", q, c, b))
+                for _, node, _ in reversed(children[c]):
+                    work.append(("L", q, c))
                     work.append(node)
-            else:
-                _, q, c, b = item
-                self.links.append((q, self._q_anchor(span[b], c)))
-
-    def block(self, vertices: tuple[int, ...], edges) -> range:
-        """Add the subtree of one block and return its node range. The
-        stack holds pieces still to place, as (vertices, edges, P node or
-        None, shared pair, where the pair scan starts), and links still to
-        make, as (P node, shared pair, first node of the child)."""
-        first = len(self.nodes)
-        work: list[tuple] = [(vertices, edges, None, (), vertices[0])]
-        while work:
-            item = work.pop()
-            if len(item) == 3:
-                parent, shared, child = item
-                anchor = self._flip_real_to_virtual(range(child, len(self.nodes)), shared)
+            elif item[0] == "B":
+                part = parts[item[1]]
+                self.anchor.update((c, None) for c in part if len(holding[c]) > 1)
+                work.append((part, part_edges[item[1]], None, (), part[0]))
+            elif item[0] == "L":
+                _, parent, key = item
+                anchor = self.anchor.pop(key, None)
+                if anchor is None:
+                    raise InternalInvariantError(f"link from node {parent} at {key} has no anchor")
                 self.links.append((parent, anchor))
-                continue
-            vertices, edges, parent, shared, start = item
-            if parent is not None:
-                work.append((parent, shared, len(self.nodes)))
-            work.extend(reversed(self._piece(vertices, edges, start)))
-        return range(first, len(self.nodes))
+            else:
+                vertices, edges, parent, shared, start = item
+                if parent is not None:
+                    self.anchor[shared] = None
+                    work.append(("L", parent, shared))
+                work.extend(reversed(self._piece(vertices, edges, start)))
 
     def _piece(self, vertices: tuple[int, ...], edges, start: int) -> list[tuple]:
         """Add the node of one 2-connected piece or bridge, or the P node of
@@ -221,29 +236,6 @@ class _Builder:
             if k >= 0:  # vertices are sorted, so u < v keeps its order
                 pieces[k][1].add((vertices[u], vertices[v]))
         return pieces
-
-    def _q_anchor(self, node_ids: range, ox: int) -> int:
-        """The node of the block subtree ``node_ids`` that holds the cut
-        vertex ``ox``: the only one, or else the first P node among them."""
-        containing = [i for i in node_ids if ox in self.nodes[i].vertices]
-        if len(containing) == 1:
-            return containing[0]
-        for i in containing:
-            if self.nodes[i].kind == "P":
-                return i
-        raise InternalInvariantError(f"multiplied vertex {ox} lies in no P node")
-
-    def _flip_real_to_virtual(self, node_ids: range, edge: tuple[int, int]) -> int:
-        """Within the given nodes, find the unique node holding ``edge`` as a
-        real edge, flip that occurrence to virtual, and return the node id."""
-        hits = [(i, j) for i in node_ids
-                for j, e in enumerate(self.nodes[i].edges) if e == (*edge, REAL)]
-        if len(hits) != 1:
-            raise InternalInvariantError(
-                f"edge {edge} should be real in exactly one node, got {len(hits)}")
-        i, j = hits[0]
-        self.nodes[i].edges[j] = (*edge, VIRTUAL)
-        return i
 
 
 def spqrk_build(g: Graph) -> SpqrkTree:

@@ -125,6 +125,18 @@ def test_bounds_side_conditions():
     assert lower_bound_applies(5, 5)
 
 
+def test_bounds_overflow_is_a_precondition():
+    """Bounds past the largest float are refused: a float power out of
+    range, an int too large for a float (g inside the sqrt(6g)
+    precondition, or n), and float sums that reach infinity without
+    raising. Values that fit are the formulas' own."""
+    for g, s, n in [(10**6, 400, None), (10**400, 3, 5), (1, 3, 10**400), (10**205, 3, 10**103)]:
+        with pytest.raises(PreconditionError, match="overflow a float"):
+            bounds(g, s, n)
+    assert bounds(10**6, 40).upper == (300 * 10**3 / 40) ** 40
+    assert bounds(10**100, 3, 10**51).lower == 3 * 10**51 + 6 ** 0.5 * (10**100) ** 1.5
+
+
 def test_bounds_consistent_and_contain_census():
     sphere_row = surface_table("S0", 0, [sphere_irreducible()], complete=True)
     n1_row = surface_table("N1", 1, [projective_k6(), second_projective()], complete=True)

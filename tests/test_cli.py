@@ -69,8 +69,26 @@ def test_graph_parse_refusals(capsys, tmp_path, text, message):
 
 
 def test_missing_file(capsys):
-    code, out, err = run(capsys, "flap-number", "/no/such/file.g")
-    assert code == 1 and "no such file" in err
+    assert run(capsys, "flap-number", "/no/such/file.g") == (
+        1, "", "error: no such file: /no/such/file.g\n")
+
+
+def test_unreadable_inputs_are_one_error_line(capsys, tmp_path):
+    """A directory, or a file that is not UTF-8 text, given to a graph
+    command, an embedding command or ``table --list``, and bounds past the
+    largest float each exit 1 with one ``error:`` line."""
+    undecodable = tmp_path / "bytes.txt"
+    undecodable.write_bytes(b"\xff\xfe")
+    argvs = [(*command, str(path)) for path in (tmp_path, undecodable)
+             for command in (("count", str(undecodable)), ("genus",),
+                             ("table", "--genus", "1", "--list"))]
+    argvs += [("bounds", "--genus", "1000000", "--s", "400"),
+              ("--json", "bounds", "--genus", "1000000", "--s", "400"),
+              ("bounds", "--genus", str(10**400), "--s", "3", "--n", "5")]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: "), argv
+        assert err.count("\n") == 1, err
 
 
 def test_count_and_hom(capsys, tmp_path, k5_file):

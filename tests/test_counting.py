@@ -317,6 +317,16 @@ def test_cliques_match_degree_ordered_search():
         assert max_clique_size(g) == len(vector) - 1
 
 
+def test_clique_counts_take_one_dp_run(monkeypatch):
+    """clique_counts reads every clique size from one K_t run: one search
+    order, for K16 on K16, where a run per size took 17."""
+    calls = []
+    real = counting._search_order
+    monkeypatch.setattr(counting, "_search_order", lambda h: calls.append(h.n) or real(h))
+    assert counting.clique_counts(complete_graph(16)) == [math.comb(16, s) for s in range(17)]
+    assert calls == [16]
+
+
 def test_clique_dp_lists_each_clique_once():
     """On a twin-free stacked triangulation, hom(K_s) spends
     1 + 2(c_1 + ... + c_{s-1}) DP steps, c_j the number of j-cliques: each

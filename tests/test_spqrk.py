@@ -232,6 +232,61 @@ def test_matches_slow_builder_on_glued_graphs():
         assert fast.tree_edges == slow.tree_edges
 
 
+def _glue_at_vertices(rng, parts):
+    """The parts one after another, each but the first with one of its
+    vertices glued to a random vertex of the graph so far."""
+    n, edges = parts[0].n, list(parts[0].edges)
+    for part in parts[1:]:
+        glue = rng.randrange(part.n)
+        where = [n + v - (v > glue) for v in range(part.n)]
+        where[glue] = rng.randrange(n)
+        edges += [(where[u], where[v]) for u, v in part.edges]
+        n += part.n - 1
+    return Graph.build(n, edges)
+
+
+def _deeply_nested(rng):
+    """Ladders of 30-80 rungs with pendants on random vertices, ladders
+    glued to each other, necklaces, and wheels glued at vertices: P levels
+    nest as deep as the rungs, and Q links land on vertices of P pairs."""
+    yield _glue_at_vertices(rng, [_ladder(rng.randint(30, 80))]
+                            + [complete_graph(2)] * rng.randint(1, 40))
+    yield _glue_at_vertices(rng, [_ladder(rng.randint(3, 12)) for _ in range(rng.randint(2, 5))])
+    yield _glue_at_vertices(rng, [_necklace(rng.randint(3, 12))]
+                            + [complete_graph(2)] * rng.randint(0, 6))
+    yield _glue_at_vertices(rng, [_wheel(rng.randint(3, 8)) for _ in range(rng.randint(2, 6))])
+
+
+def test_matches_slow_builder_where_links_nest():
+    rng = random.Random(1996)
+    for _ in range(12):
+        for g in _deeply_nested(rng):
+            fast, slow = spqrk_build(g), slow_spqrk_build(g)
+            assert [(n.kind, n.vertices, n.edges) for n in fast.nodes] == [
+                (n.kind, n.vertices, n.edges) for n in slow.nodes], sorted(g.edges)
+            assert fast.tree_edges == slow.tree_edges
+
+
+def test_builder_invariant_checks():
+    """A pair's virtual edge that lands in two nodes raises, and so does a
+    cut vertex held by two nodes of its block whose first holder is not a P
+    node; a first holder that is a P node stays the anchor."""
+    builder = spqrk._Builder()
+    builder.anchor[0, 1] = None
+    builder.add_node(SpqrkNode("S", (0, 1, 2), [(0, 1, REAL), (0, 2, REAL), (1, 2, REAL)]))
+    assert builder.nodes[0].edges[0] == (0, 1, VIRTUAL) and builder.anchor[0, 1] == 0
+    with pytest.raises(InternalInvariantError):
+        builder.add_node(SpqrkNode("K", (0, 1), [(0, 1, REAL)]))
+    builder.anchor[2] = None
+    builder.add_node(SpqrkNode("P", (2, 3), [(2, 3, VIRTUAL), (2, 3, VIRTUAL)]))
+    builder.add_node(SpqrkNode("S", (2, 3, 4), [(2, 3, REAL), (2, 4, REAL), (3, 4, REAL)]))
+    assert builder.anchor[2] == 1
+    builder.anchor[5] = None
+    builder.add_node(SpqrkNode("K", (5, 6), [(5, 6, REAL)]))
+    with pytest.raises(InternalInvariantError):
+        builder.add_node(SpqrkNode("K", (5, 7), [(5, 7, REAL)]))
+
+
 def _k5_node(tree):
     corners = (0, 2, 4, 6, 8)
     tree.nodes.append(SpqrkNode("K", corners, [(u, v, VIRTUAL) for u, v in combinations(corners, 2)]))

@@ -431,10 +431,17 @@ def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:
     alongside. The triangle count is checked against the sum over edges
     uv of |N(u) & N(v)|, which sees each triangle three times without the
     DP.
+
+    The Euler count behind it takes each face walk to have length >= 3 and
+    distinct triangular faces to be distinct triangles, which fails when g
+    has at most one edge or its edges form one lone triangle: refused.
     """
     if genus < 0:
         raise PreconditionError("Euler genus must be non-negative")
     t = count_cliques(g, 3)
+    if g.m <= 1 or (g.m == 3 and t == 1):
+        raise PreconditionError(
+            "the genus triangle bound needs at least two edges that are not one lone triangle")
     c = len(connected_components(g))
     rhs = 2 * g.m - 4 * g.n + 4 + 4 * c - 4 * genus
     adj = g.adj

@@ -343,6 +343,10 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
     hadj, gadj = h.adj, g.adj
     if sorted(map(len, hadj)) != sorted(map(len, gadj)):
         return False
+    # the search would try every start image before it saw the components differ
+    if (sorted(map(len, connected_components(h)))
+            != sorted(map(len, connected_components(g)))):
+        return False
     n = h.n
     order = sorted(range(n), key=lambda v: (-len(hadj[v]), v))
     pos = [0] * n

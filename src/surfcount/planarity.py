@@ -9,221 +9,8 @@ iterative, so no recursion limit or size cap applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInvariantError
 from .graph import Graph
-
-DEdge = tuple[int, int]
-
-
-class _NonPlanar(Exception):
-    pass
-
-
-@dataclass
-class _Interval:
-    low: DEdge | None = None
-    high: DEdge | None = None
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-
-@dataclass
-class _ConflictPair:
-    left: _Interval
-    right: _Interval
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-
-class _LRTest:
-    def __init__(self, g: Graph):
-        n = g.n
-        self.n = n
-        self.adj = [sorted(g.adj[v]) for v in range(n)]
-        self.height: list[int | None] = [None] * n
-        self.parent_edge: list[DEdge | None] = [None] * n
-        self.lowpt: dict[DEdge, int] = {}
-        self.lowpt2: dict[DEdge, int] = {}
-        self.nesting_depth: dict[DEdge, int] = {}
-        self.ordered_adj: list[list[int]] = [[] for _ in range(n)]
-        self.ref: dict[DEdge, DEdge | None] = {}
-        self.stack: list[_ConflictPair] = []
-        self.stack_bottom: dict[DEdge, _ConflictPair | None] = {}
-
-    def run(self) -> bool:
-        for s in range(self.n):
-            if self.height[s] is None:
-                self.height[s] = 0
-                self._dfs_orient(s)
-        for v in range(self.n):
-            out = [w for w in self.adj[v] if (v, w) in self.nesting_depth]
-            out.sort(key=lambda w: self.nesting_depth[(v, w)])
-            self.ordered_adj[v] = out
-        try:
-            for s in range(self.n):
-                if self.parent_edge[s] is None:
-                    self._dfs_test(s)
-        except _NonPlanar:
-            return False
-        return True
-
-    # -- phase 1: orientation, lowpoints, nesting depth ----------------------
-
-    def _dfs_orient(self, root: int) -> None:
-        idx = [0] * self.n
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            descended = False
-            while idx[v] < len(self.adj[v]):
-                w = self.adj[v][idx[v]]
-                idx[v] += 1
-                if (w, v) in self.lowpt:  # oriented from w's side
-                    continue
-                vw = (v, w)
-                self.lowpt[vw] = self.height[v]
-                self.lowpt2[vw] = self.height[v]
-                if self.height[w] is None:  # tree edge
-                    self.parent_edge[w] = vw
-                    self.height[w] = self.height[v] + 1
-                    stack.append(w)
-                    descended = True
-                    break
-                # back edge
-                self.lowpt[vw] = self.height[w]
-                self._finish_edge(vw)
-            if not descended:
-                stack.pop()
-                e = self.parent_edge[v]
-                if e is not None:
-                    self._finish_edge(e)
-
-    def _finish_edge(self, vw: DEdge) -> None:
-        v = vw[0]
-        self.nesting_depth[vw] = 2 * self.lowpt[vw]
-        if self.lowpt2[vw] < self.height[v]:  # chordal: nest inside
-            self.nesting_depth[vw] += 1
-        e = self.parent_edge[v]
-        if e is not None:
-            if self.lowpt[vw] < self.lowpt[e]:
-                self.lowpt2[e] = min(self.lowpt[e], self.lowpt2[vw])
-                self.lowpt[e] = self.lowpt[vw]
-            elif self.lowpt[vw] > self.lowpt[e]:
-                self.lowpt2[e] = min(self.lowpt2[e], self.lowpt[vw])
-            else:
-                self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[vw])
-
-    # -- phase 2: testing -----------------------------------------------------
-
-    def _top(self) -> _ConflictPair | None:
-        return self.stack[-1] if self.stack else None
-
-    def _dfs_test(self, root: int) -> None:
-        # frame: [v, next edge index, index of a tree edge awaiting integration]
-        frames: list[list] = [[root, 0, None]]
-        while frames:
-            frame = frames[-1]
-            v = frame[0]
-            e = self.parent_edge[v]
-            if frame[2] is not None:
-                i = frame[2]
-                frame[2] = None
-                self._integrate((v, self.ordered_adj[v][i]), e, i)
-                continue
-            if frame[1] < len(self.ordered_adj[v]):
-                i = frame[1]
-                frame[1] = i + 1
-                w = self.ordered_adj[v][i]
-                vw = (v, w)
-                self.stack_bottom[vw] = self._top()
-                if vw == self.parent_edge[w]:  # tree edge: descend first
-                    frame[2] = i
-                    frames.append([w, 0, None])
-                else:  # back edge
-                    self.stack.append(_ConflictPair(_Interval(), _Interval(vw, vw)))
-                    self._integrate(vw, e, i)
-                continue
-            frames.pop()
-            if e is not None:
-                self._trim_back_edges(e[0])
-
-    def _integrate(self, vw: DEdge, e: DEdge | None, i: int) -> None:
-        # the first edge's return edges stay on the stack as they are
-        if i > 0 and self.lowpt[vw] < self.height[vw[0]]:
-            self._add_constraints(vw, e)
-
-    def _conflicting(self, interval: _Interval, b: DEdge) -> bool:
-        return interval.high is not None and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _add_constraints(self, ei: DEdge, e: DEdge | None) -> None:
-        if e is None:  # only non-root vertices get here
-            raise InternalInvariantError("constraints added at the DFS root")
-        p = _ConflictPair(_Interval(), _Interval())
-        # merge return edges of ei into p.right
-        while True:
-            q = self.stack.pop()
-            if not q.left.empty():
-                q.swap()
-            if not q.left.empty():
-                raise _NonPlanar
-            if q.right.low is None:
-                raise InternalInvariantError("a conflict pair's right interval is empty")
-            if self.lowpt[q.right.low] > self.lowpt[e]:
-                if p.right.empty():
-                    p.right.high = q.right.high
-                else:
-                    self.ref[p.right.low] = q.right.high
-                p.right.low = q.right.low
-            if self._top() is self.stack_bottom[ei]:
-                break
-        # merge conflicting return edges of earlier siblings into p.left
-        while self.stack and (
-            self._conflicting(self.stack[-1].left, ei)
-            or self._conflicting(self.stack[-1].right, ei)
-        ):
-            q = self.stack.pop()
-            if self._conflicting(q.right, ei):
-                q.swap()
-            if self._conflicting(q.right, ei):
-                raise _NonPlanar
-            if p.right.low is not None:
-                self.ref[p.right.low] = q.right.high
-            if q.right.low is not None:
-                p.right.low = q.right.low
-            if p.left.empty():
-                p.left.high = q.left.high
-            else:
-                self.ref[p.left.low] = q.left.high
-            p.left.low = q.left.low
-        if not (p.left.empty() and p.right.empty()):
-            self.stack.append(p)
-
-    def _lowest(self, p: _ConflictPair) -> int:
-        if p.left.empty():
-            return self.lowpt[p.right.low]
-        if p.right.empty():
-            return self.lowpt[p.left.low]
-        return min(self.lowpt[p.left.low], self.lowpt[p.right.low])
-
-    def _trim_back_edges(self, u: int) -> None:
-        # drop entire conflict pairs ending at u
-        while self.stack and self._lowest(self.stack[-1]) == self.height[u]:
-            self.stack.pop()
-        if self.stack:
-            p = self.stack.pop()
-            while p.left.high is not None and p.left.high[1] == u:
-                p.left.high = self.ref.get(p.left.high)
-            if p.left.high is None:
-                p.left.low = None
-            while p.right.high is not None and p.right.high[1] == u:
-                p.right.high = self.ref.get(p.right.high)
-            if p.right.high is None:
-                p.right.low = None
-            self.stack.append(p)
 
 
 def is_planar(g: Graph) -> bool:
@@ -231,9 +18,160 @@ def is_planar(g: Graph) -> bool:
 
     Near-linear and without a size cap. Disconnected inputs are fine: the
     DFS forest covers every component.
+
+    Edge i of ``sorted(g.edges)`` gives dart 2i from its smaller end and
+    dart 2i + 1 back, so ``d ^ 1`` reverses d; every per-edge table is a
+    flat list indexed by dart. A conflict pair is a list [left low, left
+    high, right low, right high] of darts, -1 where unset. A side's low
+    is set whenever its high is, so a side is empty exactly when its low
+    is -1.
     """
-    if g.n <= 4:
+    n = g.n
+    if n <= 4:
         return True
-    if g.m > 3 * g.n - 6:
+    if g.m > 3 * n - 6:
         return False
-    return _LRTest(g).run()
+    head: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]  # each vertex's darts, by increasing head
+    for u, v in sorted(g.edges):
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+    darts = len(head)
+    height = [-1] * n
+    parent = [-1] * n  # the tree dart entering each vertex
+    lowpt = [-1] * darts  # set when the dart is oriented
+    lowpt2 = [0] * darts
+    nesting = [-1] * darts  # set when the oriented dart is finished
+
+    # phase 1: orient the edges along a DFS; lowpoints and nesting depths
+    following = [0] * n  # per vertex: index of the next dart in out[v]
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            if following[v] == len(out[v]):
+                stack.pop()
+                d = parent[v]
+                if d < 0:
+                    continue
+            else:
+                d = out[v][following[v]]
+                following[v] += 1
+                if lowpt[d ^ 1] >= 0:  # oriented from the other end
+                    continue
+                w = head[d]
+                lowpt[d] = lowpt2[d] = height[v]
+                if height[w] < 0:  # tree dart: finished once w is
+                    parent[w] = d
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    continue
+                lowpt[d] = height[w]  # back dart
+            # finish d = v -> w: its nesting depth, then the lowpoints of
+            # the tree dart into v
+            v = head[d ^ 1]
+            nesting[d] = 2 * lowpt[d]
+            if lowpt2[d] < height[v]:  # chordal: nest inside
+                nesting[d] += 1
+            e = parent[v]
+            if e >= 0:
+                if lowpt[d] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[d])
+                    lowpt[e] = lowpt[d]
+                elif lowpt[d] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[d])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[d])
+
+    # phase 2: walk the DFS tree again, each vertex's oriented darts in
+    # nesting order, merging conflict pairs of return darts
+    ordered = [sorted((d for d in out[v] if nesting[d] >= 0), key=nesting.__getitem__)
+               for v in range(n)]
+    ref = [-1] * darts
+    stack_bottom: list[list[int] | None] = [None] * darts
+    pairs: list[list[int]] = []
+    following = [0] * n
+    for root in range(n):
+        if parent[root] >= 0:
+            continue
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            if following[v] < len(ordered[v]):
+                d = ordered[v][following[v]]
+                following[v] += 1
+                stack_bottom[d] = pairs[-1] if pairs else None
+                if parent[head[d]] == d:  # tree dart: descend first
+                    stack.append(head[d])
+                    continue
+                pairs.append([-1, -1, d, d])  # back dart
+            else:
+                stack.pop()
+                d = parent[v]
+                if d < 0:
+                    continue
+                v = head[d ^ 1]
+                # trim the return darts ending at v, the parent: drop whole
+                # pairs whose lowest return dart ends there, then trim the
+                # sides of the next pair down
+                while pairs and height[v] == min(
+                        lowpt[low] for low in pairs[-1][::2] if low >= 0):
+                    pairs.pop()
+                if pairs:
+                    p = pairs[-1]
+                    for low, high in ((0, 1), (2, 3)):
+                        while p[high] >= 0 and head[p[high]] == v:
+                            p[high] = ref[p[high]]
+                        if p[high] < 0:
+                            p[low] = -1
+            # integrate d = v -> w; the first dart's return darts stay on
+            # the stack as they are
+            if d == ordered[v][0] or lowpt[d] >= height[v]:
+                continue
+            e = parent[v]
+            if e < 0:  # only non-root vertices get here
+                raise InternalInvariantError("constraints added at the DFS root")
+            p = [-1, -1, -1, -1]
+            # merge return darts of d into p's right side
+            while True:
+                q = pairs.pop()
+                if q[0] >= 0:
+                    q[:2], q[2:] = q[2:], q[:2]
+                if q[0] >= 0:
+                    return False
+                if q[2] < 0:
+                    raise InternalInvariantError("a conflict pair's right interval is empty")
+                if lowpt[q[2]] > lowpt[e]:
+                    if p[2] < 0:
+                        p[3] = q[3]
+                    else:
+                        ref[p[2]] = q[3]
+                    p[2] = q[2]
+                if (pairs[-1] if pairs else None) is stack_bottom[d]:
+                    break
+            # merge conflicting return darts of earlier siblings into p's
+            # left side; a side conflicts with d when its high returns
+            # above d's lowpoint
+            while pairs and any(high >= 0 and lowpt[high] > lowpt[d]
+                                for high in pairs[-1][1::2]):
+                q = pairs.pop()
+                if q[3] >= 0 and lowpt[q[3]] > lowpt[d]:
+                    q[:2], q[2:] = q[2:], q[:2]
+                if q[3] >= 0 and lowpt[q[3]] > lowpt[d]:
+                    return False
+                if p[2] >= 0:
+                    ref[p[2]] = q[3]
+                if q[2] >= 0:
+                    p[2] = q[2]
+                if p[0] < 0:
+                    p[1] = q[1]
+                else:
+                    ref[p[0]] = q[1]
+                p[0] = q[0]
+            if p[0] >= 0 or p[2] >= 0:
+                pairs.append(p)
+    return True

@@ -320,6 +320,18 @@ def test_inequality(capsys, k5_file):
     assert kv["holds"] == "true"
 
 
+def test_genus_triangle_refuses_lone_triangle(capsys, tmp_path):
+    """A lone triangle, an isolated vertex and a single edge are outside the
+    genus triangle bound's derivation: one error line and exit 1."""
+    for name, g in [("k3", complete_graph(3)), ("k1", complete_graph(1)),
+                    ("k2_and_k1", Graph.build(3, [(0, 1)]))]:
+        p = tmp_path / f"{name}.g"
+        p.write_text(serialize_graph(g))
+        code, out, err = run(capsys, "inequality", "genus-triangle", str(p), "--genus", "0")
+        assert code == 1 and out == "" and err.count("\n") == 1, name
+        assert "lone triangle" in err
+
+
 def test_contract_split_cli(capsys, tmp_path):
     code, grown, _ = run(capsys, "grow", "k4-sphere", "5")
     emb = tmp_path / "g.emb"

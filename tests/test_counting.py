@@ -44,6 +44,7 @@ from surfcount.graph import (
     serialize_graph,
     twin_classes,
 )
+from surfcount.planarity import is_planar
 
 OCTAHEDRON = Graph.build(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
                              if {i, j} not in ({0, 1}, {2, 3}, {4, 5})])
@@ -635,6 +636,31 @@ def test_genus_triangle_bound():
             assert rep.rhs < 0
     with pytest.raises(PreconditionError):
         check_genus_triangle_bound(complete_graph(4), -1)
+
+
+def test_genus_triangle_refusals_are_exactly_the_failures():
+    """At genus 0, over every planar graph on at most 5 vertices and every
+    7th edge set on 6, the triangle form computed from its definition fails
+    exactly when the graph has at most one edge or its edges form one lone
+    triangle. Those graphs are refused, and the bound holds on the rest."""
+    refused = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(0, 1 << len(pairs), 7 if n == 6 else 1):
+            g = Graph.build(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            if not is_planar(g):
+                continue
+            t = slow_count_cliques(g, 3)
+            fails = t < 2 * g.m - 4 * n + 4 + 4 * len(connected_components(g))
+            lone = g.m <= 1 or (g.m == 3 and t == 1)
+            assert fails == lone, (n, sorted(g.edges))
+            if lone:
+                refused += 1
+                with pytest.raises(PreconditionError, match="lone triangle"):
+                    check_genus_triangle_bound(g, 0)
+            else:
+                assert check_genus_triangle_bound(g, 0).holds, (n, sorted(g.edges))
+    assert refused > 0
 
 
 def test_max_clique_size():

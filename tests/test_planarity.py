@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from support import contract_edge_simple, planar_oracle, random_graph
+from support import contract_edge_simple, planar_oracle, random_graph, reference_is_planar
 from surfcount.graph import Graph, complete_graph, cycle_graph
 from surfcount.planarity import is_planar
 
@@ -126,13 +126,14 @@ def _drop(rng, edges, share):
     return rng.sample(edges, len(edges) - int(share * len(edges)))
 
 
-def _plant(rng, n, edges, links):
+def _plant(rng, n, edges, links, most_fresh=20):
     """The host plus a subdivided K5 or K3,3: its branch vertices are host
-    vertices, and each of its edges is a path through 0-20 fresh ones."""
+    vertices, and each of its edges is a path through 0 to ``most_fresh``
+    fresh ones."""
     branch = rng.sample(range(n), 1 + max(map(max, links)))
     edges = list(edges)
     for a, b in links:
-        fresh = rng.randint(0, 20)
+        fresh = rng.randint(0, most_fresh)
         path = [branch[a], *range(n, n + fresh), branch[b]]
         edges += zip(path, path[1:])
         n += fresh
@@ -174,3 +175,57 @@ def test_known_planar_hosts():
     for n, share in [(100, 0.05), (700, 0.01), (1500, 0.2), (2000, 0.001)]:
         g = _sparse(Graph.build(n, _drop(rng, _stacked_edges(rng, n), share)))
         assert is_planar(g), n
+
+
+def _sparse_edges(rng, n):
+    return sorted(random_graph(rng, n, rng.uniform(0.5, 4) / n).edges)
+
+
+def _near_maximal_edges(rng, n):
+    """A stacked triangulation less 1-6 edges, plus as many random pairs
+    at most, so m stays at most 3n - 6."""
+    edges = _stacked_edges(rng, n)
+    k = rng.randint(1, 6)
+    return rng.sample(edges, len(edges) - k) + [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, k))]
+
+
+def _differential_graphs(rng):
+    """400 seeded graphs of 5-60 vertices of each kind: sparse, near
+    3n - 6, several components, and a stacked triangulation less some
+    edges with a planted K5 or K3,3 subdivision."""
+    for i in range(2000):
+        kind = i % 5
+        if kind == 0:
+            n = rng.randint(5, 60)
+            yield Graph.build(n, _sparse_edges(rng, n))
+        elif kind == 1:
+            n = rng.randint(5, 60)
+            yield Graph.build(n, _near_maximal_edges(rng, n))
+        elif kind == 2:  # 2-4 components, each sparse or near 3n - 6
+            n, edges = 0, []
+            for _ in range(rng.randint(2, 4)):
+                size = rng.randint(4, 15)
+                piece = rng.choice([_sparse_edges, _near_maximal_edges])(rng, size)
+                edges += [(u + n, v + n) for u, v in piece]
+                n += size
+            yield Graph.build(n, edges)
+        else:
+            n = rng.randint(6, 40)
+            host = _drop(rng, _stacked_edges(rng, n), rng.uniform(0.1, 0.3))
+            links = K5_LINKS if kind == 3 else K33_LINKS
+            yield _plant(rng, n, host, links, most_fresh=2)
+
+
+def test_agrees_with_reference_implementation():
+    """The left-right test over darts answers as the class-based reference
+    translation in tests/support.py does, on sizes the minor oracle cannot
+    reach. Most graphs pass the Euler count, with both answers common."""
+    rng = random.Random(20261020)
+    tested = {True: 0, False: 0}
+    for g in _differential_graphs(rng):
+        assert 5 <= g.n <= 60
+        answer = is_planar(g)
+        assert answer == reference_is_planar(g), (g.n, sorted(g.edges))
+        if g.m <= 3 * g.n - 6:
+            tested[answer] += 1
+    assert min(tested.values()) >= 500, tested

@@ -44,6 +44,27 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+def test_no_unused_imports_in_src():
+    """Every name a package module imports is used in it, so a deletion
+    takes its imports along. ``__init__.py`` re-exports and is skipped."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.relative_to(SRC)}:{line} {name}"
+                  for name, line in sorted(imported.items()) if name not in used]
+    assert found == []
+
+
 def test_derive_tool_rebuilds_its_data_file():
     """The derivation tool still finds the committed 7-vertex projective
     triangulation, byte for byte."""

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .graph import (Graph, complete_graph, connected_components, induced_subgraph,
-                    is_isomorphic)
+from .graph import (Graph, complete_graph, connected_components, degree_key,
+                    induced_subgraph, is_isomorphic)
 
 DEFAULT_WORK_CAP = 10**9
 
@@ -212,13 +212,6 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget, totals: list[int] | None = None
     return sum(states.values()) * ties
 
 
-def _class_key(f: Graph) -> tuple:
-    """Isomorphism invariant of a quotient: the sorted (degree, sorted
-    neighbor degrees) pairs of its vertices."""
-    return tuple(sorted((len(a), tuple(sorted(len(f.adj[w]) for w in a)))
-                        for a in f.adj))
-
-
 def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
     """The spasm of h with its Moebius coefficients: one ``(F, c_F)`` per
     isomorphism class of quotients of h by partitions of V(h) into
@@ -226,7 +219,7 @@ def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
 
     Partitions are enumerated iteratively as restricted growth strings, one
     DP step each; a quotient joins the class of the first representative
-    it is isomorphic to among those sharing its ``_class_key``. Partitions
+    it is isomorphic to among those sharing its ``degree_key``. Partitions
     with the same quotient on the same block numbers, as twins of h give,
     share that lookup."""
     n = h.n
@@ -250,7 +243,7 @@ def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
             entry = seen.get((len(blocks), quotient))
             if entry is None:
                 f = Graph(len(blocks), quotient)
-                bucket = classes.setdefault(_class_key(f), [])
+                bucket = classes.setdefault(degree_key(f), [])
                 entry = next((e for e in bucket if is_isomorphic(f, e[0])), None)
                 if entry is None:
                     entry = [f, 0]

@@ -10,7 +10,10 @@ re-derives everything from the raw definition and confirms the collapse.
 
 Every entry point that needs the candidate flaps walks the cut sets once
 (``_search``). Edge counts and H's non-planar blocks decide most
-single-component sides; the rest get one planarity test each.
+single-component sides; the rest are pending, and a planarity test decides
+one only when the answer can change the result: the solver walks the sides
+by interior size and tests a pending side only when its interior could be
+inclusion-minimal, or, for a family, could extend to a maximum family.
 """
 
 from __future__ import annotations
@@ -65,18 +68,18 @@ def validate_separation(h: Graph, sep: Separation) -> None:
                     f"interior is not a union of components: edge {v}-{w} escapes")
 
 
-def _side_plus(h: Graph, x: tuple[int, ...], s: tuple[int, ...]) -> Graph:
-    """A+ for the side (X, S): the induced graph on X union S with every
-    edge inside X added."""
-    verts = sorted(set(x) | set(s))
+def _side_is_planar(h: Graph, sep: Separation) -> bool:
+    """Whether A+ for the side (X, S), the induced graph on X union S with
+    every edge inside X added, is planar: one left-right test."""
+    verts = sorted(set(sep.x) | set(sep.s))
     index = {v: i for i, v in enumerate(verts)}
-    return add_clique(induced_subgraph(h, verts), [index[v] for v in x])
+    return is_planar(add_clique(induced_subgraph(h, verts), [index[v] for v in sep.x]))
 
 
 def is_flap(h: Graph, sep: Separation) -> bool:
     """True iff the side graph plus a clique on the cut set is planar."""
     validate_separation(h, sep)
-    return is_planar(_side_plus(h, sep.x, sep.s))
+    return _side_is_planar(h, sep)
 
 
 def _cut_sets(h: Graph):
@@ -139,21 +142,23 @@ def _mask_components(adjm: list[int], alive: int) -> list[tuple[int, tuple[int, 
     return comps
 
 
-def _search(h: Graph, first: bool = False) -> tuple[list[Separation], bool]:
-    """One pass over the cut sets: the candidate flaps in enumeration
-    order, and whether any cut set separates H at all. With ``first`` the
-    pass stops at the first candidate.
+def _search(h: Graph, first: bool = False,
+            ) -> tuple[list[tuple[Separation, bool | None]], bool]:
+    """One pass over the cut sets: the single-component sides that are not
+    ruled non-planar, in enumeration order, each with True when it is
+    planar and None when it is pending, and whether any cut set separates
+    H at all. With ``first`` the pass stops at the first planar side.
 
     A graph is planar exactly when each of its blocks is. For |X| <= 1 the
     side is a union of H's blocks, and for |X| = 2 with a member of X that
     has no neighbour in S it is such a union plus a pendant or separate
     edge; so then the side is planar exactly when no non-planar block of H
     lies inside X union S. Counts decide most other sides, and the rest
-    get one planarity test each."""
+    are pending: no planarity test runs here."""
     adjm = [sum(1 << w for w in nbrs) for nbrs in h.adj]
     bad = _nonplanar_blocks(h, adjm)
     everything = (1 << h.n) - 1
-    cands: list[Separation] = []
+    sides: list[tuple[Separation, bool | None]] = []
     separable = False
     for x in _cut_sets(h):
         xmask = sum(1 << v for v in x)
@@ -171,13 +176,13 @@ def _search(h: Graph, first: bool = False) -> tuple[list[Separation], bool]:
             if planar is None:
                 if any(not b & ~vmask for b in bad):
                     planar = False
-                else:
-                    planar = touching < 2 or is_planar(_side_plus(h, x, s))
-            if planar:
-                cands.append(Separation(x, s))
-                if first:
-                    return cands, separable
-    return cands, separable
+                elif touching < 2:
+                    planar = True
+            if planar is not False:
+                sides.append((Separation(x, s), planar))
+                if planar and first:
+                    return sides, separable
+    return sides, separable
 
 
 def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
@@ -186,62 +191,90 @@ def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
     by X lexicographically (size first), then by S's smallest member."""
     if h.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return _search(h)[0]
+    return [sep for sep, planar in _search(h)[0] if planar or _side_is_planar(h, sep)]
 
 
-def _interiors(h: Graph, cands: list[Separation],
-               ) -> tuple[list[tuple[int, int]], list[Separation], list[int]]:
-    """The distinct interiors in first-appearance order, as (vertex mask,
-    blocked mask) packing items, the first candidate of each, and the
-    indices of the inclusion-minimal items. Independence of two flaps
-    depends only on their interiors: disjoint, with no edge between."""
+def _item(h: Graph, s: tuple[int, ...]) -> tuple[int, int]:
+    """The packing item of the interior s: its vertex mask, and the mask of
+    s and its neighbours. Independence of two flaps depends only on their
+    interiors: disjoint, with no edge between."""
+    mask = sum(1 << v for v in s)
+    block = mask
+    for v in s:
+        for w in h.adj[v]:
+            block |= 1 << w
+    return mask, block
+
+
+def _minimal_interiors(h: Graph, sides: list[tuple[Separation, bool | None]],
+                       ) -> tuple[list[bool | None], list[tuple[int, int]], list[Separation]]:
+    """Each side's planarity, and the inclusion-minimal candidate interiors
+    as packing items in order of their first candidate, with that
+    candidate. The sides are walked by interior size, so every interior
+    strictly inside one has been decided when it comes up, and comparing
+    it against the minimal interiors found so far is enough: each
+    candidate interior contains one. A pending side is tested only when
+    its interior strictly contains none of them, so it could be minimal;
+    the others stay None."""
+    planar = [p for _, p in sides]
+    masks = [sum(1 << v for v in sep.s) for sep, _ in sides]
+    minimal: set[int] = set()
+    for i in sorted(range(len(sides)), key=lambda i: len(sides[i][0].s)):
+        mask = masks[i]
+        if mask not in minimal and any(not other & ~mask for other in minimal):
+            continue
+        if planar[i] is None:
+            planar[i] = _side_is_planar(h, sides[i][0])
+        if planar[i]:
+            minimal.add(mask)
     firsts: dict[tuple[int, ...], Separation] = {}
-    for cand in cands:
-        firsts.setdefault(cand.s, cand)
-    items: list[tuple[int, int]] = []
-    for s in firsts:
-        smask = sum(1 << v for v in s)
-        block = smask
-        for v in s:
-            for w in h.adj[v]:
-                block |= 1 << w
-        items.append((smask, block))
-    minimal = [i for i, (mask, _) in enumerate(items)
-               if not any(j != i and other & ~mask == 0 for j, (other, _) in enumerate(items))]
-    return items, list(firsts.values()), minimal
+    for (sep, _), p, mask in zip(sides, planar, masks):
+        if p and mask in minimal:
+            firsts.setdefault(sep.s, sep)
+    return planar, [_item(h, s) for s in firsts], list(firsts.values())
 
 
-def _valid_first(cands: list[Separation], items: list[tuple[int, int]],
-                 firsts: list[Separation], minimal: list[int],
-                 ) -> tuple[int, list[Separation], list[list[int]]]:
+def _valid_first(h: Graph, sides: list[tuple[Separation, bool | None]],
+                 planar: list[bool | None], items: list[tuple[int, int]],
+                 firsts: list[Separation],
+                 ) -> tuple[int, list[Separation], dict[tuple[int, ...], list[int]]]:
     """The flap number of a graph with candidates, the candidates that are
     valid first members: those whose interior extends to some maximum
     independent family (extension depends only on the interior), and each
-    interior's packing with it forced."""
-    packings = [_max_packing(items, minimal, forced=i) for i in range(len(firsts))]
-    # a maximum packing holds some item, and that item's forced packing
-    # is as large, so the largest forced packing is the maximum
-    k = max(map(len, packings))
-    valid = {first.s for first, packing in zip(firsts, packings) if len(packing) == k}
-    return k, [c for c in cands if c.s in valid], packings
+    interior's packing with it forced, by interior. A pending side is
+    tested only when its interior's packing, forced as if it were an item,
+    reaches the flap number: otherwise it is out of the pool either way."""
+    packings = {first.s: _max_packing(items, item) for first, item in zip(firsts, items)}
+    # a maximum packing holds minimal items only, and each one's forced
+    # packing is as large, so the largest of theirs is the maximum
+    k = 1 + max(map(len, packings.values()))
+    pool = []
+    for i, (sep, _) in enumerate(sides):
+        if planar[i] is False:
+            continue
+        if sep.s not in packings:
+            packings[sep.s] = _max_packing(items, _item(h, sep.s))
+        if len(packings[sep.s]) + 1 == k and (planar[i] or _side_is_planar(h, sep)):
+            pool.append(sep)
+    return k, pool, packings
 
 
-def _max_packing(items: list[tuple[int, int]], minimal: list[int],
-                 forced: int | None = None) -> list[int]:
+def _max_packing(items: list[tuple[int, int]],
+                 forced: tuple[int, int] | None = None) -> list[int]:
     """Maximum set of mutually compatible items (i compatible with j iff
-    mask_i & block_j == 0) among the inclusion-minimal items ``minimal``:
-    a member with a larger interior can be swapped for a contained one
-    without disturbing the rest (interiors are distinct). Branch and bound
-    in item order, each item tried in before out, so ties resolve to the
-    lexicographically first maximum. ``forced`` includes that item and
-    keeps the minimal items compatible with it, which are the minimal
-    ones among all its compatible items: an interior inside a compatible
-    one is compatible too."""
-    keep = minimal
+    mask_i & block_j == 0), as indices into ``items``, the
+    inclusion-minimal interiors: a member with a larger interior can be
+    swapped for a contained one without disturbing the rest (interiors
+    are distinct). Branch and bound in item order, each item tried in
+    before out, so ties resolve to the lexicographically first maximum.
+    ``forced`` is an item that the packing must be compatible with; it is
+    not in the result. The minimal items compatible with it are the
+    minimal ones among all its compatible items: an interior inside a
+    compatible one is compatible too."""
+    keep = range(len(items))
     if forced is not None:
-        fmask, fblock = items[forced]
-        keep = [i for i in minimal if i != forced
-                and not (items[i][0] & fblock) and not (items[i][1] & fmask)]
+        fmask, fblock = forced
+        keep = [i for i in keep if not (items[i][0] & fblock) and not (items[i][1] & fmask)]
     pruned = [items[i] for i in keep]
     k = len(pruned)
     best: list[int] = []
@@ -263,7 +296,7 @@ def _max_packing(items: list[tuple[int, int]], minimal: list[int],
         # the next untried branch leaves out the last included position
         i, blocked = chosen.pop()
         i += 1
-    return ([] if forced is None else [forced]) + [keep[i] for i in best]
+    return [keep[i] for i in best]
 
 
 def _check_size_cap(h: Graph, size_cap: int) -> None:
@@ -285,26 +318,26 @@ def _solve(h: Graph, size_cap: int, family: bool, number: bool = True,
         if number and not h.n:
             raise PreconditionError("flap number needs a non-empty graph")
         return [], 1
-    cands, separable = _search(h)
-    if not cands:
-        planar = is_planar(h)
-        if separable and planar:
+    sides, separable = _search(h)
+    planar, items, firsts = _minimal_interiors(h, sides)
+    if not items:
+        # every side is decided: one left pending contains a candidate's interior
+        whole = is_planar(h)
+        if separable and whole:
             # every small separation has both clique-completed sides
             # non-planar, which forces the graph itself non-planar
             raise InternalInvariantError(
                 "planar graph with a small separation but no flap candidate")
-        return [], int(planar)
-    items, firsts, minimal = _interiors(h, cands)
+        return [], int(whole)
     if not family:
-        return [], len(_max_packing(items, minimal))
-    k, pool, packings = _valid_first(cands, items, firsts, minimal)
-    sides = [set(c.x) | set(c.s) for c in pool]
+        return [], len(_max_packing(items))
+    k, pool, packings = _valid_first(h, sides, planar, items, firsts)
+    side_sets = [set(c.x) | set(c.s) for c in pool]
     first = next((cand for pos, cand in enumerate(pool)
-                  if not any(sides[pos] < side for side in sides)), None)
+                  if not any(side_sets[pos] < other for other in side_sets)), None)
     if first is None:
         raise InternalInvariantError("no candidate flap is maximal by side inclusion")
-    packing = packings[[c.s for c in firsts].index(first.s)]
-    return [first] + [firsts[i] for i in packing[1:]], k
+    return [first] + [firsts[i] for i in packings[first.s]], k
 
 
 def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
@@ -317,10 +350,14 @@ def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
 def is_strongly_non_planar(h: Graph) -> bool:
     """Non-planar, and every small separation has both sides non-planar
     after completing the cut set to a clique. Single-component sides decide
-    this: every side contains one, and planarity is subgraph-closed."""
+    this: every side contains one, and planarity is subgraph-closed. The
+    pending sides are tested, until one is planar, only when the walk
+    finds no side that the search makes planar."""
     if h.n <= 4 or is_planar(h):
         return False
-    return not _search(h, first=True)[0]
+    sides = _search(h, first=True)[0]
+    return not any(planar for _, planar in sides) and not any(
+        _side_is_planar(h, sep) for sep, _ in sides)
 
 
 def are_independent(h: Graph, a: Separation, b: Separation) -> bool:
@@ -370,8 +407,8 @@ def flap_reduction(h: Graph, family: list[Separation],
     _check_size_cap(h, size_cap)
     # the family's flaps each contain a single-component flap, since
     # planarity is closed under subgraphs, so candidates exist
-    cands, _ = _search(h)
-    k, pool, _ = _valid_first(cands, *_interiors(h, cands))
+    sides, _ = _search(h)
+    k, pool, _ = _valid_first(h, sides, *_minimal_interiors(h, sides))
     if len(family) != k:
         raise PreconditionError(
             f"family of {len(family)} is not maximum (flap number {k})")

@@ -328,6 +328,13 @@ def add_clique(g: Graph, vertices: Iterable[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def degree_key(g: Graph) -> tuple:
+    """Isomorphism invariant: the sorted (degree, sorted neighbor degrees)
+    pairs of g's vertices."""
+    return tuple(sorted((len(a), tuple(sorted(len(g.adj[w]) for w in a)))
+                        for a in g.adj))
+
+
 def is_isomorphic(h: Graph, g: Graph) -> bool:
     """True iff some bijection V(h) -> V(g) preserves edges and non-edges.
 
@@ -337,16 +344,13 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
     has one, on an unused vertex c of equal degree into whose neighborhood
     every earlier neighbor maps. The images are distinct, so no other
     earlier vertex maps there when N(c) holds exactly as many used
-    vertices as there are earlier neighbors."""
-    if h.n != g.n or h.m != g.m:
+    vertices as there are earlier neighbors. Neighbor degrees are
+    compared before the search, and component sizes once the first start
+    image fails, since the search would try every other one before it saw
+    them differ."""
+    if h.n != g.n or h.m != g.m or degree_key(h) != degree_key(g):
         return False
     hadj, gadj = h.adj, g.adj
-    if sorted(map(len, hadj)) != sorted(map(len, gadj)):
-        return False
-    # the search would try every start image before it saw the components differ
-    if (sorted(map(len, connected_components(h)))
-            != sorted(map(len, connected_components(g)))):
-        return False
     n = h.n
     order = sorted(range(n), key=lambda v: (-len(hadj[v]), v))
     pos = [0] * n
@@ -360,6 +364,7 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
     image = [-1] * n
     used = [False] * n
     untried: list[Iterator[int]] = []  # per placed position, candidates left
+    first_start = True
     i = 0
     while i < n:
         v = order[i]
@@ -367,6 +372,11 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
             untried.append(iter(gadj[image[back[i][0]]] if back[i] else range(n)))
         else:  # back from a dead end: free v's last image
             used[image[v]] = False
+            if i == 0 and first_start:
+                first_start = False
+                if (sorted(map(len, connected_components(h)))
+                        != sorted(map(len, connected_components(g)))):
+                    return False
         hv, bv = hadj[v], back[i]
         for c in untried[i]:
             gc = gadj[c]

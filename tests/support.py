@@ -822,6 +822,53 @@ def slow_max_packing(items: list[tuple[int, int]], forced: int | None = None) ->
     return ([] if forced is None else [forced]) + [keep[i] for i in best]
 
 
+def _interior_item(g: Graph, s) -> tuple[int, int]:
+    mask = sum(1 << v for v in s)
+    return mask, mask | sum(1 << w for w in {w for v in s for w in g.adj[v]})
+
+
+def eager_flap_solve(g: Graph) -> tuple[list[Separation], int, list[Separation]]:
+    """The maximum flap family, the flap number and the pool of valid
+    first members as the solver found them before it decided sides on
+    demand: every single-component side tested (``slow_flap_candidates``),
+    one packing per distinct interior with that interior forced
+    (``slow_max_packing``), the flap number the largest of them, the pool
+    every candidate whose interior's packing reaches it, and the family
+    the packing of the first side-maximal pool member. Graphs of at least
+    2 vertices."""
+    cands, _ = slow_flap_candidates(g)
+    if not cands:
+        return [], int(is_planar(g)), []
+    firsts: dict[tuple[int, ...], Separation] = {}
+    for cand in cands:
+        firsts.setdefault(cand.s, cand)
+    items = [_interior_item(g, s) for s in firsts]
+    packings = dict(zip(firsts, (slow_max_packing(items, i) for i in range(len(items)))))
+    k = max(map(len, packings.values()))
+    pool = [c for c in cands if len(packings[c.s]) == k]
+    side_sets = [set(c.x) | set(c.s) for c in pool]
+    first = next(c for c, side in zip(pool, side_sets)
+                 if not any(side < other for other in side_sets))
+    order = list(firsts.values())
+    return [first] + [order[i] for i in packings[first.s][1:]], k, pool
+
+
+def eager_flap_reduction(g: Graph, family: list[Separation], k: int,
+                         pool: list[Separation]) -> Graph:
+    """``flaps.flap_reduction`` of an independent family of flaps, checked
+    against the flap number k and the pool of ``eager_flap_solve(g)``: the
+    first member's interior removed and its cut set completed to a
+    clique."""
+    if len(family) != k:
+        raise PreconditionError(f"family of {len(family)} is not maximum (flap number {k})")
+    first_side = set(family[0].x) | set(family[0].s)
+    if any(first_side < set(c.x) | set(c.s) for c in pool):
+        raise PreconditionError("first member not maximal")
+    remaining = sorted(set(range(g.n)) - set(family[0].s))
+    index = {v: i for i, v in enumerate(remaining)}
+    return add_clique(induced_subgraph(g, remaining), [index[v] for v in family[0].x])
+
+
 def literal_flap_number(g: Graph) -> int:
     """Flap number straight from the definition: maximum pairwise independent
     family of flaps, over separations with arbitrary component unions."""

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from support import (
+    eager_flap_reduction,
+    eager_flap_solve,
     icosahedron,
     literal_flap_number,
     literal_strongly_non_planar,
@@ -41,6 +43,10 @@ K5_PENDANT = Graph.build(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] 
 # two K5s sharing the edge 01: the one separation has two non-planar sides
 TWO_K5 = Graph.build(8, [(u, v) for side in ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7))
                          for u, v in combinations(side, 2)])
+# K5 and an octahedron sharing the edge 01: the one cut set {0, 1} leaves
+# the octahedron's side pending, and it is the only flap
+K5_OCTAHEDRON = Graph.build(9, list(complete_graph(5).edges) + [
+    (u, v) for u, v in combinations((0, 1, 5, 6, 7, 8), 2) if {u, v} not in ({0, 5}, {1, 6}, {7, 8})])
 
 
 def test_candidate_examples():
@@ -118,6 +124,7 @@ def test_strongly_non_planar():
     assert not is_strongly_non_planar(complete_graph(4))
     assert not is_strongly_non_planar(path_graph(6))
     assert not is_strongly_non_planar(K5_PENDANT)
+    assert not is_strongly_non_planar(K5_OCTAHEDRON)
 
 
 def test_tree_beta_examples():
@@ -225,41 +232,69 @@ def test_serialization():
 
 
 def test_one_candidate_search_per_call(monkeypatch, tmp_path):
-    """The family CLI, flap_reduction and lower_bound_graph each enumerate
-    the candidate flaps once: one planarity test per single-component
-    side, plus flap_reduction's is_flap check of each member it is given.
-    Without a flap, as for two K5s sharing an edge, the CLI and
-    lower_bound_graph add one planarity test of the whole graph."""
+    """The family CLI, flap_reduction and lower_bound_graph each walk the
+    cut sets once, and test only the pending sides the answer depends on;
+    enumerate_candidate_flaps decides every side. The counts are planarity
+    tests: of H's blocks that counts do not settle, of sides, of
+    flap_reduction's is_flap check of each member it is given, and, for
+    two K5s sharing an edge, which have no flap, of the whole graph."""
     calls = []
     monkeypatch.setattr(flaps, "is_planar", lambda g: calls.append(g.n) or is_planar(g))
     path = tmp_path / "g.g"
-    for g in (path_graph(5), K5_PENDANT, random_connected_graph(random.Random(5), 8, 0.2),
-              TWO_K5):
+    # per graph: enumeration, family CLI, flap_reduction, lower_bound_graph
+    pinned = ((path_graph(5), (0, 0, 3, 0)), (K5_PENDANT, (0, 0, 1, 0)),
+              (random_connected_graph(random.Random(5), 8, 0.2), (3, 3, 5, 3)),
+              (TWO_K5, (0, 1, None, 1)))
+    for g, counts in pinned:
         path.write_text(serialize_graph(g))
+        seen = []
         enumerate_candidate_flaps(g)
-        once = len(calls)
+        seen.append(len(calls))
         family = maximum_flap_family(g)
         assert bool(family) == (g is not TWO_K5)
         calls.clear()
         assert main(["flap-number", "--family", str(path)]) == 0
-        assert len(calls) == once + (not family)
+        seen.append(len(calls))
         calls.clear()
         if family:
             flap_reduction(g, family)
-            assert len(calls) == once + len(family)
+            seen.append(len(calls))
             calls.clear()
             lower_bound_graph(g, 4 * g.n)
         else:
+            seen.append(None)
             with pytest.raises(PreconditionError, match="strongly non-planar"):
                 lower_bound_graph(g, 4 * g.n)
-        assert len(calls) == once + (not family)
+        seen.append(len(calls))
         calls.clear()
+        assert tuple(seen) == counts, sorted(g.edges)
+
+
+def test_family_of_a_planar_graph_tests_few_sides(monkeypatch):
+    """A planar 16-vertex graph leaves 34 sides pending after the search,
+    and enumerating the candidates tests them all; the family tests one,
+    since the rest contain a smaller candidate interior or cannot extend
+    to a maximum family."""
+    g = random_connected_graph(random.Random(53), 16, 0.12)
+    assert g.n == 16 and is_planar(g)
+    assert sum(planar is None for _, planar in flaps._search(g)[0]) == 34
+    tested = []
+    decide = flaps._side_is_planar
+    monkeypatch.setattr(flaps, "_side_is_planar",
+                        lambda h, sep: tested.append(sep) or decide(h, sep))
+    enumerate_candidate_flaps(g)
+    assert len(tested) == 34
+    tested.clear()
+    family, number = flap_family_and_number(g)
+    assert (len(family), number) == (5, 5)
+    assert len(tested) == 1
 
 
 def test_search_matches_one_test_per_side_oracle():
     """The search's candidates and separable flag, and the flap number,
-    family and strongly-non-planar flag built on them, against the search
-    with one planarity test per side. Seeded graphs of at most 16
+    family, strongly-non-planar flag and reduction built on them, against
+    the search with one planarity test per side and the solver that packs
+    every candidate interior (``eager_flap_solve``). Seeded graphs of at most 16
     vertices: K5 and K3,3 pieces (whole, less an edge, subdivided) glued to
     planar pieces at 0, 1 or 2 vertices, with isolated vertices, and
     random sparse, dense and disconnected graphs."""
@@ -271,13 +306,16 @@ def test_search_matches_one_test_per_side_oracle():
                for _ in range(20)]
     k33 = Graph.build(6, [(i, j) for i in range(3) for j in range(3, 6)])
     graphs += [complete_graph(s) for s in range(2, 9)] + [
-        k33, TWO_K5, K5_PENDANT, cycle_graph(7), icosahedron().graph,
+        k33, TWO_K5, K5_PENDANT, K5_OCTAHEDRON, cycle_graph(7), icosahedron().graph,
         Graph.build(9, list(k33.edges) + [(u, v) for u, v in combinations((0, 3, 6, 7, 8), 2)])]
     seen = {"snp": 0, "nonplanar block": 0, "planar flapless": 0, "disconnected": 0,
             "isolated": 0, "family": 0}
     for g in graphs:
         cands, separable = slow_flap_candidates(g)
-        assert flaps._search(g) == (cands, separable), sorted(g.edges)
+        sides, found = flaps._search(g)
+        assert found == separable
+        assert [sep for sep, _ in sides if sep in cands] == cands, sorted(g.edges)
+        assert all(sep in cands for sep, planar in sides if planar)
         assert enumerate_candidate_flaps(g) == cands
         planar = is_planar(g)
         snp = is_strongly_non_planar(g)
@@ -288,6 +326,7 @@ def test_search_matches_one_test_per_side_oracle():
         assert maximum_flap_family(g) == family
         assert flap_number(g) == number
         assert flap_family_and_number(g) == (family, number)
+        _check_against_eager(g)
         comps = connected_components(g)
         seen["snp"] += snp
         seen["nonplanar block"] += not all(is_planar(induced_subgraph(g, b)) for b in blocks(g))
@@ -296,6 +335,44 @@ def test_search_matches_one_test_per_side_oracle():
         seen["isolated"] += any(len(c) == 1 for c in comps)
         seen["family"] += bool(family)
     assert min(seen.values()) >= 5, seen
+
+
+def _reduction_families(g, family, pool):
+    """The family, rotated, and short of its last member; and each of the
+    first six pool members followed by the family members independent of
+    it: families of flaps, some of them not maximum or without a maximal
+    first member."""
+    yield family
+    yield family[1:] + family[:1]
+    if len(family) > 1:
+        yield family[:-1]
+    for cand in pool[:6]:
+        yield [cand] + [m for m in family[1:] if are_independent(g, cand, m)]
+
+
+def _check_against_eager(g):
+    """flap_number, flap_family_and_number, is_strongly_non_planar and
+    flap_reduction of a graph of 2 to 16 vertices against the solver that
+    tests every side and packs every candidate interior; returns the
+    number of reductions compared."""
+    family, number, pool = eager_flap_solve(g)
+    assert flap_number(g) == number, sorted(g.edges)
+    assert flap_family_and_number(g) == (family, number), sorted(g.edges)
+    assert is_strongly_non_planar(g) == (number == 0)
+    compared = 0
+    if family:
+        for members in _reduction_families(g, family, pool):
+            assert (_outcome(flap_reduction, g, members)
+                    == _outcome(eager_flap_reduction, g, members, number, pool)), members
+            compared += 1
+    return compared
+
+
+def test_golden_graphs_match_eager_solver():
+    """Every golden graph of at least 2 vertices against the eager solver,
+    with reductions of maximum families and of refused ones."""
+    compared = sum(_check_against_eager(g) for _, g in _golden_graphs() if g.n >= 2)
+    assert compared > 500, compared
 
 
 def test_planarity_calls_follow_the_blocks(monkeypatch):
@@ -321,13 +398,18 @@ def test_planarity_calls_follow_the_blocks(monkeypatch):
     assert visited == [(), (0,)]
 
 
-def _check_packings(h, cands):
-    """The packing over the interiors of ``cands``, unforced and with each
-    interior forced, against the oracle; returns the item count."""
-    items, _, minimal = flaps._interiors(h, cands)
-    assert flaps._max_packing(items, minimal) == slow_max_packing(items)
-    for i in range(len(items)):
-        assert flaps._max_packing(items, minimal, i) == slow_max_packing(items, i), i
+def _check_packings(h, interiors):
+    """The packing over the inclusion-minimal ones of the distinct
+    ``interiors``, unforced and with each interior forced, against the
+    oracle over all of them; returns the interior count."""
+    items = [flaps._item(h, s) for s in dict.fromkeys(interiors)]
+    minimal = [i for i, (mask, _) in enumerate(items)
+               if not any(j != i and other & ~mask == 0 for j, (other, _) in enumerate(items))]
+    pruned = [items[i] for i in minimal]
+    assert [minimal[j] for j in flaps._max_packing(pruned)] == slow_max_packing(items)
+    for i, item in enumerate(items):
+        packing = [i] + [minimal[j] for j in flaps._max_packing(pruned, item)]
+        assert packing == slow_max_packing(items, i), i
     return len(items)
 
 
@@ -341,29 +423,33 @@ def test_packing_matches_recursive_oracle():
         g = random_graph(rng, rng.randint(2, 12), rng.choice([0.1, 0.2, 0.35]))
         sets = {tuple(sorted(rng.sample(range(g.n), rng.randint(1, min(4, g.n)))))
                 for _ in range(rng.randint(1, 16))}
-        _check_packings(g, [Separation((), s) for s in sorted(sets)])
+        _check_packings(g, sorted(sets))
     total = 0
     for _, g in _golden_graphs():
         if g.n >= 2:
-            total += _check_packings(g, enumerate_candidate_flaps(g))
+            total += _check_packings(g, [c.s for c in enumerate_candidate_flaps(g)])
     assert total > 1000, total
 
 
 def test_one_packing_per_interior(monkeypatch):
     """The flap number takes one packing; the family takes one forced
-    packing per interior and reads the first member's packing back."""
+    packing per interior that a side not ruled non-planar has, and reads
+    the first member's packing back. On this graph 35 interiors have such
+    a side, 6 of them minimal, and all 35 are candidate interiors."""
     calls = []
     packing = flaps._max_packing
     monkeypatch.setattr(flaps, "_max_packing",
                         lambda *args, **kw: calls.append(args) or packing(*args, **kw))
     g = random_connected_graph(random.Random(7), 11, 0.1)
-    interiors = len(flaps._interiors(g, enumerate_candidate_flaps(g))[0])
-    assert interiors > 10
+    sides = flaps._search(g)[0]
+    assert len({sep.s for sep, _ in sides}) == 35
+    assert len(flaps._minimal_interiors(g, sides)[1]) == 6
+    assert len({sep.s for sep in enumerate_candidate_flaps(g)}) == 35
     flap_number(g)
     assert len(calls) == 1
     calls.clear()
     flap_family_and_number(g)
-    assert len(calls) == interiors
+    assert len(calls) == 35
 
 
 GOLDEN = Path(__file__).parent / "data" / "flaps_golden.txt"

@@ -223,24 +223,38 @@ def test_is_isomorphic_against_permutations():
 
 
 def test_is_isomorphic_checks_only_neighbors():
-    """A path beside a triangle against a triangle's worth of path beside
-    a cycle: equal order, size, degrees and component sizes, so the search
+    """A path beside a 4-cycle against a 4-vertex path beside a cycle:
+    equal order, size, neighbor degrees and component sizes, so the search
     tries every start and walks the path around the cycle from each. Each
     candidate is checked against the placed neighbors and a count of used
     vertices around it, not against every placed vertex, so 600 vertices
     stay well inside 5 s."""
     n = 600
-    h = disjoint_union(path_graph(n), cycle_graph(3))
-    g = disjoint_union(path_graph(3), cycle_graph(n))
+    h = disjoint_union(path_graph(n), cycle_graph(4))
+    g = disjoint_union(path_graph(4), cycle_graph(n))
     start = time.perf_counter()
     assert not is_isomorphic(h, g)
     assert time.perf_counter() - start < 5
 
 
+def test_is_isomorphic_compares_neighbor_degrees_first():
+    """A path beside a triangle against a 3-vertex path beside a cycle
+    shares order, size, degrees and component sizes but not neighbor
+    degrees, which answer before the search: 2003 vertices in under
+    0.1 s."""
+    n = 2000
+    h = disjoint_union(path_graph(n), cycle_graph(3))
+    g = disjoint_union(path_graph(3), cycle_graph(n))
+    start = time.perf_counter()
+    assert not is_isomorphic(h, g)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_is_isomorphic_compares_component_sizes_first():
-    """A path against a triangle beside a shorter path shares order, size
-    and degrees but not component sizes, which answer before the search
-    tries every start: 2000 vertices in under 1 s."""
+    """A path against a triangle beside a shorter path shares order, size,
+    degrees and neighbor degrees but not component sizes, which answer
+    once the first start image fails, before the search tries every
+    other: 2000 vertices in under 1 s."""
     n = 2000
     h, g = path_graph(n), disjoint_union(cycle_graph(3), path_graph(n - 3))
     start = time.perf_counter()

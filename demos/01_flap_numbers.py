@@ -14,10 +14,10 @@ from surfcount import (
     complete_graph,
     cycle_graph,
     enumerate_candidate_flaps,
+    flap_family_and_number,
     flap_number,
     flap_reduction,
     is_strongly_non_planar,
-    maximum_flap_family,
     path_graph,
     tree_beta,
 )
@@ -39,8 +39,8 @@ print("vertices of degree at most two.")
 
 print("\n=== a non-planar graph that is not strongly non-planar ===")
 k5_pendant = Graph.build(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)])
-print(f"  K_5 with a pendant vertex: flap number {flap_number(k5_pendant)}")
-family = maximum_flap_family(k5_pendant)
+family, number = flap_family_and_number(k5_pendant)
+print(f"  K_5 with a pendant vertex: flap number {number}")
 for sep in family:
     print(f"  maximum family member: {sep.serialize()}")
 reduced = flap_reduction(k5_pendant, family)

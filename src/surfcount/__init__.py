@@ -22,8 +22,6 @@ from .census import (
     bounds,
     extremal_count,
     is_irreducible,
-    lower_bound_applies,
-    max_excess,
     render_table,
     surface_table,
 )
@@ -60,13 +58,13 @@ from .flaps import (
     Separation,
     are_independent,
     enumerate_candidate_flaps,
+    flap_family_and_number,
     flap_number,
     flap_reduction,
     forest_mis,
     is_flap,
     is_strongly_non_planar,
     is_tree,
-    maximum_flap_family,
     tree_beta,
 )
 from .graph import (
@@ -89,8 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bounds", "LinearForm", "SurfaceCensus", "bounds", "extremal_count",
-    "is_irreducible", "lower_bound_applies", "max_excess", "render_table",
-    "surface_table",
+    "is_irreducible", "render_table", "surface_table",
     "lower_bound_graph", "split_growth", "tree_blowup",
     "GenusTriangleReport", "InequalityReport", "ScalingReport",
     "check_genus_triangle_bound", "check_goodman", "count_cliques",
@@ -101,9 +98,9 @@ __all__ = [
     "reducible_edges", "serialize_embedding", "split_path", "split_triangle",
     "switch_vertex",
     "CapExceeded", "ParseError", "PreconditionError", "SurfcountError",
-    "Separation", "are_independent", "enumerate_candidate_flaps", "flap_number",
-    "flap_reduction", "forest_mis", "is_flap", "is_strongly_non_planar",
-    "is_tree", "maximum_flap_family", "tree_beta",
+    "Separation", "are_independent", "enumerate_candidate_flaps",
+    "flap_family_and_number", "flap_number", "flap_reduction", "forest_mis",
+    "is_flap", "is_strongly_non_planar", "is_tree", "tree_beta",
     "Graph", "add_clique", "complete_graph", "connected_components",
     "cycle_graph", "induced_subgraph", "is_connected",
     "parse_graph", "path_graph", "serialize_graph",

@@ -21,9 +21,9 @@ without it every entry is still a valid lower bound (partial mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .counting import clique_counts, count_cliques
+from .counting import clique_counts
 from .embedding import EmbeddedGraph, euler_genus, is_triangulation, reducible_edges
 from .errors import PreconditionError
 
@@ -55,9 +55,6 @@ class LinearForm:
             return head
         return f"{head}{'+' if self.b > 0 else '-'}{abs(self.b)}"
 
-    def as_dict(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class SurfaceCensus:
@@ -74,8 +71,8 @@ class SurfaceCensus:
             "surface": self.surface,
             "genus": self.genus,
             "complete": self.complete,
-            "entries": {str(s): e.as_dict() for s, e in enumerate(self.entries)},
-            "total": self.total.as_dict(),
+            "entries": {str(s): asdict(e) for s, e in enumerate(self.entries)},
+            "total": asdict(self.total),
             "thresholds": list(self.thresholds),
             "n_min": self.n_min,
         }
@@ -95,22 +92,10 @@ def _validate_list(triangulations: list[EmbeddedGraph], genus: int) -> None:
             raise PreconditionError("list member is not irreducible")
 
 
-def max_excess(triangulations: list[EmbeddedGraph], s: int) -> tuple[int, list[int]]:
-    """Maximum excess over the list (C(K3)-3n for s=3, C(K4)-n for s=4)
-    and the indices attaining it."""
-    if s not in (3, 4):
-        raise PreconditionError("excess is defined for s in {3, 4}")
-    if not triangulations:
-        raise PreconditionError("empty list")
-    genera = {euler_genus(eg) for eg in triangulations}
-    if len(genera) != 1:
-        raise PreconditionError(f"mixed genera in list: {sorted(genera)}")
-    return _max_excess(triangulations, [count_cliques(eg.graph, s) for eg in triangulations], s)
-
-
 def _max_excess(triangulations: list[EmbeddedGraph], counts: list[int],
                 s: int) -> tuple[int, list[int]]:
-    """``max_excess`` from the members' s-clique counts."""
+    """Maximum excess over the list (C(K3)-3n for s=3, C(K4)-n for s=4),
+    from the members' s-clique counts, and the indices attaining it."""
     weight = 3 if s == 3 else 1
     values = [c - weight * eg.n for c, eg in zip(counts, triangulations)]
     phi = max(values)
@@ -184,9 +169,6 @@ def render_table(census: SurfaceCensus) -> str:
 class Bounds:
     lower: float
     upper: float
-
-    def as_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper}
 
 
 def bounds(g: int, s: int, n: int | None = None) -> Bounds:

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import census as census_mod
@@ -229,12 +230,9 @@ def _run(args) -> None:
                   "lower": b.lower, "upper": b.upper}, args.json)
     elif cmd == "inequality":
         g = _load_graph(args.graph)
-        if args.kind == "goodman":
-            rep = counting.check_goodman(g)
-            _emit_kv(rep.as_dict(), args.json)
-        else:
-            rep = counting.check_genus_triangle_bound(g, args.genus)
-            _emit_kv(rep.as_dict(), args.json)
+        rep = (counting.check_goodman(g) if args.kind == "goodman"
+               else counting.check_genus_triangle_bound(g, args.genus))
+        _emit_kv(asdict(rep), args.json)
     elif cmd == "scaling":
         h = _load_graph(args.graph)
         if args.generator == "tree-blowup":

@@ -381,9 +381,6 @@ class InequalityReport:
     rhs: int
     holds: bool
 
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
-
 
 _K1 = Graph.build(1, [])
 _K2 = Graph.build(2, [(0, 1)])
@@ -408,12 +405,6 @@ class GenusTriangleReport:
     holds: bool
     hom_lhs: int
     hom_rhs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-            "hom_lhs": self.hom_lhs, "hom_rhs": self.hom_rhs,
-        }
 
 
 def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:

@@ -35,14 +35,9 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInvariantError, ParseError, PreconditionError
-from .graph import Graph, connected_components, induced_subgraph, spanning_forest
+from .graph import (Edge, Graph, _norm_edge, connected_components, induced_subgraph,
+                    spanning_forest)
 from .planarity import is_planar
-
-Edge = tuple[int, int]
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class EmbeddedGraph:
             if sorted(rot) != sorted(graph.adj[v]):
                 raise PreconditionError(
                     f"rotation at {v} is not a permutation of its neighbors")
-        neg = frozenset(_norm(u, v) for u, v in negative_edges)
+        neg = frozenset(_norm_edge(u, v) for u, v in negative_edges)
         bad = neg - graph.edges
         if bad:
             raise PreconditionError(f"negative signs on non-edges: {sorted(bad)}")
@@ -82,7 +77,7 @@ class EmbeddedGraph:
             (v, u) for v, rot in enumerate(self.rotations) for u in rot if v < u))
 
     def sign(self, u: int, v: int) -> int:
-        return -1 if _norm(u, v) in self.negative_edges else 1
+        return -1 if _norm_edge(u, v) in self.negative_edges else 1
 
     @cached_property
     def _table(self) -> "_Table":
@@ -318,7 +313,7 @@ def _read_rotations_checked(n: int, lines: list[tuple[int, str]]) -> EmbeddedGra
         if back is None:
             raise ParseError(f"vertex {u} does not list {v} back")
         if back != sgn:
-            raise ParseError(f"edge {_norm(u, v)} has conflicting signs at its endpoints")
+            raise ParseError(f"edge {_norm_edge(u, v)} has conflicting signs at its endpoints")
         if v < u and sgn < 0:
             negative.append((v, u))
     return EmbeddedGraph(tuple(rotations), frozenset(negative))
@@ -352,12 +347,8 @@ def switch_vertex(eg: EmbeddedGraph, v: int) -> EmbeddedGraph:
     rots = list(eg.rotations)
     rots[v] = tuple(reversed(rots[v]))
     neg = set(eg.negative_edges)
-    neg.symmetric_difference_update(_norm(v, w) for w in rots[v])
+    neg.symmetric_difference_update(_norm_edge(v, w) for w in rots[v])
     return EmbeddedGraph(tuple(rots), frozenset(neg))
-
-
-def triangles_containing(g: Graph, u: int, v: int) -> list[int]:
-    return sorted(set(g.adj[u]) & set(g.adj[v]))
 
 
 def reducible_edges(eg: EmbeddedGraph) -> list[Edge]:
@@ -366,8 +357,8 @@ def reducible_edges(eg: EmbeddedGraph) -> list[Edge]:
     contract_reducible)."""
     if not is_triangulation(eg):
         raise PreconditionError("reducible edges are defined for triangulations")
-    g = eg.graph
-    return [e for e in g.sorted_edges() if len(triangles_containing(g, *e)) == 2]
+    adj = eg.graph.adj
+    return [(u, v) for u, v in eg.graph.sorted_edges() if len(adj[u] & adj[v]) == 2]
 
 
 def _rotate_to(seq: tuple[int, ...], first: int) -> list[int]:
@@ -413,9 +404,9 @@ def contract_reducible(eg: EmbeddedGraph, edge: Edge) -> EmbeddedGraph:
         rotations[z] = tuple(u for u in rotations[z] if u != w)
     negative = set(eg.negative_edges)
     for a in arc:
-        if _norm(w, a) in negative:
-            negative.add(_norm(v, a))
-    negative.difference_update(_norm(w, u) for u in rot_w)
+        if _norm_edge(w, a) in negative:
+            negative.add(_norm_edge(v, a))
+    negative.difference_update(_norm_edge(w, u) for u in rot_w)
     # remove w and renumber the vertices after it, in one pass; the
     # structure is consistent by construction, so no builder re-checks it.
     # When w is the last vertex, no rotation is renumbered
@@ -485,7 +476,7 @@ class _Splitter:
 
     def sign(self, u: int, v: int) -> int:
         s = self.parity[u] * self.parity[v]
-        return -s if _norm(u, v) in self.negative else s
+        return -s if _norm_edge(u, v) in self.negative else s
 
     def switch(self, v: int) -> None:
         """switch_vertex: the reversed rotation starts at the old last."""
@@ -539,7 +530,7 @@ class _Splitter:
             self.touch(a)
             if self.sign(v, a) * self.parity[a] < 0:
                 self.negative.add((a, w))
-            self.negative.discard(_norm(v, a))
+            self.negative.discard(_norm_edge(v, a))
             p, s = pred[a].pop(v), succ[a].pop(v)
             if p == v:  # v was a's only neighbor
                 p = s = w
@@ -573,7 +564,7 @@ class _Splitter:
             # a switched vertex flips the sign of each of its edges, so an
             # edge between two switched vertices keeps its stored sign
             if self.parity[v] < 0:
-                negative.symmetric_difference_update(_norm(v, u) for u in rot)
+                negative.symmetric_difference_update(_norm_edge(v, u) for u in rot)
         # consistent by construction: no builder re-checks it
         return EmbeddedGraph(tuple(rotations), frozenset(negative))
 
@@ -612,7 +603,7 @@ def min_genus_search(g: Graph, tries: int = DEFAULT_EMBEDDING_TRIES) -> tuple[in
         total += genus
         for i, v in enumerate(comp):
             rotations[v] = tuple(comp[u] for u in emb.rotations[i])
-        negatives.update(_norm(comp[u], comp[v]) for u, v in emb.negative_edges)
+        negatives.update(_norm_edge(comp[u], comp[v]) for u, v in emb.negative_edges)
     return total, EmbeddedGraph.build(g, rotations, negatives)
 
 

@@ -304,18 +304,16 @@ def _check_size_cap(h: Graph, size_cap: int) -> None:
         raise CapExceeded("size_cap", f"flap_number cap is {size_cap} vertices, got {h.n}")
 
 
-def _solve(h: Graph, size_cap: int, family: bool, number: bool = True,
-           ) -> tuple[list[Separation], int]:
-    """The family ``maximum_flap_family`` picks ([] unless ``family``, and
-    when there is no candidate flap) and the flap number, from one walk
-    over the cut sets. A caller that wants the ``number`` has the empty
-    graph refused: before the size cap for the number alone, after it
-    when the family is wanted too."""
+def _solve(h: Graph, size_cap: int, family: bool) -> tuple[list[Separation], int]:
+    """The family ``flap_family_and_number`` picks ([] unless ``family``,
+    and when there is no candidate flap) and the flap number, from one
+    walk over the cut sets. The empty graph is refused: before the size
+    cap for the number alone, after it when the family is wanted too."""
     if not (h.n or family):
         raise PreconditionError("flap number needs a non-empty graph")
     _check_size_cap(h, size_cap)
     if h.n < 2:
-        if number and not h.n:
+        if not h.n:
             raise PreconditionError("flap number needs a non-empty graph")
         return [], 1
     sides, separable = _search(h)
@@ -372,21 +370,15 @@ def are_independent(h: Graph, a: Separation, b: Separation) -> bool:
     return not any(w in sb for v in sa for w in h.adj[v])
 
 
-def maximum_flap_family(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> list[Separation]:
-    """A maximum pairwise-independent family of flaps whose first member is
-    maximal (by side inclusion, the side being X union S) among candidates
-    that extend to some maximum family. Deterministic: ties resolve by
-    candidate enumeration order. A non-empty family has the flap number as
-    its length. Empty when the graph has no flap at all (flap number 0, or
-    1 for a planar graph with no small separation)."""
-    return _solve(h, size_cap, family=True, number=False)[0]
-
-
 def flap_family_and_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP,
                            ) -> tuple[list[Separation], int]:
-    """``maximum_flap_family(h)`` and ``flap_number(h)`` from one walk over
-    the cut sets, for callers that need the number when the family is
-    empty."""
+    """A maximum pairwise-independent family of flaps whose first member is
+    maximal (by side inclusion, the side being X union S) among candidates
+    that extend to some maximum family, and ``flap_number(h)``, from one
+    walk over the cut sets. Deterministic: ties resolve by candidate
+    enumeration order. A non-empty family has the flap number as its
+    length. The family is empty when the graph has no flap at all (flap
+    number 0, or 1 for a planar graph with no small separation)."""
     return _solve(h, size_cap, family=True)
 
 

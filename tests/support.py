@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from surfcount.counting import clique_counts
-from surfcount.embedding import EmbeddedGraph, _read_rotations_checked, switch_vertex
+from surfcount.embedding import EmbeddedGraph, switch_vertex
 from surfcount.errors import InternalInvariantError, ParseError, PreconditionError
 from surfcount.flaps import Separation, flap_family_and_number
 from surfcount.graph import (
@@ -1074,9 +1074,43 @@ def slow_read_rotations(n: int, lines: list[str]) -> EmbeddedGraph | None:
     return EmbeddedGraph.build(Graph.build(n, edges), rotations, signed)
 
 
+def slow_parse_fault(n: int, lines: list[tuple[int, str]]) -> ParseError:
+    """The first fault of numbered rotation lines that ``slow_read_rotations``
+    refuses, named as the parse names it: this module's own copy of the
+    token reader, so a changed message does not pass as its own oracle."""
+    negative_at: dict[tuple[int, int], bool] = {}  # (v, u): u is marked at v
+    for expect, (lineno, ln) in enumerate(lines[1:]):
+        head, _, rest = ln.partition(":")
+        try:
+            v = int(head.strip())
+        except ValueError:
+            return ParseError(f"expected 'v: ...', got {ln!r}", lineno)
+        if v != expect:
+            return ParseError(f"rotation lines must be in order; expected {expect}", lineno)
+        for tok in rest.split():
+            try:
+                u = int(tok[:-1] if tok.endswith("-") else tok)
+            except ValueError:
+                return ParseError(f"bad neighbor token {tok!r}", lineno)
+            if u == v:
+                return ParseError(f"self-loop at vertex {v}", lineno)
+            if not 0 <= u < n:
+                return ParseError(f"neighbor {u} out of range", lineno)
+            if (v, u) in negative_at:
+                return ParseError(f"duplicate neighbor {u} at vertex {v}", lineno)
+            negative_at[v, u] = tok.endswith("-")
+    for (v, u), marked in negative_at.items():
+        if (u, v) not in negative_at:
+            return ParseError(f"vertex {u} does not list {v} back")
+        if negative_at[u, v] != marked:
+            return ParseError(f"edge {(min(u, v), max(u, v))} has conflicting signs "
+                              "at its endpoints")
+    raise InternalInvariantError("the edge-set reader refused a document with no fault")
+
+
 def slow_parse_embedding(text: str) -> EmbeddedGraph:
     """``parse_embedding`` with ``slow_read_rotations`` as its fast path:
-    the same header checks, and the token reader names any fault."""
+    the same header checks, and ``slow_parse_fault`` names any fault."""
     lines = [
         (i + 1, ln) for i, ln in enumerate(text.splitlines())
         if ln.strip() and not ln.lstrip().startswith("#")
@@ -1091,7 +1125,9 @@ def slow_parse_embedding(text: str) -> EmbeddedGraph:
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} rotation lines, found {len(lines) - 1}")
     eg = slow_read_rotations(n, [ln for _, ln in lines[1:]])
-    return eg if eg is not None else _read_rotations_checked(n, lines)
+    if eg is None:
+        raise slow_parse_fault(n, lines)
+    return eg
 
 
 # ---------------------------------------------------------------------------
@@ -1361,8 +1397,9 @@ def icosahedron_antipodal_classes() -> list[tuple[int, int]]:
 def _slow_separating_pair(g: Graph) -> tuple[int, int] | None:
     """For a 2-connected g that is not a cycle: None if g is 3-connected,
     else the lexicographically first pair x < y, both of degree at least 3,
-    whose removal disconnects g, scanning every x from 0."""
-    pairs = ((x, y) for x in range(g.n) for y in articulation_points(g, (x,)) if y > x)
+    whose removal disconnects g, removing every pair in turn."""
+    pairs = ((x, y) for x, y in itertools.combinations(range(g.n), 2)
+             if len(_components_without(g, (x, y))) > 1)
     first = next(pairs, None)
     if first is None:
         return None

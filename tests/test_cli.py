@@ -312,12 +312,32 @@ def test_bounds_output(capsys):
 
 
 def test_inequality(capsys, k5_file):
-    code, out, _ = run(capsys, "inequality", "goodman", k5_file)
-    kv = dict(ln.split("=") for ln in out.strip().splitlines())
-    assert kv["holds"] == "true" and kv["lhs"] == "300"
-    code, out, _ = run(capsys, "inequality", "genus-triangle", k5_file, "--genus", "1")
-    kv = dict(ln.split("=") for ln in out.strip().splitlines())
-    assert kv["holds"] == "true"
+    """The records print their fields in declaration order as key=value
+    lines, or as one JSON object with sorted keys."""
+    goodman = ("inequality", "goodman", k5_file)
+    assert run(capsys, *goodman) == (0, "lhs=300\nrhs=300\nholds=true\n", "")
+    assert run(capsys, "--json", *goodman) == (
+        0, '{"holds": true, "lhs": 300, "rhs": 300}\n', "")
+    triangle = ("inequality", "genus-triangle", k5_file, "--genus", "1")
+    assert run(capsys, *triangle) == (
+        0, "lhs=10\nrhs=4\nholds=true\nhom_lhs=60\nhom_rhs=24\n", "")
+    assert run(capsys, "--json", *triangle) == (
+        0, '{"holds": true, "hom_lhs": 60, "hom_rhs": 24, "lhs": 10, "rhs": 4}\n', "")
+
+
+def test_census_records_are_pinned(capsys):
+    """The census record of each bundled surface, byte for byte."""
+    assert run(capsys, "--json", "census", "--surface", "n1") == (0, (
+        '{"complete": false, "entries": {"0": {"a": 0, "b": 1}, "1": {"a": 1, "b": 0}, '
+        '"2": {"a": 3, "b": -3}, "3": {"a": 3, "b": 2}, "4": {"a": 1, "b": 9}, '
+        '"5": {"a": 0, "b": 6}, "6": {"a": 0, "b": 1}}, "genus": 1, "n_min": 6, '
+        '"surface": "N1", "thresholds": [0, 1, 6, 6, 6, 6, 6], '
+        '"total": {"a": 8, "b": 16}}\n'), "")
+    assert run(capsys, "--json", "table", "--surface", "sphere") == (0, (
+        '{"complete": true, "entries": {"0": {"a": 0, "b": 1}, "1": {"a": 1, "b": 0}, '
+        '"2": {"a": 3, "b": -6}, "3": {"a": 3, "b": -8}, "4": {"a": 1, "b": -3}}, '
+        '"genus": 0, "n_min": 4, "surface": "S0", "thresholds": [0, 1, 4, 4, 4], '
+        '"total": {"a": 8, "b": -16}}\n'), "")
 
 
 def test_genus_triangle_refuses_lone_triangle(capsys, tmp_path):

@@ -31,7 +31,6 @@ from surfcount.flaps import (
     flap_reduction,
     is_flap,
     is_strongly_non_planar,
-    maximum_flap_family,
     tree_beta,
 )
 from surfcount.graph import (
@@ -108,15 +107,13 @@ def test_flap_number_cap():
         flap_number(empty)
     with pytest.raises(PreconditionError):
         flap_family_and_number(empty)
-    assert maximum_flap_family(empty) == maximum_flap_family(k1) == []
     assert flap_number(k1) == 1 and flap_family_and_number(k1) == ([], 1)
     # the number alone refuses the empty graph before the size cap; a call
     # that wants the family checks the cap first
     with pytest.raises(PreconditionError):
         flap_number(empty, size_cap=-1)
-    for call in (flap_family_and_number, maximum_flap_family):
-        with pytest.raises(CapExceeded):
-            call(empty, size_cap=-1)
+    with pytest.raises(CapExceeded):
+        flap_family_and_number(empty, size_cap=-1)
 
 
 def test_strongly_non_planar():
@@ -182,17 +179,17 @@ def test_tree_flap_number_equals_beta():
 
 def test_family_and_reduction_examples():
     p3 = path_graph(3)
-    fam = maximum_flap_family(p3)
+    fam = flap_family_and_number(p3)[0]
     assert [(s.x, s.s) for s in fam] == [((1,), (0,)), ((1,), (2,))]
     red = flap_reduction(p3, fam)
     assert red.n == 2 and red.m == 1
 
-    fam = maximum_flap_family(K5_PENDANT)
+    fam = flap_family_and_number(K5_PENDANT)[0]
     red = flap_reduction(K5_PENDANT, fam)
     assert red.n == 5 and red.m == 10  # K5 back
     assert flap_number(red) == 0
 
-    assert maximum_flap_family(complete_graph(4)) == []
+    assert flap_family_and_number(complete_graph(4)) == ([], 1)
 
 
 def test_flap_reduction_validation():
@@ -204,7 +201,7 @@ def test_flap_reduction_validation():
                             Separation((3,), (4,))])
     with pytest.raises(PreconditionError, match="not maximum"):
         flap_reduction(p5, [Separation((1,), (0,))])
-    fam = maximum_flap_family(p5)
+    fam = flap_family_and_number(p5)[0]
     # demote the first member to a non-maximal one
     small_first = [fam[1], fam[0]] + fam[2:]
     with pytest.raises(PreconditionError, match="maximal"):
@@ -219,7 +216,7 @@ def test_flap_reduction_property_random():
         k = flap_number(g)
         if k < 1:
             continue
-        fam = maximum_flap_family(g)
+        fam = flap_family_and_number(g)[0]
         if not fam:
             continue
         produced += 1
@@ -250,7 +247,7 @@ def test_one_candidate_search_per_call(monkeypatch, tmp_path):
         seen = []
         enumerate_candidate_flaps(g)
         seen.append(len(calls))
-        family = maximum_flap_family(g)
+        family = flap_family_and_number(g)[0]
         assert bool(family) == (g is not TWO_K5)
         calls.clear()
         assert main(["flap-number", "--family", str(path)]) == 0
@@ -323,7 +320,6 @@ def test_search_matches_one_test_per_side_oracle():
         family, number = flaps._solve(g, flaps.DEFAULT_FLAP_SIZE_CAP, family=True)
         assert (number, bool(family)) == ((len(family), True) if cands else (int(planar), False))
         assert family == [] or set(family) <= set(cands)
-        assert maximum_flap_family(g) == family
         assert flap_number(g) == number
         assert flap_family_and_number(g) == (family, number)
         _check_against_eager(g)
@@ -498,7 +494,7 @@ def golden_text():
         out.append(f"flap_number {_outcome(flap_number, g)}")
         out.append(f"snp {_outcome(is_strongly_non_planar, g)}")
         out.append(f"candidates {_seps(_outcome(enumerate_candidate_flaps, g))}")
-        family = _outcome(maximum_flap_family, g)
+        family = _outcome(lambda h: flap_family_and_number(h)[0], g)
         out.append(f"family {_seps(family)}")
         if family and not isinstance(family, str):
             out.append(f"reduction {_graph_line(_outcome(flap_reduction, g, family))}")

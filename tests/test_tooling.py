@@ -2,8 +2,10 @@
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
+import surfcount
 from surfcount.embedding import serialize_embedding
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +65,26 @@ def test_no_unused_imports_in_src():
         found += [f"{path.relative_to(SRC)}:{line} {name}"
                   for name, line in sorted(imported.items()) if name not in used]
     assert found == []
+
+
+def test_every_exported_function_has_a_caller():
+    """Each function in ``surfcount.__all__`` is named, as a name or an
+    attribute, outside ``tests/``: in a package module other than
+    ``__init__.py``, in a demo or in a tool. An export that only the tests
+    need is not exported."""
+    paths = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    exported = [name for name in surfcount.__all__
+                if inspect.isfunction(getattr(surfcount, name))]
+    assert exported
+    assert [name for name in exported if name not in named] == []
 
 
 def test_derive_tool_rebuilds_its_data_file():

@@ -72,6 +72,17 @@ def _size_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _cap(text: str) -> int:
+    """A cap's value: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be at least 0, got {value}")
+    return value
+
+
 def _add_surface_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surface", choices=["sphere", "n1", "custom"], default="custom")
     p.add_argument("--genus", type=int, default=None)
@@ -92,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flap-number", help="flap number of a graph")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=flaps.DEFAULT_FLAP_SIZE_CAP)
+    p.add_argument("--cap", type=_cap, default=flaps.DEFAULT_FLAP_SIZE_CAP)
     p.add_argument("--family", action="store_true",
                    help="also print a maximum independent flap family")
 
@@ -108,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="copies of H in G")
     p.add_argument("pattern")
     p.add_argument("host")
-    p.add_argument("--work-cap", type=int, default=counting.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=_cap, default=counting.DEFAULT_WORK_CAP)
 
     p = sub.add_parser("hom", help="homomorphisms from H to G")
     p.add_argument("pattern")
     p.add_argument("host")
     p.add_argument("--injective", action="store_true")
-    p.add_argument("--work-cap", type=int, default=counting.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=_cap, default=counting.DEFAULT_WORK_CAP)
 
     p = sub.add_parser("census", help="full census record for a surface")
     _add_surface_flags(p)
@@ -149,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated, increasing")
     p.add_argument("--seed", default="k4-sphere",
                    help="seed embedding for split-growth")
-    p.add_argument("--work-cap", type=int, default=counting.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=_cap, default=counting.DEFAULT_WORK_CAP)
 
     p = sub.add_parser("genus", help="Euler genus of an embedding")
     p.add_argument("embedding")

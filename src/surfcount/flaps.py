@@ -3,17 +3,15 @@
 A separation is stored canonically as a pair (X, S): the cut set X with
 |X| <= 2 and the interior S, a union of connected components of H - X with
 a non-empty complement. Whether a side is a flap (its graph plus a clique
-on X is planar) and whether two separations are independent both depend
-only on (X, S), never on how edges inside X are assigned to sides, so the
-canonical form loses nothing. The brute-force oracle in the test suite
-re-derives everything from the raw definition and confirms the collapse.
+on X is planar) and whether two separations are independent depend only
+on (X, S), not on how edges inside X go to sides, so the canonical form
+loses nothing; the literal oracle in the tests confirms the collapse.
 
 Every entry point that needs the candidate flaps walks the cut sets once
-(``_search``). Edge counts and H's non-planar blocks decide most
-single-component sides; the rest are pending, and a planarity test decides
-one only when the answer can change the result: the solver walks the sides
-by interior size and tests a pending side only when its interior could be
-inclusion-minimal, or, for a family, could extend to a maximum family.
+(``_search``), in n + 1 lowpoint passes: one of H, one of each H - x.
+Edge counts and H's non-planar blocks decide most single-component sides;
+a pending side gets a planarity test only when its interior could be
+inclusion-minimal or, for a family, extend to a maximum family.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .graph import (
 from .planarity import is_planar
 
 DEFAULT_FLAP_SIZE_CAP = 16
+Side = tuple[tuple[int, ...], int, bool | None]  # X, the interior's mask, planar or pending
 
 
 @dataclass(frozen=True, order=True)
@@ -59,13 +58,10 @@ def validate_separation(h: Graph, sep: Separation) -> None:
         raise PreconditionError("cut set and interior overlap")
     if len(x) + len(s) >= h.n:
         raise PreconditionError("separation has empty far side")
-    sset = set(s)
-    xset = set(x)
-    for v in s:
-        for w in h.adj[v]:
-            if w not in sset and w not in xset:
-                raise PreconditionError(
-                    f"interior is not a union of components: edge {v}-{w} escapes")
+    inside = set(s) | set(x)
+    escape = next((f"{v}-{w}" for v in s for w in h.adj[v] if w not in inside), None)
+    if escape:
+        raise PreconditionError(f"interior is not a union of components: edge {escape} escapes")
 
 
 def _side_is_planar(h: Graph, sep: Separation) -> bool:
@@ -80,14 +76,6 @@ def is_flap(h: Graph, sep: Separation) -> bool:
     """True iff the side graph plus a clique on the cut set is planar."""
     validate_separation(h, sep)
     return _side_is_planar(h, sep)
-
-
-def _cut_sets(h: Graph):
-    yield ()
-    for i in range(h.n):
-        yield (i,)
-    for pair in combinations(range(h.n), 2):
-        yield pair
 
 
 def _certain(n: int, m: int, c: int) -> bool | None:
@@ -118,71 +106,98 @@ def _nonplanar_blocks(h: Graph, adjm: list[int]) -> list[int]:
     return bad
 
 
-def _mask_components(adjm: list[int], alive: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The components of the graph with adjacency masks ``adjm`` induced on
-    the vertex mask ``alive``, ordered by least member, each as its vertex
-    mask and its sorted vertices. A vertex leaves ``alive`` when reached."""
-    comps = []
-    while alive:
-        todo = alive & -alive
-        alive ^= todo
-        comp = 0
-        members = []
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            comp |= low
-            v = low.bit_length() - 1
-            members.append(v)
-            reach = adjm[v] & alive
-            alive ^= reach
-            todo |= reach
-        members.sort()
-        comps.append((comp, tuple(members)))
-    return comps
+def _lowpoint_pass(adjm: list[int], deg: list[int], alive: int,
+                   ) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, int]]]]:
+    """One depth-first search of H[alive] (Hopcroft-Tarjan 1973): its trees
+    in order of root, the least member, and for each vertex y the subtrees
+    of y's children whose lowpoint does not reach above y, which deleting y
+    cuts off from the rest of its tree. Each vertex set is its mask and its
+    degree sum in H. Edges leave a subtree only upwards, so its lowpoint
+    stays at y when its neighbours in ``alive`` lie in it or at y."""
+    trees, cuts, unseen = [], {}, alive
+    while unseen:
+        stack = []  # [vertex, subtree mask, the subtree's neighbours, degree sum]
+        reach = unseen  # the root is the least unseen vertex
+        while True:
+            if reach:
+                bit = reach & -reach
+                unseen ^= bit
+                v = bit.bit_length() - 1
+                stack.append([v, bit, adjm[v], deg[v]])
+            else:
+                top = stack.pop()
+                if not stack:
+                    trees.append((top[1], top[3]))
+                    break
+                up = stack[-1]
+                if not top[2] & alive & ~(top[1] | 1 << up[0]):
+                    cuts.setdefault(up[0], []).append((top[1], top[3]))
+                up[1:] = up[1] | top[1], up[2] | top[2], up[3] + top[3]
+            reach = adjm[stack[-1][0]] & unseen
+    return trees, cuts
 
 
-def _search(h: Graph, first: bool = False,
-            ) -> tuple[list[tuple[Separation, bool | None]], bool]:
-    """One pass over the cut sets: the single-component sides that are not
-    ruled non-planar, in enumeration order, each with True when it is
-    planar and None when it is pending, and whether any cut set separates
-    H at all. With ``first`` the pass stops at the first planar side.
+def _splits(adjm: list[int], deg: list[int]):
+    """Each cut set X of at most two vertices that separates H, in
+    enumeration order, with the components of H - X by least member as
+    (mask, degree sum) pairs. The pass of H gives X = () and (y,), the
+    pass of H - x each (x, y) with y > x: n + 1 passes, each run lazily."""
+    full = (1 << len(adjm)) - 1
+    for x in range(-1, len(adjm)):
+        trees, cuts = _lowpoint_pass(adjm, deg, full if x < 0 else full ^ 1 << x)
+        if x < 0 and len(trees) > 1:
+            yield (), trees
+        for y in range(x + 1, len(adjm)):
+            if len(trees) == 1 and y not in cuts:
+                continue  # deleting y leaves one component or none
+            comps, cut = [], cuts.get(y, [])
+            for mask, total in trees:
+                if mask >> y & 1:  # y's tree falls into its cut-off subtrees and the rest
+                    comps += cut
+                    mask ^= sum(c[0] for c in cut) | 1 << y
+                    total -= sum(c[1] for c in cut) + deg[y]
+                if mask:
+                    comps.append((mask, total))
+            if len(comps) > 1:
+                yield (y,) if x < 0 else (x, y), sorted(comps, key=lambda c: c[0] & -c[0])
 
-    A graph is planar exactly when each of its blocks is. For |X| <= 1 the
-    side is a union of H's blocks, and for |X| = 2 with a member of X that
-    has no neighbour in S it is such a union plus a pendant or separate
-    edge; so then the side is planar exactly when no non-planar block of H
-    lies inside X union S. Counts decide most other sides, and the rest
-    are pending: no planarity test runs here."""
+
+def _search(h: Graph, first: bool = False) -> tuple[list[Side], bool]:
+    """One walk over the cut sets: the single-component sides (X, S) not
+    ruled non-planar, in enumeration order, each True if planar or None if
+    pending, and whether any cut set separates H; with ``first`` it stops
+    at the first planar side. For |X| <= 1, or |X| = 2 with a member of X
+    that has no neighbour in S, the side is a union of H's blocks plus at
+    most a pendant or separate edge: planar unless a non-planar block of H
+    lies in X union S. Counts decide most other sides: S is a component of
+    H - X, so m(A+) is half of S's degree sum plus its edges into X, plus
+    X's edge. The rest are pending, with no planarity test run here."""
     adjm = [sum(1 << w for w in nbrs) for nbrs in h.adj]
     bad = _nonplanar_blocks(h, adjm)
-    everything = (1 << h.n) - 1
-    sides: list[tuple[Separation, bool | None]] = []
+    sides: list[Side] = []
     separable = False
-    for x in _cut_sets(h):
-        xmask = sum(1 << v for v in x)
-        comps = _mask_components(adjm, everything & ~xmask)
-        if len(comps) < 2:
-            continue
+    for x, comps in _splits(adjm, [len(nbrs) for nbrs in h.adj]):
         separable = True
-        for smask, s in comps:
-            vmask = xmask | smask
-            touching = sum(1 for v in x if adjm[v] & smask)
-            m = sum((adjm[v] & vmask).bit_count() for v in x + s) // 2
-            if len(x) == 2 and not adjm[x[0]] >> x[1] & 1:
-                m += 1
-            planar = _certain(len(x) + len(s), m, 2 if x and not touching else 1)
+        xmask = sum(1 << v for v in x)
+        for smask, total in comps:
+            into = [(adjm[v] & smask).bit_count() for v in x]
+            touching = len(x) - into.count(0)
+            m = (total + sum(into)) // 2 + (len(x) == 2)
+            planar = _certain(len(x) + smask.bit_count(), m, 2 if x and not touching else 1)
             if planar is None:
-                if any(not b & ~vmask for b in bad):
+                if any(not b & ~(xmask | smask) for b in bad):
                     planar = False
                 elif touching < 2:
                     planar = True
             if planar is not False:
-                sides.append((Separation(x, s), planar))
+                sides.append((x, smask, planar))
                 if planar and first:
                     return sides, separable
     return sides, separable
+
+
+def _separation(x: tuple[int, ...], mask: int) -> Separation:
+    return Separation(x, tuple(v for v in range(mask.bit_length()) if mask >> v & 1))
 
 
 def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
@@ -191,86 +206,74 @@ def enumerate_candidate_flaps(h: Graph) -> list[Separation]:
     by X lexicographically (size first), then by S's smallest member."""
     if h.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return [sep for sep, planar in _search(h)[0] if planar or _side_is_planar(h, sep)]
+    seps = ((_separation(x, mask), planar) for x, mask, planar in _search(h)[0])
+    return [sep for sep, planar in seps if planar or _side_is_planar(h, sep)]
 
 
-def _item(h: Graph, s: tuple[int, ...]) -> tuple[int, int]:
-    """The packing item of the interior s: its vertex mask, and the mask of
-    s and its neighbours. Independence of two flaps depends only on their
-    interiors: disjoint, with no edge between."""
-    mask = sum(1 << v for v in s)
-    block = mask
-    for v in s:
-        for w in h.adj[v]:
-            block |= 1 << w
-    return mask, block
+def _item(h: Graph, x: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """The packing item of the side (X, S): S's mask, and the mask of S and
+    its neighbours, which lie in X. Two flaps are independent when their
+    items are compatible."""
+    return mask, mask | sum(1 << v for v in x if any(mask >> w & 1 for w in h.adj[v]))
 
 
-def _minimal_interiors(h: Graph, sides: list[tuple[Separation, bool | None]],
-                       ) -> tuple[list[bool | None], list[tuple[int, int]], list[Separation]]:
+def _minimal_interiors(h: Graph, sides: list[Side]) -> tuple[list, list, list]:
     """Each side's planarity, and the inclusion-minimal candidate interiors
-    as packing items in order of their first candidate, with that
-    candidate. The sides are walked by interior size, so every interior
-    strictly inside one has been decided when it comes up, and comparing
-    it against the minimal interiors found so far is enough: each
-    candidate interior contains one. A pending side is tested only when
-    its interior strictly contains none of them, so it could be minimal;
-    the others stay None."""
-    planar = [p for _, p in sides]
-    masks = [sum(1 << v for v in sep.s) for sep, _ in sides]
+    as packing items, by first candidate, with that side's (X, mask). The
+    sides are walked by interior size, so every interior strictly inside
+    one is decided when it comes up, and each candidate interior contains
+    a minimal one found so far. A pending side is tested only when its
+    interior strictly contains none of them; the others stay None."""
+    planar = [p for _, _, p in sides]
     minimal: set[int] = set()
-    for i in sorted(range(len(sides)), key=lambda i: len(sides[i][0].s)):
-        mask = masks[i]
+    for i in sorted(range(len(sides)), key=lambda i: sides[i][1].bit_count()):
+        x, mask, _ = sides[i]
         if mask not in minimal and any(not other & ~mask for other in minimal):
             continue
         if planar[i] is None:
-            planar[i] = _side_is_planar(h, sides[i][0])
+            planar[i] = _side_is_planar(h, _separation(x, mask))
         if planar[i]:
             minimal.add(mask)
-    firsts: dict[tuple[int, ...], Separation] = {}
-    for (sep, _), p, mask in zip(sides, planar, masks):
+    firsts: dict[int, tuple[tuple[int, ...], int]] = {}
+    for (x, mask, _), p in zip(sides, planar):
         if p and mask in minimal:
-            firsts.setdefault(sep.s, sep)
-    return planar, [_item(h, s) for s in firsts], list(firsts.values())
+            firsts.setdefault(mask, (x, mask))
+    return planar, [_item(h, *side) for side in firsts.values()], list(firsts.values())
 
 
-def _valid_first(h: Graph, sides: list[tuple[Separation, bool | None]],
-                 planar: list[bool | None], items: list[tuple[int, int]],
-                 firsts: list[Separation],
-                 ) -> tuple[int, list[Separation], dict[tuple[int, ...], list[int]]]:
-    """The flap number of a graph with candidates, the candidates that are
-    valid first members: those whose interior extends to some maximum
-    independent family (extension depends only on the interior), and each
-    interior's packing with it forced, by interior. A pending side is
-    tested only when its interior's packing, forced as if it were an item,
-    reaches the flap number: otherwise it is out of the pool either way."""
-    packings = {first.s: _max_packing(items, item) for first, item in zip(firsts, items)}
+def _valid_first(h: Graph, sides: list[Side], planar: list[bool | None],
+                 items: list[tuple[int, int]]) -> tuple[int, list, dict[int, list[int]]]:
+    """The flap number of a graph with candidates, the valid first members
+    as (X, interior mask): those whose interior extends to some maximum
+    independent family (which depends only on the interior), and each
+    interior's forced packing, by mask. A pending side is tested only when
+    its interior's packing, forced as if an item, reaches the flap number:
+    otherwise it is out of the pool either way."""
+    packings = {item[0]: _max_packing(items, item) for item in items}
     # a maximum packing holds minimal items only, and each one's forced
     # packing is as large, so the largest of theirs is the maximum
     k = 1 + max(map(len, packings.values()))
     pool = []
-    for i, (sep, _) in enumerate(sides):
-        if planar[i] is False:
+    for (x, mask, _), p in zip(sides, planar):
+        if p is False:
             continue
-        if sep.s not in packings:
-            packings[sep.s] = _max_packing(items, _item(h, sep.s))
-        if len(packings[sep.s]) + 1 == k and (planar[i] or _side_is_planar(h, sep)):
-            pool.append(sep)
+        if mask not in packings:
+            packings[mask] = _max_packing(items, _item(h, x, mask))
+        if len(packings[mask]) + 1 == k and (p or _side_is_planar(h, _separation(x, mask))):
+            pool.append((x, mask))
     return k, pool, packings
 
 
 def _max_packing(items: list[tuple[int, int]],
                  forced: tuple[int, int] | None = None) -> list[int]:
     """Maximum set of mutually compatible items (i compatible with j iff
-    mask_i & block_j == 0), as indices into ``items``, the
-    inclusion-minimal interiors: a member with a larger interior can be
-    swapped for a contained one without disturbing the rest (interiors
-    are distinct). Branch and bound in item order, each item tried in
-    before out, so ties resolve to the lexicographically first maximum.
-    ``forced`` is an item that the packing must be compatible with; it is
-    not in the result. The minimal items compatible with it are the
-    minimal ones among all its compatible items: an interior inside a
-    compatible one is compatible too."""
+    mask_i & block_j == 0), as indices into ``items``, the distinct
+    inclusion-minimal interiors: a member can be swapped for an interior
+    inside it. Branch and bound in item order, each item tried in before
+    out, so ties resolve to the lexicographically first maximum. The
+    packing must be compatible with the item ``forced``, which it leaves
+    out; the minimal items compatible with it are the minimal ones among
+    its compatible items, as an interior inside one is compatible too."""
     keep = range(len(items))
     if forced is not None:
         fmask, fblock = forced
@@ -297,6 +300,10 @@ def _max_packing(items: list[tuple[int, int]],
         i, blocked = chosen.pop()
         i += 1
     return [keep[i] for i in best]
+
+
+def _inside(a: int, b: int) -> bool:
+    return a != b and not a & ~b  # the mask a is a proper subset of b
 
 
 def _check_size_cap(h: Graph, size_cap: int) -> None:
@@ -329,13 +336,13 @@ def _solve(h: Graph, size_cap: int, family: bool) -> tuple[list[Separation], int
         return [], int(whole)
     if not family:
         return [], len(_max_packing(items))
-    k, pool, packings = _valid_first(h, sides, planar, items, firsts)
-    side_sets = [set(c.x) | set(c.s) for c in pool]
-    first = next((cand for pos, cand in enumerate(pool)
-                  if not any(side_sets[pos] < other for other in side_sets)), None)
+    k, pool, packings = _valid_first(h, sides, planar, items)
+    side_masks = [mask | sum(1 << v for v in x) for x, mask in pool]
+    first = next((cand for cand, side in zip(pool, side_masks)
+                  if not any(_inside(side, other) for other in side_masks)), None)
     if first is None:
         raise InternalInvariantError("no candidate flap is maximal by side inclusion")
-    return [first] + [firsts[i] for i in packings[first.s]], k
+    return [_separation(*side) for side in [first] + [firsts[i] for i in packings[first[1]]]], k
 
 
 def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
@@ -348,14 +355,13 @@ def flap_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP) -> int:
 def is_strongly_non_planar(h: Graph) -> bool:
     """Non-planar, and every small separation has both sides non-planar
     after completing the cut set to a clique. Single-component sides decide
-    this: every side contains one, and planarity is subgraph-closed. The
-    pending sides are tested, until one is planar, only when the walk
-    finds no side that the search makes planar."""
+    this, as each side contains one and planarity is subgraph-closed. The
+    pending sides are tested, until one is planar, only when none is."""
     if h.n <= 4 or is_planar(h):
         return False
     sides = _search(h, first=True)[0]
-    return not any(planar for _, planar in sides) and not any(
-        _side_is_planar(h, sep) for sep, _ in sides)
+    return not any(planar for *_, planar in sides) and not any(
+        _side_is_planar(h, _separation(x, mask)) for x, mask, _ in sides)
 
 
 def are_independent(h: Graph, a: Separation, b: Separation) -> bool:
@@ -365,9 +371,7 @@ def are_independent(h: Graph, a: Separation, b: Separation) -> bool:
     validate_separation(h, a)
     validate_separation(h, b)
     sa, sb = set(a.s), set(b.s)
-    if sa & sb:
-        return False
-    return not any(w in sb for v in sa for w in h.adj[v])
+    return not sa & sb and not any(w in sb for v in sa for w in h.adj[v])
 
 
 def flap_family_and_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP,
@@ -375,10 +379,10 @@ def flap_family_and_number(h: Graph, size_cap: int = DEFAULT_FLAP_SIZE_CAP,
     """A maximum pairwise-independent family of flaps whose first member is
     maximal (by side inclusion, the side being X union S) among candidates
     that extend to some maximum family, and ``flap_number(h)``, from one
-    walk over the cut sets. Deterministic: ties resolve by candidate
-    enumeration order. A non-empty family has the flap number as its
-    length. The family is empty when the graph has no flap at all (flap
-    number 0, or 1 for a planar graph with no small separation)."""
+    walk over the cut sets. Ties resolve by candidate enumeration order. A
+    non-empty family has the flap number as its length; the family is
+    empty when the graph has no flap (flap number 0, or 1 for a planar
+    graph with no small separation)."""
     return _solve(h, size_cap, family=True)
 
 
@@ -392,26 +396,22 @@ def flap_reduction(h: Graph, family: list[Separation],
     for sep in family:
         if not is_flap(h, sep):
             raise PreconditionError(f"{sep.serialize()} is not a flap")
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if not are_independent(h, family[i], family[j]):
-                raise PreconditionError("family not independent")
+    if not all(are_independent(h, a, b) for a, b in combinations(family, 2)):
+        raise PreconditionError("family not independent")
     _check_size_cap(h, size_cap)
     # the family's flaps each contain a single-component flap, since
     # planarity is closed under subgraphs, so candidates exist
     sides, _ = _search(h)
-    k, pool, _ = _valid_first(h, sides, *_minimal_interiors(h, sides))
+    k, pool, _ = _valid_first(h, sides, *_minimal_interiors(h, sides)[:2])
     if len(family) != k:
         raise PreconditionError(
             f"family of {len(family)} is not maximum (flap number {k})")
-    first_side = set(family[0].x) | set(family[0].s)
-    for cand in pool:
-        if first_side < (set(cand.x) | set(cand.s)):
-            raise PreconditionError("first member not maximal")
+    side = sum(1 << v for v in family[0].x + family[0].s)
+    if any(_inside(side, mask | sum(1 << v for v in x)) for x, mask in pool):
+        raise PreconditionError("first member not maximal")
     remaining = sorted(set(range(h.n)) - set(family[0].s))
     index = {v: i for i, v in enumerate(remaining)}
-    reduced = induced_subgraph(h, remaining)
-    return add_clique(reduced, [index[v] for v in family[0].x])
+    return add_clique(induced_subgraph(h, remaining), [index[v] for v in family[0].x])
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from surfcount import flaps
 from surfcount.counting import clique_counts
 from surfcount.embedding import EmbeddedGraph, switch_vertex
 from surfcount.errors import InternalInvariantError, ParseError, PreconditionError
 from surfcount.flaps import Separation, flap_family_and_number
 from surfcount.graph import (
-    Graph, add_clique, articulation_points, connected_components, induced_subgraph,
-    is_connected)
+    Graph, add_clique, blocks, connected_components, induced_subgraph, is_connected)
 from surfcount.planarity import is_planar
 from surfcount.spqrk import REAL, VIRTUAL, SpqrkNode, SpqrkTree
 
@@ -786,6 +786,63 @@ def slow_flap_candidates(g: Graph) -> tuple[list[Separation], bool]:
     return cands, separable
 
 
+def _mask_components(adjm: list[int], alive: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The components of the graph with adjacency masks ``adjm`` induced on
+    the vertex mask ``alive``, ordered by least member, each as its vertex
+    mask and its sorted vertices."""
+    comps = []
+    while alive:
+        todo = alive & -alive
+        alive ^= todo
+        comp = 0
+        members = []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            comp |= low
+            v = low.bit_length() - 1
+            members.append(v)
+            reach = adjm[v] & alive
+            alive ^= reach
+            todo |= reach
+        comps.append((comp, tuple(sorted(members))))
+    return comps
+
+
+def slow_flap_sides(g: Graph) -> tuple[list[tuple[tuple[int, ...], int, bool | None]], bool]:
+    """``flaps._search`` as one component search per cut set of at most two
+    vertices: the single-component sides (X, S) not ruled non-planar, each
+    as X, S's mask and True (planar) or None (pending), and whether any cut
+    set separates g. Each side's edges are counted vertex by vertex, and
+    g's non-planar blocks get one planarity test each."""
+    adjm = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    bad = [sum(1 << v for v in b) for b in blocks(g)
+           if not is_planar(induced_subgraph(g, b))]
+    sides = []
+    separable = False
+    for x in _subsets_le2(g.n):
+        xmask = sum(1 << v for v in x)
+        comps = _mask_components(adjm, ((1 << g.n) - 1) & ~xmask)
+        if len(comps) < 2:
+            continue
+        separable = True
+        for smask, s in comps:
+            vmask = xmask | smask
+            touching = sum(1 for v in x if adjm[v] & smask)
+            m = sum((adjm[v] & vmask).bit_count() for v in x + s) // 2
+            if len(x) == 2 and not adjm[x[0]] >> x[1] & 1:
+                m += 1
+            planar = flaps._certain(len(x) + len(s), m, 2 if x and not touching else 1)
+            if planar is None:
+                if any(not b & ~vmask for b in bad):
+                    planar = False
+                elif touching < 2:
+                    planar = True
+            if planar is not False:
+                sides.append((x, smask, planar))
+    return sides, separable
+
+
 def slow_max_packing(items: list[tuple[int, int]], forced: int | None = None) -> list[int]:
     """``flaps._max_packing`` as a recursive branch and bound that prunes
     to the inclusion-minimal items on every call: the maximum set of
@@ -822,7 +879,9 @@ def slow_max_packing(items: list[tuple[int, int]], forced: int | None = None) ->
     return ([] if forced is None else [forced]) + [keep[i] for i in best]
 
 
-def _interior_item(g: Graph, s) -> tuple[int, int]:
+def interior_item(g: Graph, s) -> tuple[int, int]:
+    """The packing item of the vertex set s: its mask, and the mask of s
+    and its neighbours."""
     mask = sum(1 << v for v in s)
     return mask, mask | sum(1 << w for w in {w for v in s for w in g.adj[v]})
 
@@ -842,7 +901,7 @@ def eager_flap_solve(g: Graph) -> tuple[list[Separation], int, list[Separation]]
     firsts: dict[tuple[int, ...], Separation] = {}
     for cand in cands:
         firsts.setdefault(cand.s, cand)
-    items = [_interior_item(g, s) for s in firsts]
+    items = [interior_item(g, s) for s in firsts]
     packings = dict(zip(firsts, (slow_max_packing(items, i) for i in range(len(items)))))
     k = max(map(len, packings.values()))
     pool = [c for c in cands if len(packings[c.s]) == k]
@@ -1446,7 +1505,7 @@ class _SlowBuilder:
     def _piece(self, vertices: tuple[int, ...], edges) -> list[tuple]:
         index = {v: i for i, v in enumerate(vertices)}
         local = Graph.build(len(vertices), [(index[u], index[v]) for u, v in edges])
-        cuts = articulation_points(local)
+        cuts = brute_cut_vertices(local)
         if cuts:
             return self._split(vertices, local, (cuts[0],))
         if local.n <= 2:

@@ -105,6 +105,28 @@ def test_count_and_hom(capsys, tmp_path, k5_file):
     assert "DP steps" in err and "spasm" in err
 
 
+def test_negative_caps_are_usage_errors(capsys, tmp_path):
+    """A negative ``--work-cap`` or ``--cap`` is refused by the parser: exit
+    2, nothing on stdout, the flag named on stderr. A cap of 0 parses, and
+    the command then stops at it."""
+    p3, k4 = tmp_path / "p3.g", tmp_path / "k4.g"
+    p3.write_text(serialize_graph(path_graph(3)))
+    k4.write_text(serialize_graph(complete_graph(4)))
+    for argv in (["count", "--work-cap", "-5", str(p3), str(k4)],
+                 ["hom", "--work-cap", "-1", str(p3), str(k4)],
+                 ["scaling", "--graph", str(p3), "--generator", "tree-blowup",
+                  "--sizes", "4,8", "--work-cap", "-1"],
+                 ["flap-number", "--cap", "-1", str(p3)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        flag = next(arg for arg in argv if arg.endswith("cap"))
+        assert f"argument {flag}: a cap must be at least 0, got -" in err
+    code, out, err = run(capsys, "flap-number", "--cap", "0", str(p3))
+    assert (code, out, err) == (1, "", "error: flap_number cap is 0 vertices, got 3\n")
+    code, out, err = run(capsys, "count", "--work-cap", "0", str(p3), str(k4))
+    assert code == 1 and out == "" and "after 0 DP steps" in err
+
+
 def test_count_pattern_larger_than_host(capsys, tmp_path):
     """No injective map exists, so no automorphism of the 3000-vertex
     path is counted and the answer is 0."""

@@ -9,6 +9,7 @@ from support import (
     eager_flap_reduction,
     eager_flap_solve,
     icosahedron,
+    interior_item,
     literal_flap_number,
     literal_strongly_non_planar,
     random_connected_graph,
@@ -16,6 +17,7 @@ from support import (
     random_graph,
     random_tree,
     slow_flap_candidates,
+    slow_flap_sides,
     slow_max_packing,
 )
 from surfcount import flaps
@@ -274,7 +276,7 @@ def test_family_of_a_planar_graph_tests_few_sides(monkeypatch):
     to a maximum family."""
     g = random_connected_graph(random.Random(53), 16, 0.12)
     assert g.n == 16 and is_planar(g)
-    assert sum(planar is None for _, planar in flaps._search(g)[0]) == 34
+    assert sum(planar is None for *_, planar in flaps._search(g)[0]) == 34
     tested = []
     decide = flaps._side_is_planar
     monkeypatch.setattr(flaps, "_side_is_planar",
@@ -287,14 +289,23 @@ def test_family_of_a_planar_graph_tests_few_sides(monkeypatch):
     assert len(tested) == 1
 
 
+def _connected(g):
+    """g with each component after the first joined by an edge from its
+    least vertex to vertex 0."""
+    return Graph.build(g.n, list(g.edges) + [(0, c[0]) for c in connected_components(g)[1:]])
+
+
 def test_search_matches_one_test_per_side_oracle():
-    """The search's candidates and separable flag, and the flap number,
-    family, strongly-non-planar flag and reduction built on them, against
-    the search with one planarity test per side and the solver that packs
-    every candidate interior (``eager_flap_solve``). Seeded graphs of at most 16
-    vertices: K5 and K3,3 pieces (whole, less an edge, subdivided) glued to
-    planar pieces at 0, 1 or 2 vertices, with isolated vertices, and
-    random sparse, dense and disconnected graphs."""
+    """The search's sides (X, interior mask, planar or pending) and
+    separable flag against the walk with one component search per cut set
+    (``slow_flap_sides``); its candidates, and the flap number, family,
+    strongly-non-planar flag and reduction built on them, against the
+    search with one planarity test per side and the solver that packs
+    every candidate interior (``eager_flap_solve``). Seeded graphs of at
+    most 16 vertices: K5 and K3,3 pieces (whole, less an edge, subdivided)
+    glued to planar pieces at 0, 1 or 2 vertices, with isolated vertices,
+    and random sparse, dense and disconnected graphs; then 40 connected
+    graphs of 17 to 60 vertices, past the size cap, for the search alone."""
     rng = random.Random(1930)
     graphs = [random_glued_graph(rng, rng.choice([8, 12, 16])) for _ in range(90)]
     graphs += [random_graph(rng, rng.randint(2, 12), rng.choice([0.15, 0.3, 0.5]))
@@ -310,9 +321,12 @@ def test_search_matches_one_test_per_side_oracle():
     for g in graphs:
         cands, separable = slow_flap_candidates(g)
         sides, found = flaps._search(g)
+        assert (sides, found) == slow_flap_sides(g), sorted(g.edges)
+        seps = [(Separation(x, [v for v in range(g.n) if mask >> v & 1]), planar)
+                for x, mask, planar in sides]
         assert found == separable
-        assert [sep for sep, _ in sides if sep in cands] == cands, sorted(g.edges)
-        assert all(sep in cands for sep, planar in sides if planar)
+        assert [sep for sep, _ in seps if sep in cands] == cands, sorted(g.edges)
+        assert all(sep in cands for sep, planar in seps if planar)
         assert enumerate_candidate_flaps(g) == cands
         planar = is_planar(g)
         snp = is_strongly_non_planar(g)
@@ -331,6 +345,20 @@ def test_search_matches_one_test_per_side_oracle():
         seen["isolated"] += any(len(c) == 1 for c in comps)
         seen["family"] += bool(family)
     assert min(seen.values()) >= 5, seen
+    large = []
+    while len(large) < 20:
+        g = _connected(random_glued_graph(rng, rng.randint(17, 60)))
+        if g.n >= 17:
+            large.append(g)
+    large += [random_connected_graph(rng, rng.randint(17, 60), rng.choice([0.02, 0.05]))
+              for _ in range(20)]
+    pending = 0
+    for g in large:
+        assert is_connected(g) and 17 <= g.n <= 60
+        sides = flaps._search(g)
+        assert sides == slow_flap_sides(g), sorted(g.edges)
+        pending += sum(planar is None for *_, planar in sides[0])
+    assert pending > 0
 
 
 def _reduction_families(g, family, pool):
@@ -371,34 +399,65 @@ def test_golden_graphs_match_eager_solver():
     assert compared > 500, compared
 
 
+def _count_passes(monkeypatch):
+    """A list that gets the vertex mask of each lowpoint pass."""
+    passes = []
+    run = flaps._lowpoint_pass
+    monkeypatch.setattr(flaps, "_lowpoint_pass",
+                        lambda adjm, deg, alive: passes.append(alive) or run(adjm, deg, alive))
+    return passes
+
+
 def test_planarity_calls_follow_the_blocks(monkeypatch):
     """Counts settle every side of a tree, so its flap number takes no
     planarity test. The strongly-non-planar test stops at the first
-    candidate: on K5 plus a pendant vertex it visits two cut sets and
-    tests only the whole graph, since K5's edge count rules it out."""
+    candidate: on K5 plus a pendant vertex the pass of H finds the cut
+    vertex 0 and its pendant side, so no pass of an H - x runs, and only
+    the whole graph is tested, since K5's edge count rules K5 out."""
     calls = []
     monkeypatch.setattr(flaps, "is_planar", lambda g: calls.append(g.n) or is_planar(g))
     tree = random_tree(random.Random(16), 16)
     assert flap_number(tree) == tree_beta(tree)
     assert calls == []
-    visited = []
-    split = flaps._mask_components
-
-    def recorded(adjm, alive):
-        visited.append(tuple(v for v in range(len(adjm)) if not alive >> v & 1))
-        return split(adjm, alive)
-
-    monkeypatch.setattr(flaps, "_mask_components", recorded)
+    passes = _count_passes(monkeypatch)
     assert not is_strongly_non_planar(K5_PENDANT)
     assert calls == [6]
-    assert visited == [(), (0,)]
+    assert passes == [(1 << 6) - 1]
+
+
+def _tree_plus_edges(n):
+    """A seeded random tree on n vertices plus n // 3 random edges."""
+    rng = random.Random(n)
+    edges = set(random_tree(rng, n).edges)
+    while len(edges) < n - 1 + n // 3:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.build(n, edges)
+
+
+def test_search_makes_n_plus_one_lowpoint_passes(monkeypatch):
+    """The search of a connected H runs one lowpoint pass of H and one of
+    each H - x, in order, and nothing per cut set: n + 1 passes, 201 on a
+    seeded 200-vertex tree plus 66 edges, whose sides match the walk with
+    one component search per cut set."""
+    passes = _count_passes(monkeypatch)
+    full = lambda g: (1 << g.n) - 1
+    for g in (K5_PENDANT, TWO_K5, icosahedron().graph, path_graph(16),
+              random_connected_graph(random.Random(3), 30, 0.05)):
+        passes.clear()
+        flaps._search(g)
+        assert passes == [full(g)] + [full(g) ^ 1 << x for x in range(g.n)]
+    g = _tree_plus_edges(200)
+    passes.clear()
+    sides = flaps._search(g)
+    assert len(passes) == 201
+    assert sides == slow_flap_sides(g)
 
 
 def _check_packings(h, interiors):
     """The packing over the inclusion-minimal ones of the distinct
     ``interiors``, unforced and with each interior forced, against the
     oracle over all of them; returns the interior count."""
-    items = [flaps._item(h, s) for s in dict.fromkeys(interiors)]
+    items = [interior_item(h, s) for s in dict.fromkeys(interiors)]
     minimal = [i for i, (mask, _) in enumerate(items)
                if not any(j != i and other & ~mask == 0 for j, (other, _) in enumerate(items))]
     pruned = [items[i] for i in minimal]
@@ -438,7 +497,7 @@ def test_one_packing_per_interior(monkeypatch):
                         lambda *args, **kw: calls.append(args) or packing(*args, **kw))
     g = random_connected_graph(random.Random(7), 11, 0.1)
     sides = flaps._search(g)[0]
-    assert len({sep.s for sep, _ in sides}) == 35
+    assert len({mask for _, mask, _ in sides}) == 35
     assert len(flaps._minimal_interiors(g, sides)[1]) == 6
     assert len({sep.s for sep in enumerate_candidate_flaps(g)}) == 35
     flap_number(g)

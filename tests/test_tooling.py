@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import surfcount
@@ -85,6 +86,24 @@ def test_every_exported_function_has_a_caller():
                 if inspect.isfunction(getattr(surfcount, name))]
     assert exported
     assert [name for name in exported if name not in named] == []
+
+
+def test_every_private_function_has_a_caller_in_src():
+    """Each module-level ``_name`` function in the package is named, as a
+    name or an attribute, somewhere in ``src/`` outside its own
+    definition. A helper that only the tests still use is not kept."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.rglob("*.py"))]
+
+    def named(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(named, trees), Counter())
+    private = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private
+    assert [f.name for f in private if everywhere[f.name] == named(f)[f.name]] == []
 
 
 def test_derive_tool_rebuilds_its_data_file():

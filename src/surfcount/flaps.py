@@ -8,7 +8,7 @@ on (X, S), not on how edges inside X go to sides, so the canonical form
 loses nothing; the literal oracle in the tests confirms the collapse.
 
 Every entry point that needs the candidate flaps walks the cut sets once
-(``_search``), in n + 1 lowpoint passes: one of H, one of each H - x.
+(``_search``), in n lowpoint passes: one of H, one of each H - x, x < n - 1.
 Edge counts and H's non-planar blocks decide most single-component sides;
 a pending side gets a planarity test only when its interior could be
 inclusion-minimal or, for a family, extend to a maximum family.
@@ -141,9 +141,9 @@ def _splits(adjm: list[int], deg: list[int]):
     """Each cut set X of at most two vertices that separates H, in
     enumeration order, with the components of H - X by least member as
     (mask, degree sum) pairs. The pass of H gives X = () and (y,), the
-    pass of H - x each (x, y) with y > x: n + 1 passes, each run lazily."""
+    pass of H - x each (x, y) with y > x, so x < n - 1: n passes, lazily."""
     full = (1 << len(adjm)) - 1
-    for x in range(-1, len(adjm)):
+    for x in range(-1, len(adjm) - 1):
         trees, cuts = _lowpoint_pass(adjm, deg, full if x < 0 else full ^ 1 << x)
         if x < 0 and len(trees) > 1:
             yield (), trees

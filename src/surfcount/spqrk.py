@@ -10,8 +10,10 @@ node edge is virtual.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import (Graph, articulation_points, blocks, connected_components, is_connected,
@@ -44,17 +46,118 @@ class SpqrkTree:
         return adj
 
 
-def _separating_pair(g: Graph, start: int) -> tuple[int, int] | None:
+def _pair_vertices(g: Graph) -> list[bool]:
+    """For a 2-connected g, whether each vertex lies in a separation pair,
+    a pair {a, u} whose removal disconnects g. In one DFS from vertex 0,
+    numbered in preorder, such a pair has a an ancestor of u
+    (Hopcroft-Tarjan 1973). The DFS gives low1(c), the least back-edge end
+    from T(c), and high(c), the largest one above parent(c). Then g - {a, u}
+    is disconnected exactly when
+    - some child c of u has low1(c) = a = high(c), and some vertex lies
+      outside T(c) + {a, u}: T(c) hangs at {a, u} alone (type 1); or
+    - a is not the root, and for its child d towards u, u is not d, T(d)
+      has no back edge above a outside T(u), and no child c of u has
+      low1(c) < a < high(c): T(d) - T(u) hangs at {a, u} (type 2).
+    The u of type 2 for d lie below d down to M(d), the nearest common
+    ancestor of T(d)'s vertices with a back edge above a: the walk from d
+    takes the child of least low1 while the vertex has no back edge above
+    a and no second child with low1 < a. Each chain of such children is
+    walked once, with a stack of the walks open on it: O(n + m log m)."""
+    n = g.n
+    num = [-1] * n  # preorder number; the lists below are indexed by it
+    num[0] = 0
+    order, back, flag = [0], [], [False] * n
+    par, heavy, high = [-1] * n, [-1] * n, [-1] * n  # heavy: the child of least low1
+    low1, own = list(range(n)), list(range(n))  # own: least own back-edge end
+    first, second = [n] * n, [n] * n  # the two least low1 among the children
+    size = [1] * n
+    stack = [(0, iter(g.adj[0]))]
+    while stack:
+        i, todo = stack[-1]
+        for w in todo:
+            j = num[w]
+            if j < 0:
+                j = num[w] = len(order)
+                order.append(w)
+                par[j] = i
+                stack.append((j, iter(g.adj[w])))
+                break
+            if j < par[i]:  # a back edge up, seen from its lower end
+                back.append((j, i))
+                if j < own[i]:
+                    own[i] = j
+                if j < low1[i]:
+                    low1[i] = j
+        else:
+            stack.pop()
+            p = par[i]
+            if p < 0:
+                continue
+            size[i] = len(order) - i
+            low = low1[i]
+            if low < low1[p]:
+                low1[p] = low
+            if low < first[p]:
+                first[p], second[p], heavy[p] = low, first[p], i
+            elif low < second[p]:
+                second[p] = low
+    # high(c) for each back edge from the highest end down: each c gets it once
+    up = list(range(n))
+    for y, c in sorted(back, reverse=True):
+        while True:
+            while up[c] != c:
+                up[c] = c = up[up[c]]
+            if par[c] <= y:
+                break
+            high[c], up[c] = y, par[c]
+    for c in range(1, n):
+        if low1[c] < par[c] and high[c] == low1[c] and size[c] < n - 2:
+            flag[low1[c]] = flag[par[c]] = True
+    stop = list(map(min, own, second))  # a walk with a > stop(w) ends at w
+    walks = []  # open walks down the chain: [a, least high(heavy(u)) passed]
+    for head in range(n):
+        if head and heavy[par[head]] == head:
+            continue
+        w = head
+        while w >= 0:
+            kids = None
+            while walks and walks[-1][0] > stop[w]:  # w is M(d)
+                a, least = walks.pop()
+                if walks:
+                    walks[-1][1] = min(walks[-1][1], least)
+                if kids is None:
+                    kids = sorted((low1[num[v]], high[num[v]]) for v in g.adj[order[w]]
+                                  if par[num[v]] == w)
+                    lows = [lo for lo, _ in kids]
+                    tops = list(accumulate((hi for _, hi in kids), max, initial=-1))
+                if tops[bisect_left(lows, a)] <= a:
+                    flag[w] = flag[a] = True
+                elif least <= a:
+                    flag[a] = True
+            if walks:  # w lies strictly inside the open walks
+                top = high[heavy[w]]
+                if top <= walks[-1][0]:
+                    flag[w] = True
+                walks[-1][1] = min(walks[-1][1], top)
+            if stop[w] >= par[w] > 0:  # the walk from d = w goes below w
+                walks.append([par[w], n])
+            w = heavy[w]
+    return [flag[i] for i in num]
+
+
+def _separating_pair(g: Graph, start: int, flagged: list[bool]) -> tuple[int, int] | None:
     """For a 2-connected g that is not a cycle: None if g is 3-connected,
     else the lexicographically first pair x < y, both of degree at least 3,
-    whose removal disconnects g, with the scan begun at x = ``start``. The
+    whose removal disconnects g, with x >= ``start``. Only the ``flagged``
+    x are tried, which must include every vertex of a separation pair; the
     y that pair with x are the articulation points of g - x.
 
     A P-split child may resume at its parent's x: each separating pair of
     the child separates the parent too, and no degree grows in the child,
-    so no pair the parent passed over qualifies in the child."""
+    so no pair the parent passed over qualifies in the child. For the same
+    reason the flags of a block (``_pair_vertices``) serve all its pieces."""
     for x in range(start, g.n):
-        if g.degree(x) >= 3:
+        if flagged[x] and g.degree(x) >= 3:
             for y in articulation_points(g, (x,)):
                 if y > x and g.degree(y) >= 3:
                     return x, y
@@ -115,12 +218,17 @@ class _Builder:
     and ``add_node`` records its anchor there. A P link's key is its shared
     pair (u, v), open from the start of the child's subtree. A Q link's key
     is its cut vertex c, open from the start of the child's block holding
-    c, the one block of that subtree that holds c."""
+    c, the one block of that subtree that holds c.
+
+    A block's pieces are built one after another, and the first pair scan
+    in a block, on the block itself, flags the block's pair vertices for
+    the scans of all its pieces."""
 
     def __init__(self):
         self.nodes: list[SpqrkNode] = []
         self.links: list[tuple[int, int]] = []
         self.anchor: dict = {}  # open link's key -> its anchor so far, or None
+        self.flagged: set[int] | None = None  # the current block's pair vertices
 
     def add_node(self, node: SpqrkNode) -> int:
         """Append the node with its open pairs' edges virtual, and record it
@@ -178,6 +286,7 @@ class _Builder:
                     work.append(node)
             elif item[0] == "B":
                 part = parts[item[1]]
+                self.flagged = None
                 self.anchor.update((c, None) for c in part if len(holding[c]) > 1)
                 work.append((part, part_edges[item[1]], None, (), part[0]))
             elif item[0] == "L":
@@ -204,7 +313,9 @@ class _Builder:
         else:
             index = {v: i for i, v in enumerate(vertices)}
             local = Graph.build(len(vertices), [(index[u], index[v]) for u, v in edges])
-            pair = _separating_pair(local, index[start])
+            if self.flagged is None:
+                self.flagged = {vertices[v] for v, f in enumerate(_pair_vertices(local)) if f}
+            pair = _separating_pair(local, index[start], [v in self.flagged for v in vertices])
             if pair is not None:
                 return self._split(vertices, local, pair)
             kind = "R"

@@ -1468,6 +1468,21 @@ def _slow_separating_pair(g: Graph) -> tuple[int, int] | None:
     raise InternalInvariantError("2-connected non-cycle graph must have a degree-3 cutset")
 
 
+def per_vertex_pair_scan(g: Graph, start: int) -> tuple[int, int] | None:
+    """The pair ``spqrk._separating_pair`` must give from ``start``, found
+    by trying every x >= start of degree at least 3 in turn: its partners
+    y > x of degree at least 3 are the cut vertices of g - x, found by
+    deleting each one. The same guard: None only if no vertex has degree 2."""
+    for x in range(start, g.n):
+        if g.degree(x) >= 3:
+            for y in brute_cut_vertices(g, (x,)):
+                if y > x and g.degree(y) >= 3:
+                    return x, y
+    if any(g.degree(v) == 2 for v in range(g.n)):
+        raise InternalInvariantError("2-connected non-cycle graph must have a degree-3 cutset")
+    return None
+
+
 class _SlowBuilder:
     """Worklist construction over subgraphs carrying original indices: each
     piece is rebuilt as a fresh ``Graph``, split at its least cut vertex

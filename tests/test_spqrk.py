@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from support import (disjoint_union, random_connected_graph, random_graph,
+from support import (brute_cut_vertices, disjoint_union, per_vertex_pair_scan,
+                     random_connected_graph, random_graph, random_stacked,
                      slow_multigraph_is_minor, slow_spqrk_build)
 from surfcount import spqrk
 from surfcount.errors import InternalInvariantError, PreconditionError
-from surfcount.graph import Graph, complete_graph, cycle_graph, path_graph
+from surfcount.graph import Graph, blocks, complete_graph, cycle_graph, path_graph
 from surfcount.spqrk import (
     REAL,
     VIRTUAL,
@@ -62,12 +63,31 @@ def test_theta_p_node_no_real():
 
 def test_pair_scan_guard():
     """A pair scan that finds nothing in a 2-connected graph, not a cycle,
-    with a vertex of degree 2 has skipped the pair it needed, and raises."""
+    with a vertex of degree 2 has skipped the pair it needed, and raises;
+    the per-vertex oracle gives the same three answers."""
     theta = Graph.build(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
-    assert spqrk._separating_pair(theta, 0) == (0, 1)
-    with pytest.raises(InternalInvariantError):
-        spqrk._separating_pair(theta, 1)
-    assert spqrk._separating_pair(complete_graph(4), 0) is None
+    for scan in (lambda g, start: spqrk._separating_pair(g, start, spqrk._pair_vertices(g)),
+                 per_vertex_pair_scan):
+        assert scan(theta, 0) == (0, 1)
+        with pytest.raises(InternalInvariantError):
+            scan(theta, 1)
+        assert scan(complete_graph(4), 0) is None
+
+
+@pytest.fixture
+def pair_scans(monkeypatch):
+    """Check each pair the builder picks, on each piece it scans, against
+    the per-vertex scan over all x >= start; the pairs found are recorded."""
+    found = []
+    scan = spqrk._separating_pair
+
+    def checked(g, start, flagged):
+        pair = scan(g, start, flagged)
+        assert pair == per_vertex_pair_scan(g, start), (sorted(g.edges), start)
+        found.append(pair)
+        return pair
+    monkeypatch.setattr(spqrk, "_separating_pair", checked)
+    return found
 
 
 def test_path_decomposition():
@@ -81,13 +101,14 @@ def test_disconnected_rejected():
         spqrk_build(disjoint_union(complete_graph(2), complete_graph(2)))
 
 
-def test_random_build_validate():
+def test_random_build_validate(pair_scans):
     rng = random.Random(90210)
     for _ in range(100):
         g = random_connected_graph(rng, rng.randint(1, 10),
                                    rng.choice([0.0, 0.15, 0.3, 0.5]))
         tree = spqrk_build(g)
         assert spqrk_validate(tree, g), sorted(g.edges)
+    assert None in pair_scans and len(pair_scans) > 10
 
 
 def test_validate_detects_tampering():
@@ -183,15 +204,95 @@ def test_witness_check_misses_other_witnesses():
 
 def test_articulation_runs(monkeypatch):
     """Cut vertices come from one block decomposition, so a path needs no
-    articulation search, and the 9x9 grid one per pair scan step only."""
+    articulation search. A pair scan tries only the vertices its block's
+    lowpoint pass flags: a grid's 2-cuts are the neighbours of its corners,
+    so a grid of any size needs a dozen searches, and a wheel none."""
     calls = []
     search = spqrk.articulation_points
     monkeypatch.setattr(spqrk, "articulation_points",
                         lambda g, removed=(): calls.append(removed) or search(g, removed))
     spqrk_build(path_graph(150))
     assert calls == []
-    spqrk_build(_grid(9))
-    assert 0 < len(calls) <= 90
+    for g in (_grid(9), _grid(40)):
+        calls.clear()
+        spqrk_build(g)
+        assert 0 < len(calls) <= 16
+    calls.clear()
+    spqrk_build(_wheel(500))
+    assert calls == []
+
+
+def _shuffled(g, rng):
+    """g relabelled at random, with each neighbour list in random order:
+    the depth-first search starts and turns elsewhere."""
+    perm = rng.sample(range(g.n), g.n)
+    g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    vars(g)["adj"] = tuple(tuple(rng.sample(sorted(a), len(a))) for a in g.adj)
+    return g
+
+
+def _subdivided(rng, g, p):
+    """g with each edge, with probability p, replaced by a path of 2-4 edges."""
+    n, edges = g.n, []
+    for u, v in sorted(g.edges):
+        inner = list(range(n, n + rng.randint(1, 3))) if rng.random() < p else []
+        n += len(inner)
+        path = [u, *inner, v]
+        edges += zip(path, path[1:])
+    return Graph.build(n, edges)
+
+
+def _random_piece(rng, glued=True):
+    """A 2-connected graph: a subdivided wheel, a K3,t, a stacked
+    triangulation with subdivided edges, a cycle with chords, or two to
+    four of these glued at pairs of vertices."""
+    kind = rng.randrange(5 if glued else 4)
+    if kind == 0:
+        return _subdivided(rng, _wheel(rng.randint(3, 9)), 0.3)
+    if kind == 1:
+        t = rng.randint(2, 8)
+        return Graph.build(3 + t, [(a, 3 + i) for a in range(3) for i in range(t)])
+    if kind == 2:
+        return _subdivided(rng, random_stacked(rng, rng.randint(4, 10))[0].graph, 0.2)
+    if kind == 3:
+        k = rng.randint(4, 20)
+        return Graph.build(k, [(i, (i + 1) % k) for i in range(k)]
+                           + [(i, j) for i, j in combinations(range(k), 2)
+                              if 1 < j - i < k - 1 and rng.random() < 3 / k ** 2])
+    g = _random_piece(rng, False)
+    for _ in range(rng.randint(1, 3)):
+        piece = _random_piece(rng, False)
+        a, b = rng.sample(range(g.n), 2)
+        where = [a, b, *range(g.n, g.n + piece.n - 2)]
+        g = Graph.build(g.n + piece.n - 2,
+                        [*g.edges, *((where[u], where[v]) for u, v in piece.edges)])
+    return g
+
+
+def test_pair_vertices_match_brute_force():
+    """The lowpoint pass flags exactly the vertices x for which g - x has a
+    cut vertex: on every 2-connected graph of up to 5 vertices, on seeded
+    2-connected pieces of up to 40 vertices with shuffled neighbour lists,
+    and on grids, necklaces and ladders."""
+    def check(g):
+        assert spqrk._pair_vertices(g) == [bool(brute_cut_vertices(g, (x,))) for x in range(g.n)], \
+            sorted(g.edges)
+    for n in range(3, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.build(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            if blocks(g) == [tuple(range(n))]:
+                check(g)
+    rng = random.Random(4242)
+    pieces = 0
+    while pieces < 500:
+        g = _random_piece(rng)
+        if g.n <= 40:
+            check(_shuffled(g, rng))
+            pieces += 1
+    for g in [_grid(k) for k in (2, 3, 5, 7)] + [_necklace(b) for b in (3, 6)] + [
+            _ladder(r) for r in (2, 3, 9)]:
+        check(g)
 
 
 def _two_connected_piece(rng):
@@ -223,13 +324,14 @@ def _glued_blocks(rng, pieces):
     return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-def test_matches_slow_builder_on_glued_graphs():
+def test_matches_slow_builder_on_glued_graphs(pair_scans):
     rng = random.Random(2718)
     for _ in range(300):
         g = _glued_blocks(rng, rng.randint(1, 6))
         fast, slow = spqrk_build(g), slow_spqrk_build(g)
         assert serialize_spqrk(fast) == serialize_spqrk(slow), sorted(g.edges)
         assert fast.tree_edges == slow.tree_edges
+    assert None in pair_scans and len(pair_scans) > 100
 
 
 def _glue_at_vertices(rng, parts):
@@ -257,7 +359,7 @@ def _deeply_nested(rng):
     yield _glue_at_vertices(rng, [_wheel(rng.randint(3, 8)) for _ in range(rng.randint(2, 6))])
 
 
-def test_matches_slow_builder_where_links_nest():
+def test_matches_slow_builder_where_links_nest(pair_scans):
     rng = random.Random(1996)
     for _ in range(12):
         for g in _deeply_nested(rng):
@@ -265,6 +367,7 @@ def test_matches_slow_builder_where_links_nest():
             assert [(n.kind, n.vertices, n.edges) for n in fast.nodes] == [
                 (n.kind, n.vertices, n.edges) for n in slow.nodes], sorted(g.edges)
             assert fast.tree_edges == slow.tree_edges
+    assert len(pair_scans) > 100
 
 
 def test_builder_invariant_checks():

@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import census as census_mod
 from . import constructions, counting, embedding, flaps, graph as graph_mod, spqrk
@@ -22,8 +21,11 @@ from .surfaces import load_bundled
 
 
 def _read(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except FileNotFoundError:
         raise SurfcountError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

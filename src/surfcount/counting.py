@@ -10,9 +10,15 @@ the host and the pattern's width, not with the number of maps counted:
   have unmapped neighbors, to the number of partial maps that reach them
   (treewidth DP, Diaz-Serna-Thilikos 2002). It runs on G's twin quotient,
   one vertex per class of false twins weighted by the class size, so a
-  host built by replicating vertices costs what its quotient costs. True
-  twins of F (equal closed neighborhoods) take rising images in a fixed
-  order of Q, and the count is multiplied by k! per class of k of them.
+  host built by replicating vertices costs what its quotient costs. Q's
+  edges point along a smallest-last (degeneracy) order, so every out-set
+  is at most the degeneracy. True twins of F (equal closed
+  neighborhoods) take rising images in that order, and the count is
+  multiplied by k! per class of k of them. Where F's frontier pays for
+  wedges, hom(F, Q) is instead the sum, over the isomorphism classes of
+  acyclic orientations D of F, of |class| * hom(D, Q), each through the
+  same DP with candidates drawn from out-sets (Chiba-Nishizeki 1985;
+  Bressan, Algorithmica 2021).
 - cliques are hom(K_s, G) / s! through the same DP, whose twin rule
   lists each s-clique once (the spasm of K_s is K_s alone).
 - inj(H, G) is the sum over spasm classes F of c_F * hom(F, G). The spasm
@@ -26,9 +32,10 @@ the host and the pattern's width, not with the number of maps counted:
   into itself are its automorphisms. One spasm gives both, and every host
   of a scaling fit.
 
-One work cap bounds a whole call: every partition and DP step spends from
-the same budget. On overrun, CapExceeded reports how many spasm terms, one
-per class and host, were counted out of the total.
+One work cap bounds a whole call: every partition, DP step, orientation
+tried and automorphism used to group them spends from the same budget. On
+overrun, CapExceeded reports how many spasm terms, one per class and host,
+were counted out of the total.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
-from .graph import (Graph, complete_graph, connected_components, degree_key,
+from .graph import (Graph, _isomorphisms, complete_graph, connected_components, degree_key,
                     induced_subgraph, is_isomorphic)
 
 DEFAULT_WORK_CAP = 10**9
@@ -51,28 +58,25 @@ def _search_order(h: Graph) -> list[int]:
     has a placed neighbor, and among those the one that leaves the fewest
     placed vertices with unplaced neighbors (the DP frontier) comes next,
     ties going to higher degree, then lower index."""
-    order: list[int] = []
-    unplaced = [len(a) for a in h.adj]  # unplaced neighbors of each vertex
+    adj = h.adj
+    deg = [len(a) for a in adj]
+    unplaced = deg[:]  # unplaced neighbors of each vertex
     placed = [False] * h.n
-
-    def place(v: int) -> None:
-        placed[v] = True
-        order.append(v)
-        for w in h.adj[v]:
-            unplaced[w] -= 1
-
+    order: list[int] = []
     for comp in sorted(connected_components(h), key=lambda c: (-len(c), c)):
-        place(max(comp, key=lambda v: (h.degree(v), -v)))
-        for _ in range(len(comp) - 1):
-            candidates = [v for v in comp
-                          if not placed[v] and unplaced[v] < h.degree(v)]
-            # frontier growth if v is placed next: v itself if it keeps an
-            # unplaced neighbor, minus the placed neighbors v finishes
-            nxt = min(candidates, key=lambda v: (
-                (unplaced[v] > 0) - sum(1 for w in h.adj[v]
-                                        if placed[w] and unplaced[w] == 1),
-                -h.degree(v), v))
-            place(nxt)
+        nxt = max(comp, key=lambda v: (deg[v], -v))
+        for step in range(len(comp)):
+            if step:
+                # frontier growth if v is placed next: v itself if it keeps
+                # an unplaced neighbor, minus the placed neighbors v finishes
+                nxt = min((v for v in comp if not placed[v] and unplaced[v] < deg[v]),
+                          key=lambda v: ((unplaced[v] > 0) - sum(
+                              1 for w in adj[v] if placed[w] and unplaced[w] == 1),
+                              -deg[v], v))
+            placed[nxt] = True
+            order.append(nxt)
+            for w in adj[nxt]:
+                unplaced[w] -= 1
     return order
 
 
@@ -118,7 +122,76 @@ def _projector(kept: list[int], width: int):
     return itemgetter(*kept)
 
 
-def _hom_dp(h: Graph, g: Graph, budget: _Budget, totals: list[int] | None = None) -> int:
+def _unanchored(watch: list[tuple[int, list[int]]], arcs: set[tuple[int, int]]) -> int:
+    """How many of the vertices ``watch`` lists with their anchors have no
+    anchor pointing to them in ``arcs``: each draws its candidates from a
+    whole neighborhood or in-set, a wedge per state."""
+    return sum(1 for v, anchors in watch if not any((w, v) in arcs for w in anchors))
+
+
+def _orientation_classes(h: Graph, fixed: set[tuple[int, int]],
+                         watch: list[tuple[int, list[int]]], budget: _Budget,
+                         limit: int | None) -> list[tuple[int, set[tuple[int, int]]]] | None:
+    """The acyclic orientations of h that hold the arcs ``fixed``, grouped
+    into isomorphism classes, the orbits of Aut(h): a list of (class size,
+    arcs of one member), the member with the fewest ``_unanchored``
+    vertices. Every orientation tried, automorphism listed and orbit image
+    spends one DP step. None once the orientations to try, or the
+    automorphisms times the orientations kept, pass ``limit``."""
+    edges = sorted(h.edges)
+    at = {e: i for i, e in enumerate(edges)}
+    free = [i for i, e in enumerate(edges) if e not in fixed]
+    if limit is not None and 1 << len(free) > limit:
+        return None
+
+    def arcs_of(bits: int) -> set[tuple[int, int]]:
+        # bit i set: edge i, (u, v) with u < v, points from v to u
+        return {(v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(edges)}
+
+    def acyclic(bits: int) -> bool:
+        out = [0] * h.n
+        for u, v in arcs_of(bits):
+            out[u] |= 1 << v
+        alive = (1 << h.n) - 1
+        while alive:  # peel the sinks
+            sinks = sum(1 << v for v in range(h.n) if alive >> v & 1 and not out[v] & alive)
+            if not sinks:
+                return False
+            alive &= ~sinks
+        return True
+
+    members = []
+    for sub in range(1 << len(free)):
+        budget.spend(1)
+        bits = sum(1 << i for k, i in enumerate(free) if sub >> k & 1)
+        if acyclic(bits):
+            members.append(bits)
+    autos = []  # per automorphism, each edge's image and whether it turns
+    for image in _isomorphisms(h, h):
+        budget.spend(1)
+        if limit is not None and (len(autos) + 1) * len(members) > limit:
+            return None
+        autos.append([(at[(min(image[u], image[v]), max(image[u], image[v]))],
+                       image[u] > image[v]) for u, v in edges])
+    index = {bits: k for k, bits in enumerate(members)}
+    taken = [False] * len(members)
+    classes = []
+    for bits in members:
+        if taken[index[bits]]:
+            continue
+        budget.spend(len(autos))
+        orbit = {sum(((bits >> i & 1) ^ turn) << j for i, (j, turn) in enumerate(auto))
+                 for auto in autos}
+        inside = sorted(index[b] for b in orbit if b in index)
+        for k in inside:
+            taken[k] = True
+        best = min((arcs_of(members[k]) for k in inside), key=lambda a: _unanchored(watch, a))
+        classes.append((len(inside), best))
+    return classes
+
+
+def _hom_dp(h: Graph, g: Graph, budget: _Budget, totals: list[int] | None = None,
+            oriented: bool | None = None) -> int:
     """hom(h, g) by a DP over ``_search_order(h)`` on g's twin quotient Q.
 
     Twins are interchangeable images, so hom(h, g) is the hom count into Q
@@ -133,83 +206,121 @@ def _hom_dp(h: Graph, g: Graph, budget: _Budget, totals: list[int] | None = None
     no state. One DP step is one state visited or one candidate entered as
     a state.
 
+    Q's edges point along a smallest-last order (``Graph._out_in``), so
+    out-sets are at most the degeneracy. Each homomorphism orients h
+    acyclically, from the earlier image to the later, so hom(h, Q) is the
+    sum over the acyclic orientations D of h of the maps taking each arc
+    of D to an arc of Q. An arc (w, v) puts v's image in the out-set of
+    w's, an arc (v, w) in the in-set; a vertex starts its candidates from
+    an in-neighbor's out-set when it has one. Isomorphic orientations have
+    equal counts, so each class is counted once, times its size.
+
     True twins of h (equal closed neighborhoods) are adjacent, so their
     images are distinct, and swapping two of them maps homomorphisms to
-    homomorphisms of the same weight. So a vertex with a true twin placed
-    before it takes only the later Q-neighbors (``Graph._up``) of the image
-    of the class member placed last before it, and the count is multiplied
-    by k! for each class of k true twins: one map per orbit is counted.
+    homomorphisms of the same weight. So each class of k true twins is
+    oriented by index, and the count is multiplied by k!: one map per
+    orbit is counted. The frontier path orients only those arcs and takes
+    common neighbors across the rest. There, a vertex that stays on the
+    frontier, is placed with two frontier images or more known, and has
+    no anchor pointing to it draws a whole neighborhood per state: the
+    frontier pays for wedges, about sum deg^2 over Q. Only then are the
+    classes listed, and the oriented path runs when its estimate comes
+    under sum deg^2: per class, sum (|out| + 1)^2 over Q, the out-wedges,
+    or sum deg^2 when its best member still has such a vertex. True or
+    False in ``oriented`` forces a path.
 
-    The run stops once no state is left. With ``totals``, the weighted
-    state total after each step is appended to it.
+    A class's run stops once no state is left. With ``totals``, the
+    weighted state total after each step is appended to it; cliques use
+    it, whose edges all join true twins, so that there is one run.
     """
     q, weight = g._twin_quotient
     unit = q is g
     weigh = len if unit else (lambda cands: sum(map(weight.__getitem__, cands)))
-    order = _search_order(h)
+    hadj = h.adj
     pos = [0] * h.n
+    last = [-1] * h.n  # the position of each vertex's last neighbor
+    order = _search_order(h)
     for i, v in enumerate(order):
         pos[v] = i
-    last = [max((pos[w] for w in h.adj[v]), default=-1) for v in range(h.n)]
+        for w in hadj[v]:
+            last[w] = i
     adj = q.adj
     everything = range(q.n)
+    steps = []  # per vertex placed: it, its anchors' slots, the projection, whether it stays
+    watch = []  # staying vertices with anchors, placed with two frontier images or more known
+    fixed = set()  # the true-twin arcs
+    ties = 1
     frontier: list[int] = []
-    states: dict[tuple[int, ...], int] = {(): 1}
-    rank = [1] * h.n  # 1 + the number of v's true twins placed before v
-    ties = 1  # product of k! over the classes of k true twins
-    hadj = h.adj
     for i, v in enumerate(order):
         slot = {w: k for k, w in enumerate(frontier)}
         nbrs = hadj[v]
-        anchors: list[int] = []
-        twin = -1  # v's true twin placed last before it, if any
+        anchors = []
+        rank = 1  # 1 + the number of v's true twins placed before v
         for w in nbrs:
             if pos[w] < i:
-                anchors.append(slot[w])
-                if (len(hadj[w]) == len(nbrs) and (twin < 0 or pos[w] > pos[twin])
-                        and hadj[w] - {v} == nbrs - {w}):
-                    twin = w
-        start = adj
-        if twin >= 0:
-            rank[v] = rank[twin] + 1
-            ties *= rank[v]
-            anchors.remove(slot[twin])
-            anchors.insert(0, slot[twin])
-            start = q._up
-        first, rest = (anchors[0], anchors[1:]) if anchors else (None, [])
+                anchors.append((slot[w], w))
+                if len(hadj[w]) == len(nbrs) and hadj[w] - {v} == nbrs - {w}:
+                    fixed.add((w, v) if w < v else (v, w))
+                    rank += 1
+        ties *= rank
         kept = [k for k, w in enumerate(frontier) if last[w] > i]
-        project = _projector(kept, len(frontier))
+        steps.append((v, anchors, _projector(kept, len(frontier)), last[v] > i))
+        if last[v] > i and anchors and len(frontier) >= 2:
+            watch.append((v, [w for _, w in anchors]))
         frontier = [frontier[k] for k in kept]
-        stays = last[v] > i
-        if stays:
+        if last[v] > i:
             frontier.append(v)
-        nxt: dict[tuple[int, ...], int] = {}
-        left = budget.left
-        for key, cnt in states.items():
-            if first is None:
-                cands = everything
-            else:
-                cands = start[key[first]]
-                for a in rest:
-                    cands = cands & adj[key[a]]
-            left -= 1 + len(cands) if stays else 1
-            if left < 0:
-                budget.left = left
-                budget.exceeded()
-            base = project(key)
-            if stays:
-                for c in cands:
-                    nk = base + (c,)
-                    nxt[nk] = nxt.get(nk, 0) + (cnt if unit else cnt * weight[c])
-            elif cands:
-                nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
-        budget.left = left
-        states = nxt
-        if not states:
-            return 0
-        if totals is not None:
-            totals.append(sum(states.values()))
-    return sum(states.values()) * ties
+    plan = [(1, fixed)]
+    out, into = q._out_in
+    if oriented or (oriented is None and watch and len(fixed) < h.m
+                    and _unanchored(watch, fixed)):
+        wedge = None if oriented else sum(len(a) ** 2 for a in adj)
+        one = sum((len(o) + 1) ** 2 for o in out)
+        if oriented or one < wedge:
+            classes = _orientation_classes(h, fixed, watch, budget, wedge)
+            if classes is not None and (oriented or sum(
+                    wedge if _unanchored(watch, arcs) else one for _, arcs in classes) < wedge):
+                plan = classes
+    total = 0
+    for size, arcs in plan:
+        states: dict[tuple[int, ...], int] = {(): 1}
+        for v, anchors, project, stays in steps:
+            sources = []  # an in-neighbor's out-set first
+            for k, w in anchors:
+                if (w, v) in arcs:
+                    sources.insert(0, (k, out))
+                else:
+                    sources.append((k, into if (v, w) in arcs else adj))
+            first, start = sources[0] if sources else (None, None)
+            rest = sources[1:]
+            nxt: dict[tuple[int, ...], int] = {}
+            left = budget.left
+            for key, cnt in states.items():
+                if first is None:
+                    cands = everything
+                else:
+                    cands = start[key[first]]
+                    for a, table in rest:
+                        cands = cands & table[key[a]]
+                left -= 1 + len(cands) if stays else 1
+                if left < 0:
+                    budget.left = left
+                    budget.exceeded()
+                base = project(key)
+                if stays:
+                    for c in cands:
+                        nk = base + (c,)
+                        nxt[nk] = nxt.get(nk, 0) + (cnt if unit else cnt * weight[c])
+                elif cands:
+                    nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
+            budget.left = left
+            states = nxt
+            if not states:
+                break
+            if totals is not None:
+                totals.append(sum(states.values()))
+        total += size * sum(states.values())
+    return total * ties
 
 
 def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
@@ -343,9 +454,13 @@ def count_cliques(g: Graph, s: int) -> int:
     """Number of s-vertex cliques; s=0 counts the empty clique once.
 
     hom(K_s, g) / s! through the DP, whose twin rule lists each clique
-    once, in increasing (degree, index) order of its vertices."""
+    once, along the smallest-last order of g's twin quotient. A clique's
+    earliest vertex there sees all the others, so s above 1 + the largest
+    out-set gives 0 without a run."""
     if s < 0:
         raise PreconditionError("clique size must be non-negative")
+    if s > 1 + max(map(len, g._twin_quotient[0]._out_in[0]), default=-1):
+        return 0
     budget = _Budget(DEFAULT_WORK_CAP)
     budget.total = 1
     return _hom_dp(complete_graph(s), g, budget) // math.factorial(s)
@@ -355,9 +470,10 @@ def clique_counts(g: Graph) -> list[int]:
     """The number of s-cliques for s = 0 up to the clique number, from one
     DP run for K_t: after j of its vertices are placed, the weighted state
     total is the number of j-cliques, since the twin rule lists each clique
-    once. A clique's lowest vertex in the quotient's (degree, index) order
-    sees all the others, so t = 1 + the largest ``_up`` set is enough."""
-    t = 1 + max(map(len, g._twin_quotient[0]._up), default=-1)
+    once. A clique's earliest vertex in the quotient's smallest-last order
+    sees all the others, so t = 1 + the degeneracy, the largest out-set,
+    is enough."""
+    t = 1 + max(map(len, g._twin_quotient[0]._out_in[0]), default=-1)
     budget = _Budget(DEFAULT_WORK_CAP)
     budget.total = 1
     counts = [1]

@@ -86,11 +86,38 @@ class Graph:
         return Graph(len(classes), edges), tuple(len(c) for c in classes)
 
     @cached_property
-    def _up(self) -> tuple[frozenset[int], ...]:
-        """Each vertex's later neighbors in the (degree, index) order."""
-        rank = [(len(a), v) for v, a in enumerate(self.adj)]
-        return tuple(frozenset(w for w in a if rank[w] > rank[v])
-                     for v, a in enumerate(self.adj))
+    def _out_in(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+        """Each vertex's later and earlier neighbors in a smallest-last
+        order (Matula-Beck 1983), which repeatedly removes a vertex of
+        least degree among those left. A vertex's later neighbors were
+        still there when it went, so no out-set is larger than the
+        degeneracy, and the largest is exactly that. O(n + m): a stack per
+        degree, where an entry is stale once its vertex is gone or its
+        degree has fallen."""
+        adj = self.adj
+        deg = [len(a) for a in adj]
+        buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+        for v in reversed(range(self.n)):
+            buckets[deg[v]].append(v)
+        gone = [False] * self.n
+        out: list[frozenset[int]] = [frozenset()] * self.n
+        low = 0
+        for _ in range(self.n):
+            while True:
+                while not buckets[low]:
+                    low += 1
+                v = buckets[low].pop()
+                if not gone[v] and deg[v] == low:
+                    break
+            gone[v] = True
+            later = [w for w in adj[v] if not gone[w]]
+            out[v] = frozenset(later)
+            for w in later:
+                deg[w] -= 1
+                buckets[deg[w]].append(w)
+            if low:
+                low -= 1  # a neighbor's degree fell by one at most
+        return tuple(out), tuple(a - o for a, o in zip(adj, out))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -336,20 +363,25 @@ def degree_key(g: Graph) -> tuple:
 
 
 def is_isomorphic(h: Graph, g: Graph) -> bool:
-    """True iff some bijection V(h) -> V(g) preserves edges and non-edges.
+    """True iff some bijection V(h) -> V(g) preserves edges and non-edges."""
+    return next(_isomorphisms(h, g), None) is not None
 
-    A depth-first search with an explicit stack that stops at the first
-    such bijection. h's vertices are placed by degree descending, then
-    index, each among the neighbors of an earlier neighbor's image when it
-    has one, on an unused vertex c of equal degree into whose neighborhood
-    every earlier neighbor maps. The images are distinct, so no other
-    earlier vertex maps there when N(c) holds exactly as many used
-    vertices as there are earlier neighbors. Neighbor degrees are
-    compared before the search, and component sizes once the first start
-    image fails, since the search would try every other one before it saw
-    them differ."""
+
+def _isomorphisms(h: Graph, g: Graph) -> Iterator[list[int]]:
+    """Every bijection V(h) -> V(g) that preserves edges and non-edges, as
+    the list of images of h's vertices; the automorphisms of h when g is h.
+
+    A depth-first search with an explicit stack. h's vertices are placed
+    by degree descending, then index, each among the neighbors of an
+    earlier neighbor's image when it has one, on an unused vertex c of
+    equal degree into whose neighborhood every earlier neighbor maps. The
+    images are distinct, so no other earlier vertex maps there when N(c)
+    holds exactly as many used vertices as there are earlier neighbors.
+    Neighbor degrees are compared before the search, and component sizes
+    once the first start image fails, since the search would try every
+    other one before it saw them differ."""
     if h.n != g.n or h.m != g.m or degree_key(h) != degree_key(g):
-        return False
+        return
     hadj, gadj = h.adj, g.adj
     n = h.n
     order = sorted(range(n), key=lambda v: (-len(hadj[v]), v))
@@ -366,17 +398,21 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
     untried: list[Iterator[int]] = []  # per placed position, candidates left
     first_start = True
     i = 0
-    while i < n:
+    while i >= 0:
+        if i == n:
+            yield image[:]
+            i -= 1
+            continue
         v = order[i]
         if len(untried) == i:
             untried.append(iter(gadj[image[back[i][0]]] if back[i] else range(n)))
-        else:  # back from a dead end: free v's last image
+        else:  # back from a dead end or a bijection: free v's last image
             used[image[v]] = False
             if i == 0 and first_start:
                 first_start = False
                 if (sorted(map(len, connected_components(h)))
                         != sorted(map(len, connected_components(g)))):
-                    return False
+                    return
         hv, bv = hadj[v], back[i]
         for c in untried[i]:
             gc = gadj[c]
@@ -390,10 +426,7 @@ def is_isomorphic(h: Graph, g: Graph) -> bool:
         else:
             image[v] = -1
             untried.pop()
-            if i == 0:
-                return False
             i -= 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -332,9 +333,10 @@ def test_clique_dp_lists_each_clique_once():
     """On a twin-free stacked triangulation, hom(K_s) spends
     1 + 2(c_1 + ... + c_{s-1}) DP steps, c_j the number of j-cliques: each
     (j-1)-clique is one state, entered once and visited once, where it
-    was entered j! times before the twin rule. C4 and P3 have no true
-    twins and keep their steps: 1 + 3n for P3 and the parent's 31,445 for
-    C4."""
+    was entered j! times before the twin rule. P3 has no true twins and
+    keeps its 1 + 3n steps. C4 has none either: it takes 31,445 steps on
+    the frontier DP, and 12,827 summed over its three orientation classes,
+    the listing of the classes included."""
     g = random_stacked(random.Random(2019), 200, hub_bias=0.5)[0].graph
     assert g._twin_quotient[0] is g
     c = [slow_count_cliques(g, j) for j in range(6)]
@@ -343,10 +345,119 @@ def test_clique_dp_lists_each_clique_once():
         budget = _Budget(10**9)
         assert _hom_dp(complete_graph(s), g, budget) == math.factorial(s) * c[s]
         assert budget.cap - budget.left == 1 + 2 * sum(c[1:s])
-    for h, hom, steps in ((path_graph(3), 16974, 1 + 3 * g.n), (cycle_graph(4), 46768, 31445)):
+    for h, hom, steps, oriented in ((path_graph(3), 16974, 1 + 3 * g.n, None),
+                                    (cycle_graph(4), 46768, 31445, False),
+                                    (cycle_graph(4), 46768, 12827, None)):
         budget = _Budget(10**9)
-        assert _hom_dp(h, g, budget) == hom
+        assert _hom_dp(h, g, budget, oriented=oriented) == hom
         assert budget.cap - budget.left == steps
+
+
+_ORIENTED_PATTERNS = {
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "K2,3": Graph.build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    "diamond": Graph.build(4, [e for e in complete_graph(4).edges if e != (0, 1)]),
+    "paw": Graph.build(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "P4": path_graph(4),
+    "K4": complete_graph(4),
+}
+
+
+def _acyclic_orientations(h, fixed):
+    """How many of the 2^m orientations of h hold the arcs ``fixed`` and
+    are acyclic, which peeling sinks finds out."""
+    edges = sorted(h.edges)
+    count = 0
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arcs = {(v, u) if f else (u, v) for f, (u, v) in zip(flips, edges)}
+        if not fixed <= arcs:
+            continue
+        left = set(range(h.n))
+        while left:
+            sinks = {v for v in left if not any((v, w) in arcs for w in left)}
+            if not sinks:
+                break
+            left -= sinks
+        count += not left
+    return count
+
+
+def test_oriented_path_against_oracles():
+    """hom by the sum over orientation classes, forced, against the
+    backtracking counter and the frontier DP, forced, for C4, C5, K2,3, the
+    diamond, the paw, P4 and K4 on 48 seeded hosts: stacked triangulations
+    with and without a hub, stacked triangulations with false twins
+    injected, and random graphs. The path the DP picks for itself gives
+    the same count, and the class sizes add up to the acyclic orientations
+    that orient each true-twin class by index."""
+    rng = random.Random(0x0D1)
+    hosts = []
+    for _ in range(12):
+        for hub in (0.0, 0.5):
+            hosts.append(random_stacked(rng, rng.randint(5, 24), hub_bias=hub)[0].graph)
+        hosts.append(_with_twins(rng, random_stacked(rng, rng.randint(4, 12))[0].graph,
+                                 rng.choice([0, 2])))
+        hosts.append(random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.7])))
+    assert sum(g._twin_quotient[0] is not g for g in hosts) >= 12
+    for name, h in _ORIENTED_PATTERNS.items():
+        fixed = {(u, v) for u, v in h.edges if h.adj[u] | {u} == h.adj[v] | {v}}
+        classes = counting._orientation_classes(h, fixed, [], _Budget(10**9), None)
+        assert sum(size for size, _ in classes) == _acyclic_orientations(h, fixed), name
+        for g in hosts:
+            want = backtrack_hom(h, g)
+            for oriented in (True, False, None):
+                assert _hom_dp(h, g, _Budget(10**9), oriented=oriented) == want, (
+                    name, oriented, sorted(g.edges), g.n)
+
+
+def test_oriented_c4_steps_on_a_hub():
+    """hom(C4) on the 2000-vertex stacked triangulation with a hub: the
+    frontier DP pays for every wedge at the hub, 801,611 steps, and the
+    three orientation classes take 129,147, their listing included. Both
+    give sum over ordered pairs (u, v) of codeg(u, v)^2, read off the
+    wedges."""
+    g = random_stacked(random.Random(2), 2000, hub_bias=0.5)[0].graph
+    wedges = Counter((u, v) for a in g.adj for u in a for v in a)
+    want = sum(c * c for c in wedges.values())
+    for oriented, steps in ((False, 801_611), (None, 129_147)):
+        budget = _Budget(10**9)
+        assert _hom_dp(cycle_graph(4), g, budget, oriented=oriented) == want
+        assert budget.cap - budget.left == steps
+
+
+def test_orientation_listing_spends_the_work_cap(monkeypatch):
+    """Listing C4's orientation classes (2, 4 and 8 orientations) spends
+    16 steps for the orientations tried, 8 for the automorphisms and 8 per
+    class for the orbit images, 48 of hom(C4)'s 12,827: that cap is
+    enough, one step fewer raises with no term counted."""
+    g = random_stacked(random.Random(2019), 200, hub_bias=0.5)[0].graph
+    spent = []
+    real = counting._orientation_classes
+
+    def recorded(h, fixed, watch, budget, limit):
+        before = budget.left
+        classes = real(h, fixed, watch, budget, limit)
+        spent.append((before - budget.left, sorted(size for size, _ in classes)))
+        return classes
+
+    monkeypatch.setattr(counting, "_orientation_classes", recorded)
+    assert count_hom(cycle_graph(4), g, work_cap=12_827) == 46768
+    assert spent == [(48, [2, 4, 8])]
+    with pytest.raises(CapExceeded) as err:
+        count_hom(cycle_graph(4), g, work_cap=12_826)
+    assert err.value.progress == (0, 1)
+
+
+def test_cliques_beyond_the_degeneracy_answer_at_once():
+    """A clique's earliest vertex in the smallest-last order sees all the
+    others, so s above 1 + the degeneracy is 0 without building K_s:
+    K1000 in P5, where building it took seconds, answers in milliseconds."""
+    start = time.perf_counter()
+    assert count_cliques(path_graph(5), 1000) == 0
+    assert count_cliques(complete_graph(6), 7) == 0
+    assert count_cliques(path_graph(5), 2) == 4
+    assert time.perf_counter() - start < 0.05
 
 
 def test_hom_multiplies_over_pattern_components():

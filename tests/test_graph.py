@@ -12,11 +12,13 @@ from support import (
     disjoint_union,
     random_glued_graph,
     random_graph,
+    random_stacked,
     slow_automorphisms,
 )
 from surfcount.errors import ParseError, PreconditionError
 from surfcount.graph import (
     Graph,
+    _isomorphisms,
     add_clique,
     articulation_points,
     blocks,
@@ -220,6 +222,61 @@ def test_is_isomorphic_against_permutations():
         agree += brute
     assert 150 <= agree < 300
     assert is_isomorphic(path_graph(2000), path_graph(2000))
+
+
+def test_isomorphisms_list_every_automorphism():
+    """_isomorphisms(h, h) yields each automorphism once, the same set the
+    recursive oracle finds, on seeded graphs of up to 7 vertices; and each
+    bijection onto a relabeling of h, which preserves edges."""
+    rng = random.Random(0xA07)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        h = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        autos = [tuple(a) for a in _isomorphisms(h, h)]
+        assert len(autos) == len(set(autos))
+        assert set(autos) == set(slow_automorphisms(h)), (n, sorted(h.edges))
+        perm = rng.sample(range(n), n)
+        g = Graph.build(n, [(perm[u], perm[v]) for u, v in h.edges])
+        maps = list(_isomorphisms(h, g))
+        assert len(maps) == len(autos)
+        for image in maps:
+            assert {(min(image[u], image[v]), max(image[u], image[v]))
+                    for u, v in h.edges} == g.edges
+
+
+def _brute_degeneracy(g):
+    """The largest minimum degree over the induced subgraphs of g."""
+    best = 0
+    for mask in range(1, 1 << g.n):
+        vs = [v for v in range(g.n) if mask >> v & 1]
+        best = max(best, min(sum(mask >> w & 1 for w in g.adj[v]) for v in vs))
+    return best
+
+
+def test_out_in_follow_a_smallest_last_order():
+    """Graph._out_in splits each neighborhood into out- and in-sets along
+    one acyclic order, and the largest out-set is the degeneracy, the
+    largest minimum degree of an induced subgraph, found here by brute
+    force on seeded graphs of up to 11 vertices. A stacked triangulation
+    is 3-degenerate however large its hub."""
+    rng = random.Random(0xDE6)
+    graphs = [random_graph(rng, rng.randint(0, 11), rng.choice([0.2, 0.4, 0.7]))
+              for _ in range(60)]
+    graphs += [cycle_graph(7), complete_graph(6), path_graph(5), Graph.build(3, [])]
+    for g in graphs:
+        out, into = g._out_in
+        for v in range(g.n):
+            assert out[v] | into[v] == g.adj[v] and not out[v] & into[v]
+            assert all(v in into[w] for w in out[v])
+        left = set(range(g.n))
+        while left:  # an order exists iff no cycle of out-arcs
+            sinks = [v for v in left if not out[v] & left]
+            assert sinks, sorted(g.edges)
+            left -= set(sinks)
+        assert max(map(len, out), default=0) == _brute_degeneracy(g), sorted(g.edges)
+    for hub in (0.0, 0.5):
+        g = random_stacked(random.Random(3), 500, hub_bias=hub)[0].graph
+        assert max(map(len, g._out_in[0])) == 3
 
 
 def test_is_isomorphic_checks_only_neighbors():

@@ -33,8 +33,10 @@ the host and the pattern's width, not with the number of maps counted:
   of a scaling fit.
 
 One work cap bounds a whole call: every partition, DP step, orientation
-tried and automorphism used to group them spends from the same budget. On
-overrun, CapExceeded reports how many spasm terms, one per class and host,
+tried and automorphism used to group them spends from the same budget.
+Each spasm term is planned once per call (``_Plan``), and the plan serves
+every host and inj(H, H), so its orientation classes are listed, and paid
+for, at most once. No plan outlives the call. On overrun, CapExceeded reports how many spasm terms, one per class and host,
 were counted out of the total.
 """
 
@@ -88,11 +90,11 @@ class _Budget:
 
     __slots__ = ("left", "cap", "done", "total")
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, total: int | None = None):
         self.cap = cap
         self.left = cap
         self.done = 0
-        self.total: int | None = None
+        self.total = total
 
     def spend(self, amount: int) -> None:
         self.left -= amount
@@ -190,137 +192,169 @@ def _orientation_classes(h: Graph, fixed: set[tuple[int, int]],
     return classes
 
 
-def _hom_dp(h: Graph, g: Graph, budget: _Budget, totals: list[int] | None = None,
-            oriented: bool | None = None) -> int:
-    """hom(h, g) by a DP over ``_search_order(h)`` on g's twin quotient Q.
-
-    Twins are interchangeable images, so hom(h, g) is the hom count into Q
-    with each map weighted by the product of its images' class sizes
-    (Lovasz, Large Networks and Graph Limits, ch. 5). After each vertex,
-    the states map the tuple of Q-images of the frontier to the weighted
-    number of partial homomorphisms reaching it. Candidates for a vertex
-    are the common Q-neighbors of its anchors' images (all of V(Q) without
-    anchors). A vertex that stays on the frontier enters candidate c with
-    weight w(c). A vertex with no later neighbor leaves the frontier at
-    once: it multiplies each state by its candidates' total weight and adds
-    no state. One DP step is one state visited or one candidate entered as
-    a state.
-
-    Q's edges point along a smallest-last order (``Graph._out_in``), so
-    out-sets are at most the degeneracy. Each homomorphism orients h
-    acyclically, from the earlier image to the later, so hom(h, Q) is the
-    sum over the acyclic orientations D of h of the maps taking each arc
-    of D to an arc of Q. An arc (w, v) puts v's image in the out-set of
-    w's, an arc (v, w) in the in-set; a vertex starts its candidates from
-    an in-neighbor's out-set when it has one. Isomorphic orientations have
-    equal counts, so each class is counted once, times its size.
+class _Plan:
+    """What hom(h, .) needs of h alone, built once per call and run on
+    every host: the steps along ``_search_order(h)``, each a vertex, its
+    anchors (placed neighbors) with their frontier slots, the projection
+    dropping the vertices it finishes, and whether it stays on the
+    frontier; the ``watch`` list of staying vertices with anchors, placed
+    with two frontier images or more known; the true-twin arcs ``fixed``
+    and their factor ``ties``; and the orientation classes once listed.
 
     True twins of h (equal closed neighborhoods) are adjacent, so their
     images are distinct, and swapping two of them maps homomorphisms to
     homomorphisms of the same weight. So each class of k true twins is
     oriented by index, and the count is multiplied by k!: one map per
-    orbit is counted. The frontier path orients only those arcs and takes
-    common neighbors across the rest. There, a vertex that stays on the
-    frontier, is placed with two frontier images or more known, and has
-    no anchor pointing to it draws a whole neighborhood per state: the
-    frontier pays for wedges, about sum deg^2 over Q. Only then are the
-    classes listed, and the oriented path runs when its estimate comes
-    under sum deg^2: per class, sum (|out| + 1)^2 over Q, the out-wedges,
-    or sum deg^2 when its best member still has such a vertex. True or
-    False in ``oriented`` forces a path.
+    orbit is counted."""
 
-    A class's run stops once no state is left. With ``totals``, the
-    weighted state total after each step is appended to it; cliques use
-    it, whose edges all join true twins, so that there is one run.
-    """
-    q, weight = g._twin_quotient
-    unit = q is g
-    weigh = len if unit else (lambda cands: sum(map(weight.__getitem__, cands)))
-    hadj = h.adj
-    pos = [0] * h.n
-    last = [-1] * h.n  # the position of each vertex's last neighbor
-    order = _search_order(h)
-    for i, v in enumerate(order):
-        pos[v] = i
-        for w in hadj[v]:
-            last[w] = i
-    adj = q.adj
-    everything = range(q.n)
-    steps = []  # per vertex placed: it, its anchors' slots, the projection, whether it stays
-    watch = []  # staying vertices with anchors, placed with two frontier images or more known
-    fixed = set()  # the true-twin arcs
-    ties = 1
-    frontier: list[int] = []
-    for i, v in enumerate(order):
-        slot = {w: k for k, w in enumerate(frontier)}
-        nbrs = hadj[v]
-        anchors = []
-        rank = 1  # 1 + the number of v's true twins placed before v
-        for w in nbrs:
-            if pos[w] < i:
-                anchors.append((slot[w], w))
-                if len(hadj[w]) == len(nbrs) and hadj[w] - {v} == nbrs - {w}:
-                    fixed.add((w, v) if w < v else (v, w))
-                    rank += 1
-        ties *= rank
-        kept = [k for k, w in enumerate(frontier) if last[w] > i]
-        steps.append((v, anchors, _projector(kept, len(frontier)), last[v] > i))
-        if last[v] > i and anchors and len(frontier) >= 2:
-            watch.append((v, [w for _, w in anchors]))
-        frontier = [frontier[k] for k in kept]
-        if last[v] > i:
-            frontier.append(v)
-    plan = [(1, fixed)]
-    out, into = q._out_in
-    if oriented or (oriented is None and watch and len(fixed) < h.m
-                    and _unanchored(watch, fixed)):
-        wedge = None if oriented else sum(len(a) ** 2 for a in adj)
-        one = sum((len(o) + 1) ** 2 for o in out)
-        if oriented or one < wedge:
-            classes = _orientation_classes(h, fixed, watch, budget, wedge)
-            if classes is not None and (oriented or sum(
-                    wedge if _unanchored(watch, arcs) else one for _, arcs in classes) < wedge):
-                plan = classes
-    total = 0
-    for size, arcs in plan:
-        states: dict[tuple[int, ...], int] = {(): 1}
-        for v, anchors, project, stays in steps:
-            sources = []  # an in-neighbor's out-set first
-            for k, w in anchors:
-                if (w, v) in arcs:
-                    sources.insert(0, (k, out))
-                else:
-                    sources.append((k, into if (v, w) in arcs else adj))
-            first, start = sources[0] if sources else (None, None)
-            rest = sources[1:]
-            nxt: dict[tuple[int, ...], int] = {}
-            left = budget.left
-            for key, cnt in states.items():
-                if first is None:
-                    cands = everything
-                else:
-                    cands = start[key[first]]
-                    for a, table in rest:
-                        cands = cands & table[key[a]]
-                left -= 1 + len(cands) if stays else 1
-                if left < 0:
-                    budget.left = left
-                    budget.exceeded()
-                base = project(key)
-                if stays:
-                    for c in cands:
-                        nk = base + (c,)
-                        nxt[nk] = nxt.get(nk, 0) + (cnt if unit else cnt * weight[c])
-                elif cands:
-                    nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
-            budget.left = left
-            states = nxt
-            if not states:
-                break
-            if totals is not None:
-                totals.append(sum(states.values()))
-        total += size * sum(states.values())
-    return total * ties
+    __slots__ = ("h", "steps", "watch", "fixed", "ties", "wedges", "classes", "refused")
+
+    def __init__(self, h: Graph):
+        hadj = h.adj
+        pos = [0] * h.n
+        last = [-1] * h.n  # the position of each vertex's last neighbor
+        order = _search_order(h)
+        for i, v in enumerate(order):
+            pos[v] = i
+            for w in hadj[v]:
+                last[w] = i
+        self.h, self.steps, self.watch, self.fixed, self.ties = h, [], [], set(), 1
+        frontier: list[int] = []
+        for i, v in enumerate(order):
+            slot = {w: k for k, w in enumerate(frontier)}
+            nbrs = hadj[v]
+            anchors = []
+            rank = 1  # 1 + the number of v's true twins placed before v
+            for w in nbrs:
+                if pos[w] < i:
+                    anchors.append((slot[w], w))
+                    if len(hadj[w]) == len(nbrs) and hadj[w] - {v} == nbrs - {w}:
+                        self.fixed.add((w, v) if w < v else (v, w))
+                        rank += 1
+            self.ties *= rank
+            kept = [k for k, w in enumerate(frontier) if last[w] > i]
+            self.steps.append((v, anchors, _projector(kept, len(frontier)), last[v] > i))
+            if last[v] > i and anchors and len(frontier) >= 2:
+                self.watch.append((v, [w for _, w in anchors]))
+            frontier = [frontier[k] for k in kept]
+            if last[v] > i:
+                frontier.append(v)
+        # whether the frontier path pays for wedges (``run``)
+        self.wedges = bool(self.watch and len(self.fixed) < h.m
+                           and _unanchored(self.watch, self.fixed))
+        self.classes = None  # (size, arcs of its best member) per class, once listed
+        self.refused = -1  # the largest limit a listing was cut off under
+
+    def _orientations(self, budget: _Budget, limit: int | None) -> list | None:
+        """The orientation classes, listed at most once: a listing cut off
+        by one limit is tried again only under a larger one. None while no
+        listing has finished."""
+        if self.classes is None and (limit is None or limit > self.refused):
+            self.classes = _orientation_classes(self.h, self.fixed, self.watch, budget, limit)
+            if self.classes is None:
+                self.refused = limit
+        return self.classes
+
+    def run(self, g: Graph, budget: _Budget, totals: list[int] | None = None,
+            oriented: bool | None = None) -> int:
+        """hom(h, g) by the DP over the plan's steps on g's twin quotient Q.
+
+        Twins are interchangeable images, so hom(h, g) is the hom count
+        into Q with each map weighted by the product of its images' class
+        sizes (Lovasz, Large Networks and Graph Limits, ch. 5). After each
+        vertex, the states map the tuple of Q-images of the frontier to the
+        weighted number of partial homomorphisms reaching it. Candidates
+        for a vertex are the common Q-neighbors of its anchors' images (all
+        of V(Q) without anchors). A vertex that stays on the frontier
+        enters candidate c with weight w(c). A vertex with no later
+        neighbor leaves the frontier at once: it multiplies each state by
+        its candidates' total weight and adds no state. One DP step is one
+        state visited or one candidate entered as a state.
+
+        Q's edges point along a smallest-last order (``Graph._out_in``), so
+        out-sets are at most the degeneracy. Each homomorphism orients h
+        acyclically, from the earlier image to the later, so hom(h, Q) is
+        the sum over the acyclic orientations D of h of the maps taking
+        each arc of D to an arc of Q. An arc (w, v) puts v's image in the
+        out-set of w's, an arc (v, w) in the in-set; a vertex starts its
+        candidates from an in-neighbor's out-set when it has one.
+        Isomorphic orientations have equal counts, so each class is counted
+        once, times its size.
+
+        The frontier path orients only the true-twin arcs and takes common
+        neighbors across the rest. There, a vertex of ``watch`` with no
+        anchor pointing to it draws a whole neighborhood per state: the
+        frontier pays for wedges, about sum deg^2 over Q. Only then are the
+        classes listed, under the limit sum deg^2, and the oriented path
+        runs when its estimate comes under it: per class, sum (|out| + 1)^2
+        over Q, the out-wedges, or sum deg^2 when its best member still
+        has such a vertex. True or False in ``oriented`` forces a path.
+
+        A class's run stops once no state is left. With ``totals``, the
+        weighted state total after each step is appended to it; cliques use
+        it, whose edges all join true twins, so that there is one run."""
+        q, weight = g._twin_quotient
+        unit = q is g
+        weigh = len if unit else (lambda cands: sum(map(weight.__getitem__, cands)))
+        adj = q.adj
+        out, into = q._out_in
+        everything = range(q.n)
+        runs = [(1, self.fixed)]
+        if oriented or (oriented is None and self.wedges):
+            wedge = None if oriented else sum(len(a) ** 2 for a in adj)
+            one = sum((len(o) + 1) ** 2 for o in out)
+            if oriented or one < wedge:
+                classes = self._orientations(budget, wedge)
+                if classes is not None and (oriented or sum(
+                        wedge if _unanchored(self.watch, arcs) else one
+                        for _, arcs in classes) < wedge):
+                    runs = classes
+        total = 0
+        for size, arcs in runs:
+            states: dict[tuple[int, ...], int] = {(): 1}
+            for v, anchors, project, stays in self.steps:
+                sources = []  # an in-neighbor's out-set first
+                for k, w in anchors:
+                    if (w, v) in arcs:
+                        sources.insert(0, (k, out))
+                    else:
+                        sources.append((k, into if (v, w) in arcs else adj))
+                first, start = sources[0] if sources else (None, None)
+                rest = sources[1:]
+                nxt: dict[tuple[int, ...], int] = {}
+                left = budget.left
+                for key, cnt in states.items():
+                    if first is None:
+                        cands = everything
+                    else:
+                        cands = start[key[first]]
+                        for a, table in rest:
+                            cands = cands & table[key[a]]
+                    left -= 1 + len(cands) if stays else 1
+                    if left < 0:
+                        budget.left = left
+                        budget.exceeded()
+                    base = project(key)
+                    if stays:
+                        for c in cands:
+                            nk = base + (c,)
+                            nxt[nk] = nxt.get(nk, 0) + (cnt if unit else cnt * weight[c])
+                    elif cands:
+                        nxt[base] = nxt.get(base, 0) + cnt * weigh(cands)
+                budget.left = left
+                states = nxt
+                if not states:
+                    break
+                if totals is not None:
+                    totals.append(sum(states.values()))
+            total += size * sum(states.values())
+        return total * self.ties
+
+
+def _hom_dp(h: Graph, g: Graph, budget: _Budget, totals: list[int] | None = None,
+            oriented: bool | None = None) -> int:
+    """hom(h, g) by one run of a plan for h (``_Plan.run``)."""
+    return _Plan(h).run(g, budget, totals, oriented)
 
 
 def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
@@ -385,9 +419,9 @@ def _spasm(h: Graph, budget: _Budget) -> list[tuple[Graph, int]]:
 
 
 def _count_injective(h: Graph, hosts: list[Graph], budget: _Budget) -> list[int]:
-    """inj(h, g) for each host g, over one enumeration of h's spasm: the
-    spasm sum for h without its isolated vertices, times the ways to place
-    those injectively in the host vertices left over. A host smaller than
+    """inj(h, g) for each host g, over one enumeration of h's spasm and one
+    plan per term: the spasm sum for h without its isolated vertices, times
+    the ways to place those injectively in the host vertices left over. A host smaller than
     h gets 0 and costs nothing; without a host that fits, the spasm is not
     enumerated."""
     fits = [g.n >= h.n for g in hosts]
@@ -397,7 +431,7 @@ def _count_injective(h: Graph, hosts: list[Graph], budget: _Budget) -> list[int]
     isolated = h.n - len(core)
     if isolated:
         h = induced_subgraph(h, core)
-    spasm = _spasm(h, budget)
+    spasm = [(_Plan(f), coeff) for f, coeff in _spasm(h, budget)]
     budget.total = len(spasm) * sum(fits)
     counts = []
     for g, fit in zip(hosts, fits):
@@ -405,8 +439,8 @@ def _count_injective(h: Graph, hosts: list[Graph], budget: _Budget) -> list[int]
             counts.append(0)
             continue
         total = 0
-        for f, coeff in spasm:
-            total += coeff * _hom_dp(f, g, budget)
+        for plan, coeff in spasm:
+            total += coeff * plan.run(g, budget)
             budget.done += 1
         counts.append(total * math.perm(g.n - h.n, isolated))
     return counts
@@ -435,9 +469,7 @@ def count_injective_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) ->
 def count_hom(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
     """Number of adjacency-preserving maps V(h) -> V(g). For progress on
     overrun, h is its own single spasm term."""
-    budget = _Budget(work_cap)
-    budget.total = 1
-    return _hom_dp(h, g, budget)
+    return _hom_dp(h, g, _Budget(work_cap, 1))
 
 
 def count_copies(h: Graph, g: Graph, work_cap: int = DEFAULT_WORK_CAP) -> int:
@@ -461,9 +493,7 @@ def count_cliques(g: Graph, s: int) -> int:
         raise PreconditionError("clique size must be non-negative")
     if s > 1 + max(map(len, g._twin_quotient[0]._out_in[0]), default=-1):
         return 0
-    budget = _Budget(DEFAULT_WORK_CAP)
-    budget.total = 1
-    return _hom_dp(complete_graph(s), g, budget) // math.factorial(s)
+    return _hom_dp(complete_graph(s), g, _Budget(DEFAULT_WORK_CAP, 1)) // math.factorial(s)
 
 
 def clique_counts(g: Graph) -> list[int]:
@@ -474,10 +504,8 @@ def clique_counts(g: Graph) -> list[int]:
     sees all the others, so t = 1 + the degeneracy, the largest out-set,
     is enough."""
     t = 1 + max(map(len, g._twin_quotient[0]._out_in[0]), default=-1)
-    budget = _Budget(DEFAULT_WORK_CAP)
-    budget.total = 1
     counts = [1]
-    _hom_dp(complete_graph(t), g, budget, counts)
+    _hom_dp(complete_graph(t), g, _Budget(DEFAULT_WORK_CAP, 1), counts)
     return counts
 
 
@@ -498,17 +526,24 @@ class InequalityReport:
     holds: bool
 
 
-_K1 = Graph.build(1, [])
-_K2 = Graph.build(2, [(0, 1)])
-_K3 = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
+_K3 = complete_graph(3)
+
+
+def _vertices_edges_triangles(g: Graph) -> list[int]:
+    """[n, m, t] of g from one DP run for K3: after j of its vertices are
+    placed, the weighted state total is the number of j-cliques, as in
+    ``clique_counts``. A run that stops early leaves zeros."""
+    counts: list[int] = []
+    _hom_dp(_K3, g, _Budget(DEFAULT_WORK_CAP, 1), counts)
+    return counts + [0] * (3 - len(counts))
 
 
 def check_goodman(g: Graph) -> InequalityReport:
     """Goodman's triangle bound as a homomorphism inequality:
-    hom(K1)hom(K3) >= hom(K2)(2 hom(K2) - hom(K1)^2)."""
-    h1 = count_hom(_K1, g)
-    h2 = count_hom(_K2, g)
-    h3 = count_hom(_K3, g)
+    hom(K1)hom(K3) >= hom(K2)(2 hom(K2) - hom(K1)^2), where hom(K1) = n,
+    hom(K2) = 2m and hom(K3) = 6t."""
+    n, m, t = _vertices_edges_triangles(g)
+    h1, h2, h3 = n, 2 * m, 6 * t
     lhs = h1 * h3
     rhs = h2 * (2 * h2 - h1 * h1)
     return InequalityReport(lhs, rhs, lhs >= rhs)
@@ -528,7 +563,8 @@ def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:
     triangles >= 2m - 4n + 4 + 4c - 4genus (c = component count).
 
     The homomorphism form (6x the triangle form, with c=1) is evaluated
-    alongside. The triangle count is checked against the sum over edges
+    alongside, from the n, m and t of one DP run. The triangle count is
+    checked against the sum over edges
     uv of |N(u) & N(v)|, which sees each triangle three times without the
     DP.
 
@@ -538,7 +574,7 @@ def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:
     """
     if genus < 0:
         raise PreconditionError("Euler genus must be non-negative")
-    t = count_cliques(g, 3)
+    n, m, t = _vertices_edges_triangles(g)
     if g.m <= 1 or (g.m == 3 and t == 1):
         raise PreconditionError(
             "the genus triangle bound needs at least two edges that are not one lone triangle")
@@ -550,7 +586,7 @@ def check_genus_triangle_bound(g: Graph, genus: int) -> GenusTriangleReport:
         raise InternalInvariantError(
             f"triangle count and edge-sum routes disagree: 3*{t} != {by_edges}")
     hom3 = 6 * t
-    hom_rhs = 6 * count_hom(_K2, g) - 24 * count_hom(_K1, g) + 48 - 24 * genus
+    hom_rhs = 6 * 2 * m - 24 * n + 48 - 24 * genus
     # the hom form is six times the connected (c=1) triangle form
     if hom_rhs != 6 * (2 * g.m - 4 * g.n + 8 - 4 * genus):
         raise InternalInvariantError(

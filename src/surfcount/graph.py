@@ -74,7 +74,10 @@ class Graph:
         """The quotient by ``twin_classes``: one vertex per class, in their
         order, adjacent when the classes are, weighted by class size. No
         loops, since twins are not adjacent. The graph itself with unit
-        weights when every class is a singleton."""
+        weights when every class is a singleton. Twins share their
+        neighborhood, so a class's Q-neighbors are the classes of its
+        first member's neighbors: Q is built from one member per class,
+        not from every edge."""
         classes = twin_classes(self)
         if len(classes) == self.n:
             return self, (1,) * self.n
@@ -82,8 +85,11 @@ class Graph:
         for i, c in enumerate(classes):
             for v in c:
                 where[v] = i
-        edges = frozenset(_norm_edge(where[u], where[v]) for u, v in self.edges)
-        return Graph(len(classes), edges), tuple(len(c) for c in classes)
+        adj = self.adj
+        qadj = tuple(frozenset(map(where.__getitem__, adj[c[0]])) for c in classes)
+        q = Graph(len(classes), frozenset((i, j) for i, a in enumerate(qadj) for j in a if i < j))
+        q.__dict__["adj"] = qadj  # the cached property, already built
+        return q, tuple(map(len, classes))
 
     @cached_property
     def _out_in(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:

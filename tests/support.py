@@ -16,7 +16,7 @@ from surfcount.embedding import EmbeddedGraph, switch_vertex
 from surfcount.errors import InternalInvariantError, ParseError, PreconditionError
 from surfcount.flaps import Separation, flap_family_and_number
 from surfcount.graph import (
-    Graph, add_clique, blocks, connected_components, induced_subgraph, is_connected)
+    Graph, add_clique, blocks, connected_components, induced_subgraph, is_connected, twin_classes)
 from surfcount.planarity import is_planar
 from surfcount.spqrk import REAL, VIRTUAL, SpqrkNode, SpqrkTree
 
@@ -319,6 +319,22 @@ def slow_count_cliques(g: Graph, s: int) -> int:
         return sum(rec(cands & later[v], chosen + 1) for v in cands)
 
     return sum(rec(later[v], 1) for v in order)
+
+
+def slow_twin_quotient(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """The weighted twin quotient read off every edge of g: one vertex per
+    class of ``twin_classes``, an edge for each pair of classes that an
+    edge of g joins, weighted by class size; g itself, with unit weights,
+    when every class is a singleton."""
+    classes = twin_classes(g)
+    if len(classes) == g.n:
+        return g, (1,) * g.n
+    where = [0] * g.n
+    for i, c in enumerate(classes):
+        for v in c:
+            where[v] = i
+    edges = frozenset((min(where[u], where[v]), max(where[u], where[v])) for u, v in g.edges)
+    return Graph(len(classes), edges), tuple(len(c) for c in classes)
 
 
 # ---------------------------------------------------------------------------

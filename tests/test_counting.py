@@ -24,6 +24,7 @@ from surfcount.constructions import tree_blowup
 from surfcount.counting import (
     _Budget,
     _hom_dp,
+    _Plan,
     _spasm,
     check_genus_triangle_bound,
     check_goodman,
@@ -430,8 +431,12 @@ def test_orientation_listing_spends_the_work_cap(monkeypatch):
     """Listing C4's orientation classes (2, 4 and 8 orientations) spends
     16 steps for the orientations tried, 8 for the automorphisms and 8 per
     class for the orbit images, 48 of hom(C4)'s 12,827: that cap is
-    enough, one step fewer raises with no term counted."""
+    enough, one step fewer raises with no term counted. inj(C4) into two
+    such hosts lists them once for both, so the call needs exactly 48
+    steps fewer than its terms planned afresh for each host."""
+    c4 = cycle_graph(4)
     g = random_stacked(random.Random(2019), 200, hub_bias=0.5)[0].graph
+    g2 = random_stacked(random.Random(2020), 150, hub_bias=0.5)[0].graph
     spent = []
     real = counting._orientation_classes
 
@@ -442,11 +447,68 @@ def test_orientation_listing_spends_the_work_cap(monkeypatch):
         return classes
 
     monkeypatch.setattr(counting, "_orientation_classes", recorded)
-    assert count_hom(cycle_graph(4), g, work_cap=12_827) == 46768
+    assert count_hom(c4, g, work_cap=12_827) == 46768
     assert spent == [(48, [2, 4, 8])]
     with pytest.raises(CapExceeded) as err:
-        count_hom(cycle_graph(4), g, work_cap=12_826)
+        count_hom(c4, g, work_cap=12_826)
     assert err.value.progress == (0, 1)
+    spasm = _spasm(c4, _Budget(10**9))
+    afresh = (_steps(lambda b: _spasm(c4, b))
+              + sum(_steps(lambda b: _hom_dp(f, host, b)) for f, _ in spasm for host in (g, g2)))
+    spent.clear()
+    need = afresh - 48
+    want = [backtrack_injective(c4, host) for host in (g, g2)]
+    assert counting._count_injective(c4, [g, g2], _Budget(need)) == want
+    assert spent == [(48, [2, 4, 8])]
+    with pytest.raises(CapExceeded) as err:
+        counting._count_injective(c4, [g, g2], _Budget(need - 1))
+    assert err.value.progress == (2 * len(spasm) - 1, 2 * len(spasm))
+
+
+def test_orientation_classes_listed_once_per_term(monkeypatch):
+    """copies(C4) into K4 twice, then into three stacked triangulations
+    with a hub, then into K4 again, lists C4's orientation classes once
+    for all hosts and inj(C4, C4). The listing for K4 is cut off by its
+    limit, sum deg^2 = 36, and it is not tried again under that limit;
+    the first larger host lists them, and no later host does. No term's
+    listing finishes twice, none is tried after it finished, and one cut
+    off is tried again only under a larger limit."""
+    c4, k4 = cycle_graph(4), complete_graph(4)
+    hosts = [k4, k4] + [random_stacked(random.Random(s), n, hub_bias=0.5)[0].graph
+                        for s, n in ((1, 30), (2, 60), (3, 90))] + [k4]
+    want = [count_copies(c4, g) for g in hosts]
+    calls = []
+    real = counting._orientation_classes
+
+    def recorded(h, fixed, watch, budget, limit):
+        classes = real(h, fixed, watch, budget, limit)
+        calls.append((h, limit, classes is not None))
+        return classes
+
+    monkeypatch.setattr(counting, "_orientation_classes", recorded)
+    assert counting._count_copies(c4, hosts, _Budget(10**9)) == want
+    assert [(limit == 36, done) for _, limit, done in calls] == [(True, False), (False, True)]
+    for term in {id(h): h for h, _, _ in calls}.values():
+        mine = [(limit, done) for h, limit, done in calls if h is term]
+        assert [done for _, done in mine].count(True) <= 1
+        assert all(not done for _, done in mine[:-1])
+        limits = [limit for limit, _ in mine]
+        assert limits == sorted(set(limits))
+
+
+def test_copies_plan_each_spasm_term_once(monkeypatch):
+    """copies(P5) into four tree blowups plans each of P5's 8 spasm terms
+    once for the four hosts and |Aut(P5)| = inj(P5, P5): 8 search orders,
+    where a plan per term and host took 40."""
+    p5 = path_graph(5)
+    hosts = [tree_blowup(p5, n) for n in (20, 40, 60, 80)]
+    want = [count_copies(p5, g) for g in hosts]
+    assert len(_spasm(p5, _Budget(10**9))) == 8
+    calls = []
+    real = counting._search_order
+    monkeypatch.setattr(counting, "_search_order", lambda h: calls.append(h) or real(h))
+    assert counting._count_copies(p5, hosts, _Budget(10**9)) == want
+    assert len(calls) == 8 and len({id(h) for h in calls}) == 8
 
 
 def test_cliques_beyond_the_degeneracy_answer_at_once():
@@ -553,17 +615,15 @@ def test_work_cap():
 
 
 def test_work_cap_is_a_total():
-    """One budget spans the spasm enumeration and every class's DP: the
-    summed steps of the parts are exactly enough, one fewer is not, and the
-    overrun reports the classes counted out of the total."""
+    """One budget spans the spasm enumeration and every class's DP, run
+    from one plan per class: the summed steps of the parts are exactly
+    enough, one fewer is not, and the overrun reports the classes counted
+    out of the total."""
     h, g = path_graph(5), cycle_graph(9)
     budget = _Budget(10**9)
     spasm = _spasm(h, budget)
-    need = budget.cap - budget.left
-    for f, _ in spasm:
-        part = _Budget(10**9)
-        _hom_dp(f, g, part)
-        need += part.cap - part.left
+    plans = [_Plan(f) for f, _ in spasm]
+    need = budget.cap - budget.left + sum(_steps(lambda b: p.run(g, b)) for p in plans)
     assert len(spasm) > 1
     assert count_injective_hom(h, g, work_cap=need) == backtrack_injective(h, g)
     with pytest.raises(CapExceeded) as err:
@@ -600,15 +660,17 @@ def _steps(run):
 
 def test_automorphisms_spend_the_work_cap():
     """The denominator |Aut(H)| = inj(H, H) is counted over the numerator's
-    spasm, with DP steps from the same budget: the spasm and both sums are
-    exactly enough, a cap one step short of the denominator's last class
-    raises, and a cap inside the denominator reports the terms counted of
-    the numerator's and the denominator's."""
+    spasm and plans, with DP steps from the same budget: the spasm and
+    both sums, each term planned once for both, are exactly enough, a cap
+    one step short of the denominator's last class raises, and a cap
+    inside the denominator reports the terms counted of the numerator's
+    and the denominator's."""
     c6, host = cycle_graph(6), complete_graph(6)
     spasm = _spasm(c6, _Budget(10**9))
     enumerate_steps = _steps(lambda b: _spasm(c6, b))
-    numerator = [_steps(lambda b: _hom_dp(f, host, b)) for f, _ in spasm]
-    denominator = [_steps(lambda b: _hom_dp(f, c6, b)) for f, _ in spasm]
+    plans = [_Plan(f) for f, _ in spasm]
+    numerator = [_steps(lambda b: p.run(host, b)) for p in plans]
+    denominator = [_steps(lambda b: p.run(c6, b)) for p in plans]
     need = enumerate_steps + sum(numerator) + sum(denominator)
     assert _steps(lambda b: counting._count_copies(c6, [host], b)) == need
     assert count_copies(c6, host, work_cap=need) == 60
@@ -724,6 +786,37 @@ def test_goodman():
     assert (rep.lhs, rep.rhs, rep.holds) == (0, 0, True)
     rep = check_goodman(complete_graph(4))
     assert (rep.lhs, rep.rhs, rep.holds) == (96, 96, True)
+
+
+def test_inequalities_take_one_dp_run(monkeypatch):
+    """check_goodman and check_genus_triangle_bound read n, m and t from
+    one DP run for K3, padded with zeros where the run stops early: one
+    search order each, and the reports that hom(K1), hom(K2) and hom(K3)
+    from the backtracking oracle give, on the empty graph, edgeless and
+    triangle-free graphs, K5 and seeded hosts with false twins."""
+    rng = random.Random(0x600D)
+    hosts = [Graph.build(0, []), Graph.build(4, []), path_graph(6), cycle_graph(6),
+             complete_graph(5)]
+    hosts += [_with_twins(rng, random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8])),
+                          rng.choice([0, 2])) for _ in range(30)]
+    calls = []
+    real = counting._search_order
+    monkeypatch.setattr(counting, "_search_order", lambda h: calls.append(h) or real(h))
+    checked = 0
+    for g in hosts:
+        h1, h2, h3 = (backtrack_hom(complete_graph(k), g) for k in (1, 2, 3))
+        calls.clear()
+        rep = check_goodman(g)
+        assert (rep.lhs, rep.rhs) == (h1 * h3, h2 * (2 * h2 - h1 * h1)) and len(calls) == 1
+        if g.m <= 1 or (g.m == 3 and h3 == 6):
+            continue
+        calls.clear()
+        rep = check_genus_triangle_bound(g, 1)
+        c = len(connected_components(g))
+        assert (rep.lhs, rep.rhs) == (h3 // 6, h2 - 4 * g.n + 4 * c)
+        assert (rep.hom_lhs, rep.hom_rhs) == (h3, 6 * h2 - 24 * h1 + 24) and len(calls) == 1
+        checked += 1
+    assert checked >= 20
 
 
 def test_goodman_universal_fuzz():

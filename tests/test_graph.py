@@ -13,8 +13,11 @@ from support import (
     random_glued_graph,
     random_graph,
     random_stacked,
+    random_tree,
     slow_automorphisms,
+    slow_twin_quotient,
 )
+from surfcount.constructions import lower_bound_graph, tree_blowup
 from surfcount.errors import ParseError, PreconditionError
 from surfcount.graph import (
     Graph,
@@ -317,3 +320,33 @@ def test_is_isomorphic_compares_component_sizes_first():
     start = time.perf_counter()
     assert not is_isomorphic(h, g)
     assert time.perf_counter() - start < 1
+
+
+def test_twin_quotient_from_class_members():
+    """The twin quotient built from one member per class equals the one
+    read off every edge (``slow_twin_quotient``), with the same weights,
+    and its prebuilt adjacency is the one its edges give: on seeded random
+    graphs with false twins copied in and isolated vertices added, on tree
+    blowups of random trees and on pastes."""
+    rng = random.Random(0x7017)
+    hosts = []
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 10), rng.choice([0.2, 0.5, 0.8]))
+        n, edges = g.n, list(g.edges)
+        for v in rng.sample(range(g.n), min(g.n, rng.randint(0, 3))):
+            for _ in range(rng.randint(1, 3)):
+                edges += [(w, n) for w in g.adj[v]]
+                n += 1
+        hosts.append(Graph.build(n + rng.choice([0, 0, 2]), edges))
+    hosts += [tree_blowup(random_tree(rng, k), rng.randint(2 * k, 80))
+              for k in range(2, 10) for _ in range(3)]
+    diamond = Graph.build(4, [e for e in complete_graph(4).edges if e != (0, 1)])
+    hosts += [lower_bound_graph(h, n) for h in (path_graph(4), cycle_graph(5), diamond)
+              for n in (20, 41, 100)]
+    quotients = 0
+    for g in hosts:
+        q, weight = g._twin_quotient
+        assert (q, weight) == slow_twin_quotient(g), (g.n, sorted(g.edges))
+        assert q.adj == Graph(q.n, q.edges).adj
+        quotients += q is not g
+    assert quotients >= 60

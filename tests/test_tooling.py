@@ -68,6 +68,27 @@ def test_no_unused_imports_in_src():
     assert found == []
 
 
+def test_no_cross_call_caches():
+    """No result is carried from one call to the next: the package names
+    ``functools.cache`` or ``lru_cache`` nowhere, except to decorate
+    ``cli.build_parser``, whose parser depends on no input. Memos that
+    live on one graph object (``cached_property``) are allowed."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(n) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and (path.stem, node.name) == ("cli", "build_parser")
+                   for d in node.decorator_list for n in ast.walk(d)}
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if {"cache", "lru_cache"} & set(names) and id(node) not in allowed:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
 def test_every_exported_function_has_a_caller():
     """Each function in ``surfcount.__all__`` is named, as a name or an
     attribute, outside ``tests/``: in a package module other than

@@ -8,10 +8,11 @@ on (X, S), not on how edges inside X go to sides, so the canonical form
 loses nothing; the literal oracle in the tests confirms the collapse.
 
 Every entry point that needs the candidate flaps walks the cut sets once
-(``_search``), in n lowpoint passes: one of H, one of each H - x, x < n - 1.
-Edge counts and H's non-planar blocks decide most single-component sides;
-a pending side gets a planarity test only when its interior could be
-inclusion-minimal or, for a family, extend to a maximum family.
+(``_search``), in n ``lowpoints`` searches: one of H, one of each H - x,
+x < n - 1. Edge counts and H's non-planar blocks decide most
+single-component sides; a pending side gets a planarity test only when its
+interior could be inclusion-minimal or, for a family, extend to a maximum
+family.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from itertools import combinations
 
 from .errors import CapExceeded, InternalInvariantError, PreconditionError
 from .graph import (
-    Graph, add_clique, as_vertex_set, blocks, induced_subgraph, is_connected, spanning_forest)
+    Graph, add_clique, as_vertex_set, blocks, induced_subgraph, is_connected, lowpoints,
+    spanning_forest)
 from .planarity import is_planar
 
 DEFAULT_FLAP_SIZE_CAP = 16
@@ -106,60 +108,45 @@ def _nonplanar_blocks(h: Graph, adjm: list[int]) -> list[int]:
     return bad
 
 
-def _lowpoint_pass(adjm: list[int], deg: list[int], alive: int,
-                   ) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, int]]]]:
-    """One depth-first search of H[alive] (Hopcroft-Tarjan 1973): its trees
-    in order of root, the least member, and for each vertex y the subtrees
-    of y's children whose lowpoint does not reach above y, which deleting y
-    cuts off from the rest of its tree. Each vertex set is its mask and its
-    degree sum in H. Edges leave a subtree only upwards, so its lowpoint
-    stays at y when its neighbours in ``alive`` lie in it or at y."""
-    trees, cuts, unseen = [], {}, alive
-    while unseen:
-        stack = []  # [vertex, subtree mask, the subtree's neighbours, degree sum]
-        reach = unseen  # the root is the least unseen vertex
-        while True:
-            if reach:
-                bit = reach & -reach
-                unseen ^= bit
-                v = bit.bit_length() - 1
-                stack.append([v, bit, adjm[v], deg[v]])
-            else:
-                top = stack.pop()
-                if not stack:
-                    trees.append((top[1], top[3]))
-                    break
-                up = stack[-1]
-                if not top[2] & alive & ~(top[1] | 1 << up[0]):
-                    cuts.setdefault(up[0], []).append((top[1], top[3]))
-                up[1:] = up[1] | top[1], up[2] | top[2], up[3] + top[3]
-            reach = adjm[stack[-1][0]] & unseen
-    return trees, cuts
-
-
-def _splits(adjm: list[int], deg: list[int]):
+def _splits(h: Graph):
     """Each cut set X of at most two vertices that separates H, in
-    enumeration order, with the components of H - X by least member as
-    (mask, degree sum) pairs. The pass of H gives X = () and (y,), the
-    pass of H - x each (x, y) with y > x, so x < n - 1: n passes, lazily."""
-    full = (1 << len(adjm)) - 1
-    for x in range(-1, len(adjm) - 1):
-        trees, cuts = _lowpoint_pass(adjm, deg, full if x < 0 else full ^ 1 << x)
+    enumeration order, with the components of H - X by least member. A
+    vertex set is one integer, its degree sum in H above its mask, so the
+    set of a disjoint union is the sum. One ``lowpoints`` search of H
+    gives X = () and (y,), one of H - x each (x, y) with y > x, so
+    x < n - 1: n searches, lazily. Summed up in reverse preorder, a search
+    gives its trees, and for each y the subtrees of y's children that
+    reach no higher than y, which deleting y cuts off from its tree."""
+    n = h.n
+    own = [len(nbrs) << n | 1 << v for v, nbrs in enumerate(h.adj)]
+    for x in range(-1, n - 1):
+        order, parent, pre, low = lowpoints(h.adj, () if x < 0 else (x,))
+        below = own[:]  # each vertex's subtree, once its children are summed in
+        trees, cuts = [], {}
+        for v in reversed(order):
+            p = parent[v]
+            if p < 0:
+                trees.append(below[v])
+            else:
+                below[p] += below[v]
+                if low[v] >= pre[p]:
+                    cuts.setdefault(p, []).append(below[v])
+        trees.reverse()
         if x < 0 and len(trees) > 1:
             yield (), trees
-        for y in range(x + 1, len(adjm)):
+        for y in range(x + 1, n):
             if len(trees) == 1 and y not in cuts:
                 continue  # deleting y leaves one component or none
             comps, cut = [], cuts.get(y, [])
-            for mask, total in trees:
-                if mask >> y & 1:  # y's tree falls into its cut-off subtrees and the rest
+            for tree in trees:
+                if tree >> y & 1:  # y's tree falls into its cut-off subtrees and the rest
                     comps += cut
-                    mask ^= sum(c[0] for c in cut) | 1 << y
-                    total -= sum(c[1] for c in cut) + deg[y]
-                if mask:
-                    comps.append((mask, total))
+                    tree -= sum(cut) + own[y]
+                if tree:
+                    comps.append(tree)
             if len(comps) > 1:
-                yield (y,) if x < 0 else (x, y), sorted(comps, key=lambda c: c[0] & -c[0])
+                comps.sort(key=lambda c: c & -c)  # the least member's bit
+                yield (y,) if x < 0 else (x, y), comps
 
 
 def _search(h: Graph, first: bool = False) -> tuple[list[Side], bool]:
@@ -176,10 +163,12 @@ def _search(h: Graph, first: bool = False) -> tuple[list[Side], bool]:
     bad = _nonplanar_blocks(h, adjm)
     sides: list[Side] = []
     separable = False
-    for x, comps in _splits(adjm, [len(nbrs) for nbrs in h.adj]):
+    full = (1 << h.n) - 1
+    for x, comps in _splits(h):
         separable = True
         xmask = sum(1 << v for v in x)
-        for smask, total in comps:
+        for comp in comps:
+            smask, total = comp & full, comp >> h.n
             into = [(adjm[v] & smask).bit_count() for v in x]
             touching = len(x) - into.count(0)
             m = (total + sum(into)) // 2 + (len(x) == 2)

@@ -241,95 +241,90 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[in
     return [tuple(sorted(order[a:b])) for a, b in zip(starts, starts[1:])]
 
 
+def lowpoints(adj: Sequence[Iterable[int]], removed: Iterable[int] = ()
+              ) -> tuple[list[int], list[int], list[int], list[int]]:
+    """One iterative depth-first search over the neighbour lists ``adj``
+    minus ``removed`` (Hopcroft-Tarjan 1973), each tree from its least
+    unvisited vertex, ``adj[v]`` walked in the given order. Returns the
+    visited vertices in preorder, and per vertex its parent (-1 at a root
+    and at a removed vertex), its preorder number pre and its low, the
+    least pre over the vertex and the far ends of the non-tree edges
+    leaving its subtree; the tree edge to the parent does not count. A
+    removed vertex has pre and low ``len(adj)``. Every non-tree edge joins
+    an ancestor and a descendant. O(n + m)."""
+    n = len(adj)
+    pre = [-1] * n
+    low = [n] * n
+    for v in removed:
+        pre[v] = n
+    parent = [-1] * n
+    order: list[int] = []
+    for root in range(n):
+        if pre[root] >= 0:
+            continue
+        lv = pre[root] = len(order)  # lv: low[v] so far, stored whenever the search leaves v
+        order.append(root)
+        v, p, todo = root, -1, iter(adj[root])
+        stack = []  # the neighbours left to walk at each proper ancestor of v
+        while True:
+            for w in todo:
+                d = pre[w]
+                if d < 0:
+                    low[v] = lv
+                    lv = pre[w] = len(order)
+                    order.append(w)
+                    parent[w] = v
+                    stack.append(todo)
+                    v, p, todo = w, v, iter(adj[w])
+                    break
+                if d < lv and w != p:  # a removed w has d = n
+                    lv = d
+            else:
+                low[v] = lv
+                if not stack:
+                    break
+                v, p, todo = p, parent[p], stack.pop()
+                if low[v] < lv:
+                    lv = low[v]
+    return order, parent, pre, low
+
+
 def articulation_points(g: Graph, removed: Iterable[int] = ()) -> list[int]:
     """Sorted cut vertices of g minus ``removed``: the vertices whose
-    deletion leaves more components. One iterative lowpoint DFS, O(n + m)
-    (Hopcroft-Tarjan 1973). The articulation points of g - x are the
-    partners y of the separating pairs {x, y} of a 2-connected g."""
-    disc = [0] * g.n  # DFS discovery time from 1; 0 unvisited, -1 removed
-    for v in removed:
-        disc[v] = -1
-    low = [0] * g.n
-    cut = [False] * g.n
-    clock = 0
-    for root in range(g.n):
-        if disc[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        root_children = 0
-        stack = [(root, -1, iter(g.adj[root]))]
-        while stack:
-            v, parent, todo = stack[-1]
-            for w in todo:
-                d = disc[w]
-                if d == 0:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    stack.append((w, v, iter(g.adj[w])))
-                    break
-                # a back edge, or the tree edge to the parent, which lowers
-                # low[v] only to disc[parent], as the cut test allows
-                if 0 < d < low[v]:
-                    low[v] = d
-            else:
-                stack.pop()
-                if parent == root:
-                    root_children += 1
-                elif parent >= 0:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] >= disc[parent]:
-                        cut[parent] = True
-        cut[root] = root_children >= 2
-    return [v for v in range(g.n) if cut[v]]
+    deletion leaves more components. From one ``lowpoints`` search: a
+    root with two children or more, and a non-root v with a child c whose
+    subtree reaches no higher than v, low[c] >= pre[v]. The articulation
+    points of g - x are the partners y of the separating pairs {x, y} of
+    a 2-connected g."""
+    _, parent, pre, low = lowpoints(g.adj, removed)
+    hits = [0] * g.n  # children whose subtree reaches no higher than the vertex
+    for c, p in enumerate(parent):
+        if p >= 0 and low[c] >= pre[p]:
+            hits[p] += 1
+    return [v for v, k in enumerate(hits) if k > (parent[v] < 0)]
 
 
 def blocks(g: Graph) -> list[tuple[int, ...]]:
     """The vertex sets of the blocks of g, each sorted, in sorted order:
     its maximal 2-connected subgraphs and its bridges. An isolated vertex
     lies in no block; the cut vertices are those in two blocks or more.
-    One iterative lowpoint DFS, O(n + m) (Hopcroft-Tarjan 1973): a stack
-    of the visited vertices gives up each block as its lowpoint test
-    closes."""
-    disc = [0] * g.n  # DFS discovery time from 1; 0 unvisited
-    low = [0] * g.n
-    at = [0] * g.n  # position in ``visited``, kept since it only shrinks
-    found: list[tuple[int, ...]] = []
-    clock = 0
-    for root in range(g.n):
-        if disc[root]:
+    From one ``lowpoints`` search, read in preorder: a non-root v with
+    parent p starts the block {p, v} when its subtree reaches no higher
+    than p, low[v] >= pre[p], and joins p's block otherwise."""
+    order, parent, pre, low = lowpoints(g.adj)
+    block: list = [None] * g.n  # the block of the edge from v to its parent
+    found = []
+    for v in order:
+        p = parent[v]
+        if p < 0:
             continue
-        clock += 1
-        disc[root] = low[root] = clock
-        visited = [root]
-        stack = [(root, -1, iter(g.adj[root]))]
-        while stack:
-            v, parent, todo = stack[-1]
-            for w in todo:
-                d = disc[w]
-                if d == 0:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    at[w] = len(visited)
-                    visited.append(w)
-                    stack.append((w, v, iter(g.adj[w])))
-                    break
-                if d < low[v]:
-                    low[v] = d
-            else:
-                stack.pop()
-                if parent < 0:
-                    continue
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] >= disc[parent]:
-                    # v's subtree, less the blocks already given up, and
-                    # the parent
-                    found.append(tuple(sorted(visited[at[v]:] + [parent])))
-                    del visited[at[v]:]
-    found.sort()
-    return found
+        if low[v] >= pre[p]:
+            block[v] = [p, v]
+            found.append(block[v])
+        else:
+            block[v] = block[p]
+            block[v].append(v)
+    return sorted(tuple(sorted(b)) for b in found)
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import (Graph, articulation_points, blocks, connected_components, is_connected,
-                    spanning_forest)
+                    lowpoints, spanning_forest)
 
 REAL = "R"
 VIRTUAL = "V"
@@ -48,11 +48,14 @@ class SpqrkTree:
 
 def _pair_vertices(g: Graph) -> list[bool]:
     """For a 2-connected g, whether each vertex lies in a separation pair,
-    a pair {a, u} whose removal disconnects g. In one DFS from vertex 0,
-    numbered in preorder, such a pair has a an ancestor of u
-    (Hopcroft-Tarjan 1973). The DFS gives low1(c), the least back-edge end
-    from T(c), and high(c), the largest one above parent(c). Then g - {a, u}
-    is disconnected exactly when
+    a pair {a, u} whose removal disconnects g. In one ``lowpoints``
+    search from vertex 0, numbered in preorder, such a pair has a an
+    ancestor of u (Hopcroft-Tarjan 1973). The search gives low1(c), the
+    least back-edge end from T(c); one sweep from the last vertex up
+    gives the back edges, subtree sizes and each vertex's two least low1
+    among its children, and from these high(c), the largest back-edge end
+    from T(c) above parent(c). Then g - {a, u} is disconnected exactly
+    when
     - some child c of u has low1(c) = a = high(c), and some vertex lies
       outside T(c) + {a, u}: T(c) hangs at {a, u} alone (type 1); or
     - a is not the root, and for its child d towards u, u is not d, T(d)
@@ -64,43 +67,27 @@ def _pair_vertices(g: Graph) -> list[bool]:
     a and no second child with low1 < a. Each chain of such children is
     walked once, with a stack of the walks open on it: O(n + m log m)."""
     n = g.n
-    num = [-1] * n  # preorder number; the lists below are indexed by it
-    num[0] = 0
-    order, back, flag = [0], [], [False] * n
-    par, heavy, high = [-1] * n, [-1] * n, [-1] * n  # heavy: the child of least low1
-    low1, own = list(range(n)), list(range(n))  # own: least own back-edge end
+    order, parent, num, low = lowpoints(g.adj)  # the lists below are indexed by preorder
+    par = [-1] + [num[parent[v]] for v in order[1:]]
+    low1 = list(map(low.__getitem__, order))
+    own, back, flag = list(range(n)), [], [False] * n  # own: least own back-edge end
+    heavy, high = [-1] * n, [-1] * n  # heavy: the earliest child of least low1
     first, second = [n] * n, [n] * n  # the two least low1 among the children
     size = [1] * n
-    stack = [(0, iter(g.adj[0]))]
-    while stack:
-        i, todo = stack[-1]
-        for w in todo:
+    for i in range(n - 1, 0, -1):  # each child before its parent, later siblings first
+        p = par[i]
+        for w in g.adj[order[i]]:
             j = num[w]
-            if j < 0:
-                j = num[w] = len(order)
-                order.append(w)
-                par[j] = i
-                stack.append((j, iter(g.adj[w])))
-                break
-            if j < par[i]:  # a back edge up, seen from its lower end
+            if j < p:  # a back edge up, seen from its lower end
                 back.append((j, i))
                 if j < own[i]:
                     own[i] = j
-                if j < low1[i]:
-                    low1[i] = j
-        else:
-            stack.pop()
-            p = par[i]
-            if p < 0:
-                continue
-            size[i] = len(order) - i
-            low = low1[i]
-            if low < low1[p]:
-                low1[p] = low
-            if low < first[p]:
-                first[p], second[p], heavy[p] = low, first[p], i
-            elif low < second[p]:
-                second[p] = low
+        size[p] += size[i]
+        lo = low1[i]
+        if lo <= first[p]:
+            first[p], second[p], heavy[p] = lo, first[p], i
+        elif lo < second[p]:
+            second[p] = lo
     # high(c) for each back edge from the highest end down: each c gets it once
     up = list(range(n))
     for y, c in sorted(back, reverse=True):

@@ -400,11 +400,16 @@ def test_golden_graphs_match_eager_solver():
 
 
 def _count_passes(monkeypatch):
-    """A list that gets the vertex mask of each lowpoint pass."""
+    """A list that gets the vertex mask of each lowpoint pass: every vertex
+    of the search's graph but the removed ones."""
     passes = []
-    run = flaps._lowpoint_pass
-    monkeypatch.setattr(flaps, "_lowpoint_pass",
-                        lambda adjm, deg, alive: passes.append(alive) or run(adjm, deg, alive))
+    run = flaps.lowpoints
+
+    def counted(adj, removed=()):
+        passes.append((1 << len(adj)) - 1 - sum(1 << v for v in removed))
+        return run(adj, removed)
+
+    monkeypatch.setattr(flaps, "lowpoints", counted)
     return passes
 
 

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -30,6 +32,7 @@ from surfcount.graph import (
     cycle_graph,
     induced_subgraph,
     is_isomorphic,
+    lowpoints,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -147,6 +150,65 @@ def test_spanning_forest_against_brute_force():
         at = {v: k for k, v in enumerate(order)}
         for v in order:
             assert parent[v] == -1 or (g.has_edge(v, parent[v]) and at[parent[v]] < at[v])
+
+
+def test_lowpoints_against_brute_force():
+    """On 300 seeded graphs of orders 0-14 with 0-2 removed vertices: each
+    tree is one component, rooted at its least vertex, with parent edges
+    from g and children after their parents; every edge between visited
+    vertices joins an ancestor and a descendant; removed vertices are
+    unvisited with pre and low n and parent -1; and low is the least pre
+    over the vertex and the far ends of the non-tree edges leaving its
+    subtree, from each subtree found by walking up the parents. A
+    20,000-vertex path needs no recursion."""
+    rng = random.Random(1962)
+    seen = {"removed": 0, "disconnected": 0, "back edge": 0}
+    for i in range(300):
+        n = i % 15
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8]))
+        removed = tuple(rng.sample(range(n), min(n, i % 3)))
+        order, parent, pre, low = lowpoints(g.adj, removed)
+        assert [pre[v] for v in order] == list(range(len(order)))
+        for v in removed:
+            assert (pre[v], low[v], parent[v]) == (n, n, -1)
+        roots = [v for v in order if parent[v] == -1]
+        comps = _components_without(g, removed)
+        assert roots == [min(c) for c in comps]
+        starts = [pre[r] for r in roots] + [len(order)]
+        assert [frozenset(order[a:b]) for a, b in zip(starts, starts[1:])] == comps
+
+        def ancestors(v):
+            while v >= 0:
+                yield v
+                v = parent[v]
+
+        below = {v: {u for u in order if v in ancestors(u)} for v in order}
+        tree = {frozenset((v, parent[v])) for v in order if parent[v] >= 0}
+        assert all(g.has_edge(*e) for e in tree)
+        assert all(pre[parent[v]] < pre[v] for v in order if parent[v] >= 0)
+        for u, w in g.edges:
+            if u not in removed and w not in removed:
+                assert w in below[u] or u in below[w], (n, sorted(g.edges), removed)
+        for v in order:
+            ends = [pre[w] for u in below[v] for w in g.adj[u]
+                    if w not in below[v] and w not in removed
+                    and frozenset((u, w)) not in tree]
+            assert low[v] == min([pre[v]] + ends), (n, sorted(g.edges), removed, v)
+        seen["removed"] += bool(removed)
+        seen["disconnected"] += len(comps) > 1
+        seen["back edge"] += len(tree) < sum(u not in removed and w not in removed
+                                             for u, w in g.edges)
+    assert min(seen.values()) >= 20, seen
+    # one tree 20,000 levels deep fits in 100 frames above the caller's
+    adj = path_graph(20000).adj
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        order, parent, pre, low = lowpoints(adj)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert order == pre == low == list(range(20000))
+    assert parent == list(range(-1, 19999))
 
 
 def test_blocks_against_brute_force():

@@ -222,6 +222,24 @@ def test_articulation_runs(monkeypatch):
     assert calls == []
 
 
+def test_one_pair_vertex_search_per_block(monkeypatch):
+    """The first pair scan in a block runs one lowpoint search of it, whose
+    flags serve all the block's pieces: one search for a grid of any size,
+    a wheel or a necklace, none for a cycle or a path, whose blocks reach
+    no pair scan, and one per K4 where two meet at a vertex."""
+    calls = []
+    search = spqrk.lowpoints
+    monkeypatch.setattr(spqrk, "lowpoints",
+                        lambda adj, removed=(): calls.append(len(adj)) or search(adj, removed))
+    glued = Graph.build(9, [(u + s, v + s) for s in (0, 3) for u, v in combinations(range(4), 2)]
+                        + [(6, 7), (7, 8)])
+    for g, runs in ((_grid(9), 1), (_grid(40), 1), (_wheel(500), 1), (_necklace(8), 1),
+                    (cycle_graph(60), 0), (path_graph(150), 0), (glued, 2)):
+        calls.clear()
+        spqrk_build(g)
+        assert len(calls) == runs, (g.n, calls)
+
+
 def _shuffled(g, rng):
     """g relabelled at random, with each neighbour list in random order:
     the depth-first search starts and turns elsewhere."""

@@ -14,10 +14,8 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import census as census_mod
-from . import constructions, counting, embedding, flaps, graph as graph_mod, spqrk
-from .errors import SurfcountError
-from .surfaces import load_bundled
+from . import graph as graph_mod
+from .errors import DEFAULT_FLAP_SIZE_CAP, DEFAULT_WORK_CAP, SurfcountError
 
 
 def _read(path: str) -> str:
@@ -36,7 +34,8 @@ def _load_graph(path: str) -> graph_mod.Graph:
     return graph_mod.parse_graph(_read(path))
 
 
-def _load_embedding(path: str) -> embedding.EmbeddedGraph:
+def _load_embedding(path: str):
+    from . import embedding
     return embedding.parse_embedding(_read(path))
 
 
@@ -50,14 +49,15 @@ def _emit_kv(pairs: dict, as_json: bool) -> None:
             print(f"{k}={v}")
 
 
-def _surface_list(args) -> tuple[str, int, list[embedding.EmbeddedGraph], bool]:
+def _surface_list(args) -> tuple[str, int, list, bool]:
+    from . import surfaces
     extra = [_load_embedding(p) for p in (args.list or [])]
     if args.surface == "sphere":
         # the bundled tetrahedron alone is the complete sphere list
-        members = [load_bundled("k4_sphere")] + extra
+        members = [surfaces.load_bundled("k4_sphere")] + extra
         return "S0", 0, members, (not extra) or args.complete
     if args.surface == "n1":
-        members = [load_bundled("k6_projective")] + extra
+        members = [surfaces.load_bundled("k6_projective")] + extra
         return "N1", 1, members, args.complete
     if args.genus is None:
         raise SurfcountError("custom surface needs --genus")
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flap-number", help="flap number of a graph")
     p.add_argument("graph")
-    p.add_argument("--cap", type=_cap, default=flaps.DEFAULT_FLAP_SIZE_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_FLAP_SIZE_CAP)
     p.add_argument("--family", action="store_true",
                    help="also print a maximum independent flap family")
 
@@ -121,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="copies of H in G")
     p.add_argument("pattern")
     p.add_argument("host")
-    p.add_argument("--work-cap", type=_cap, default=counting.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=_cap, default=DEFAULT_WORK_CAP)
 
     p = sub.add_parser("hom", help="homomorphisms from H to G")
     p.add_argument("pattern")
     p.add_argument("host")
     p.add_argument("--injective", action="store_true")
-    p.add_argument("--work-cap", type=_cap, default=counting.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=_cap, default=DEFAULT_WORK_CAP)
 
     p = sub.add_parser("census", help="full census record for a surface")
     _add_surface_flags(p)
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated, increasing")
     p.add_argument("--seed", default="k4-sphere",
                    help="seed embedding for split-growth")
-    p.add_argument("--work-cap", type=_cap, default=counting.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=_cap, default=DEFAULT_WORK_CAP)
 
     p = sub.add_parser("genus", help="Euler genus of an embedding")
     p.add_argument("embedding")
@@ -186,67 +186,73 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _seed_embedding(name: str) -> embedding.EmbeddedGraph:
-    if name == "k4-sphere":
-        return load_bundled("k4_sphere")
-    if name == "k6-projective":
-        return load_bundled("k6_projective")
+def _seed_embedding(name: str):
+    if name in ("k4-sphere", "k6-projective"):
+        from . import surfaces
+        return surfaces.load_bundled(name.replace("-", "_"))
     return _load_embedding(name)
 
 
 def _run(args) -> None:
+    """Run one command, importing only the modules it uses."""
     cmd = args.command
-    if cmd == "flap-number":
+    if cmd in ("flap-number", "snp", "beta"):
+        from . import flaps
         g = _load_graph(args.graph)
-        if args.family:
+        if cmd == "snp":
+            value = flaps.is_strongly_non_planar(g)
+            print(json.dumps(value) if args.json else ("true" if value else "false"))
+        elif cmd == "beta":
+            print(flaps.tree_beta(g))
+        elif args.family:
             family, number = flaps.flap_family_and_number(g, size_cap=args.cap)
             print(number)
             for sep in family:
                 print(sep.serialize())
         else:
             print(flaps.flap_number(g, size_cap=args.cap))
-    elif cmd == "snp":
-        value = flaps.is_strongly_non_planar(_load_graph(args.graph))
-        print(json.dumps(value) if args.json else ("true" if value else "false"))
-    elif cmd == "beta":
-        print(flaps.tree_beta(_load_graph(args.graph)))
     elif cmd == "spqrk":
+        from . import spqrk
         tree = spqrk.spqrk_build(_load_graph(args.graph))
         sys.stdout.write(spqrk.serialize_spqrk(tree))
-    elif cmd == "count":
-        c = counting.count_copies(_load_graph(args.pattern), _load_graph(args.host),
-                                  work_cap=args.work_cap)
-        print(json.dumps({"count": str(c)}) if args.json else c)
-    elif cmd == "hom":
-        fn = counting.count_injective_hom if args.injective else counting.count_hom
+    elif cmd in ("count", "hom"):
+        from . import counting
+        fn = (counting.count_copies if cmd == "count" else
+              counting.count_injective_hom if args.injective else counting.count_hom)
         c = fn(_load_graph(args.pattern), _load_graph(args.host), work_cap=args.work_cap)
         print(json.dumps({"count": str(c)}) if args.json else c)
     elif cmd in ("census", "table"):
+        from . import census
         name, genus, members, complete = _surface_list(args)
-        table = census_mod.surface_table(name, genus, members, complete)
+        table = census.surface_table(name, genus, members, complete)
         if cmd == "census" or args.json:
             print(json.dumps(table.as_dict(), sort_keys=True))
         else:
-            sys.stdout.write(census_mod.render_table(table))
+            sys.stdout.write(census.render_table(table))
     elif cmd == "grow":
+        from . import constructions, embedding
         eg = constructions.split_growth(_seed_embedding(args.seed), args.n)
         sys.stdout.write(embedding.serialize_embedding(eg))
     elif cmd == "construct":
+        from . import constructions
         g = _load_graph(args.graph)
         out = (constructions.lower_bound_graph(g, args.n) if args.kind == "paste"
                else constructions.tree_blowup(g, args.n))
         sys.stdout.write(graph_mod.serialize_graph(out))
     elif cmd == "bounds":
-        b = census_mod.bounds(args.genus, args.s, args.n)
+        from . import census
+        b = census.bounds(args.genus, args.s, args.n)
         _emit_kv({"genus": args.genus, "s": args.s,
                   **({"n": args.n} if args.n is not None else {}),
                   "lower": b.lower, "upper": b.upper}, args.json)
     elif cmd == "inequality":
+        from . import counting
         g = _load_graph(args.graph)
         rep = (counting.check_goodman(g) if args.kind == "goodman"
                else counting.check_genus_triangle_bound(g, args.genus))
         _emit_kv(asdict(rep), args.json)
     elif cmd == "scaling":
+        from . import constructions, counting
         h = _load_graph(args.graph)
         if args.generator == "tree-blowup":
             gen = lambda n: constructions.tree_blowup(h, n)
@@ -263,25 +269,25 @@ def _run(args) -> None:
                       "hosts": ",".join(map(str, rep.host_orders)),
                       "counts": ",".join(map(str, rep.counts)),
                       "slope": f"{rep.slope:.4f}"}, False)
-    elif cmd == "genus":
-        print(embedding.euler_genus(_load_embedding(args.embedding)))
-    elif cmd == "faces":
-        faces = embedding.face_vertices(_load_embedding(args.embedding))
-        if args.json:
-            print(json.dumps(faces))
+    elif cmd in ("genus", "faces", "contract", "split"):
+        from . import embedding
+        eg = embedding.parse_embedding(_read(args.embedding))
+        if cmd == "genus":
+            print(embedding.euler_genus(eg))
+        elif cmd == "faces":
+            faces = embedding.face_vertices(eg)
+            if args.json:
+                print(json.dumps(faces))
+            else:
+                sys.stdout.write("".join([" ".join(map(str, vs)) + "\n" for vs in faces]))
         else:
-            sys.stdout.write("".join([" ".join(map(str, vs)) + "\n" for vs in faces]))
-    elif cmd == "contract":
-        eg = embedding.contract_reducible(_load_embedding(args.embedding),
-                                          (args.u, args.v))
-        sys.stdout.write(embedding.serialize_embedding(eg))
-    elif cmd == "split":
-        eg = _load_embedding(args.embedding)
-        if args.triangle:
-            out = embedding.split_triangle(eg, (args.x, args.v, args.y))
-        else:
-            out = embedding.split_path(eg, args.x, args.v, args.y)
-        sys.stdout.write(embedding.serialize_embedding(out))
+            if cmd == "contract":
+                eg = embedding.contract_reducible(eg, (args.u, args.v))
+            elif args.triangle:
+                eg = embedding.split_triangle(eg, (args.x, args.v, args.y))
+            else:
+                eg = embedding.split_path(eg, args.x, args.v, args.y)
+            sys.stdout.write(embedding.serialize_embedding(eg))
     else:  # pragma: no cover
         raise SurfcountError(f"unknown command {cmd}")
 

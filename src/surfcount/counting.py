@@ -46,11 +46,9 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import CapExceeded, InternalInvariantError, PreconditionError
+from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalInvariantError, PreconditionError
 from .graph import (Graph, _isomorphisms, complete_graph, connected_components, degree_key,
                     induced_subgraph, is_isomorphic)
-
-DEFAULT_WORK_CAP = 10**9
 
 
 def _search_order(h: Graph) -> list[int]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and cap defaults shared across the package."""
 
 
 class SurfcountError(Exception):
@@ -17,6 +17,10 @@ class ParseError(SurfcountError):
 
 class PreconditionError(SurfcountError):
     """An operation was called outside its documented domain."""
+
+
+DEFAULT_FLAP_SIZE_CAP = 16  # vertices, for the flap number and its family
+DEFAULT_WORK_CAP = 10**9  # work units, for one counting call
 
 
 class CapExceeded(SurfcountError):

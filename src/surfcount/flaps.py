@@ -8,11 +8,11 @@ on (X, S), not on how edges inside X go to sides, so the canonical form
 loses nothing; the literal oracle in the tests confirms the collapse.
 
 Every entry point that needs the candidate flaps walks the cut sets once
-(``_search``), in n ``lowpoints`` searches: one of H, one of each H - x,
-x < n - 1. Edge counts and H's non-planar blocks decide most
-single-component sides; a pending side gets a planarity test only when its
-interior could be inclusion-minimal or, for a family, extend to a maximum
-family.
+(``_search``), in n ``lowpoints`` searches: one of H, which also gives
+H's blocks, and one of each H - x, x < n - 1. Edge counts and H's
+non-planar blocks decide most single-component sides; a pending side gets
+a planarity test only when its interior could be inclusion-minimal or,
+for a family, extend to a maximum family.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapExceeded, InternalInvariantError, PreconditionError
+from .errors import DEFAULT_FLAP_SIZE_CAP, CapExceeded, InternalInvariantError, PreconditionError
 from .graph import (
     Graph, add_clique, as_vertex_set, blocks, induced_subgraph, is_connected, lowpoints,
     spanning_forest)
 from .planarity import is_planar
 
-DEFAULT_FLAP_SIZE_CAP = 16
 Side = tuple[tuple[int, ...], int, bool | None]  # X, the interior's mask, planar or pending
 
 
@@ -92,12 +91,16 @@ def _certain(n: int, m: int, c: int) -> bool | None:
     return None
 
 
-def _nonplanar_blocks(h: Graph, adjm: list[int]) -> list[int]:
-    """The vertex masks of H's non-planar blocks. Counts settle a block or
-    one planarity test does; H[B] is the block B itself, since an edge
-    inside B lies in B."""
+def _nonplanar_blocks(h: Graph, adjm: list[int], search: tuple) -> list[int]:
+    """The vertex masks of H's non-planar blocks, from ``search``, the
+    ``lowpoints`` search of H. A block of all of H is skipped: each side
+    leaves a non-empty far side, so no X union S holds it. Counts settle a
+    block or one planarity test does; H[B] is the block B itself, since an
+    edge inside B lies in B."""
     bad = []
-    for block in blocks(h):
+    for block in blocks(h, search):
+        if len(block) == h.n:
+            continue
         mask = sum(1 << v for v in block)
         m = sum((adjm[v] & mask).bit_count() for v in block) // 2
         planar = _certain(len(block), m, 1)
@@ -108,19 +111,20 @@ def _nonplanar_blocks(h: Graph, adjm: list[int]) -> list[int]:
     return bad
 
 
-def _splits(h: Graph):
+def _splits(h: Graph, search: tuple):
     """Each cut set X of at most two vertices that separates H, in
     enumeration order, with the components of H - X by least member. A
     vertex set is one integer, its degree sum in H above its mask, so the
-    set of a disjoint union is the sum. One ``lowpoints`` search of H
-    gives X = () and (y,), one of H - x each (x, y) with y > x, so
-    x < n - 1: n searches, lazily. Summed up in reverse preorder, a search
-    gives its trees, and for each y the subtrees of y's children that
-    reach no higher than y, which deleting y cuts off from its tree."""
+    set of a disjoint union is the sum. ``search``, the ``lowpoints``
+    search of H, gives X = () and (y,), one search of H - x each (x, y)
+    with y > x, so x < n - 1: n - 1 more searches, lazily. Summed up in
+    reverse preorder, a search gives its trees, and for each y the
+    subtrees of y's children that reach no higher than y, which deleting y
+    cuts off from its tree."""
     n = h.n
     own = [len(nbrs) << n | 1 << v for v, nbrs in enumerate(h.adj)]
     for x in range(-1, n - 1):
-        order, parent, pre, low = lowpoints(h.adj, () if x < 0 else (x,))
+        order, parent, pre, low = search if x < 0 else lowpoints(h.adj, (x,))
         below = own[:]  # each vertex's subtree, once its children are summed in
         trees, cuts = [], {}
         for v in reversed(order):
@@ -160,11 +164,12 @@ def _search(h: Graph, first: bool = False) -> tuple[list[Side], bool]:
     H - X, so m(A+) is half of S's degree sum plus its edges into X, plus
     X's edge. The rest are pending, with no planarity test run here."""
     adjm = [sum(1 << w for w in nbrs) for nbrs in h.adj]
-    bad = _nonplanar_blocks(h, adjm)
+    search = lowpoints(h.adj)
+    bad = _nonplanar_blocks(h, adjm, search)
     sides: list[Side] = []
     separable = False
     full = (1 << h.n) - 1
-    for x, comps in _splits(h):
+    for x, comps in _splits(h, search):
         separable = True
         xmask = sum(1 << v for v in x)
         for comp in comps:

@@ -304,14 +304,15 @@ def articulation_points(g: Graph, removed: Iterable[int] = ()) -> list[int]:
     return [v for v, k in enumerate(hits) if k > (parent[v] < 0)]
 
 
-def blocks(g: Graph) -> list[tuple[int, ...]]:
+def blocks(g: Graph, search: tuple | None = None) -> list[tuple[int, ...]]:
     """The vertex sets of the blocks of g, each sorted, in sorted order:
     its maximal 2-connected subgraphs and its bridges. An isolated vertex
     lies in no block; the cut vertices are those in two blocks or more.
-    From one ``lowpoints`` search, read in preorder: a non-root v with
-    parent p starts the block {p, v} when its subtree reaches no higher
-    than p, low[v] >= pre[p], and joins p's block otherwise."""
-    order, parent, pre, low = lowpoints(g.adj)
+    From one ``lowpoints`` search, ``search`` when the caller has run
+    ``lowpoints(g.adj)``, read in preorder: a non-root v with parent p
+    starts the block {p, v} when its subtree reaches no higher than p,
+    low[v] >= pre[p], and joins p's block otherwise."""
+    order, parent, pre, low = search or lowpoints(g.adj)
     block: list = [None] * g.n  # the block of the edge from v to its parent
     found = []
     for v in order:

@@ -7,8 +7,12 @@ reusing the production shortcuts, so tests cross-check two routes.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from surfcount import flaps
 from surfcount.counting import clique_counts
@@ -19,6 +23,22 @@ from surfcount.graph import (
     Graph, add_clique, blocks, connected_components, induced_subgraph, is_connected, twin_classes)
 from surfcount.planarity import is_planar
 from surfcount.spqrk import REAL, VIRTUAL, SpqrkNode, SpqrkTree
+
+
+# ---------------------------------------------------------------------------
+# A fresh interpreter on the package in src/
+# ---------------------------------------------------------------------------
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code args`` in a fresh interpreter that
+    imports the package from ``src/``, under the same -O level as the
+    running one; it must exit 0 with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from support import random_stacked, slow_split_growth, slow_split_path
+from support import fresh_python, random_stacked, slow_split_growth, slow_split_path
 from surfcount import counting, embedding
 from surfcount.census import render_table, surface_table
 from surfcount.cli import build_parser, main
@@ -489,3 +489,56 @@ def test_scaling_equal_host_orders_is_domain_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "9,9,9" in err
+
+
+RUN_COMMAND = """
+import contextlib, io, json, sys
+from surfcount.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("surfcount."))]))
+"""
+
+# what each command loads beyond cli, errors and graph
+COMMAND_MODULES = {
+    ("genus", "faces", "contract", "split"): ["embedding", "planarity"],
+    ("count", "hom", "inequality"): ["counting"],
+    ("flap-number", "snp", "beta"): ["flaps", "planarity"],
+    ("spqrk",): ["spqrk"],
+}
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, k5_file, p5_file):
+    """Run in a fresh interpreter, every command loads ``cli``, ``errors``
+    and ``graph``, and beyond them only the modules it uses."""
+    eg, faces = random_stacked(random.Random(8), 8)
+    emb = tmp_path / "stack.emb"
+    emb.write_text(embedding.serialize_embedding(eg))
+    u, v = embedding.reducible_edges(eg)[0]
+    argv = {
+        "genus": ["genus", emb], "faces": ["faces", emb],
+        "contract": ["contract", emb, u, v], "split": ["split", emb, *faces[0], "--triangle"],
+        "count": ["count", p5_file, k5_file], "hom": ["hom", p5_file, k5_file],
+        "inequality": ["inequality", "goodman", k5_file],
+        "flap-number": ["flap-number", k5_file, "--family"], "snp": ["snp", k5_file],
+        "beta": ["beta", p5_file], "spqrk": ["spqrk", k5_file],
+    }
+    for commands, modules in COMMAND_MODULES.items():
+        expected = sorted(f"surfcount.{m}" for m in ["cli", "errors", "graph", *modules])
+        for cmd in commands:
+            found = json.loads(fresh_python(RUN_COMMAND, json.dumps(list(map(str, argv[cmd])))))
+            assert found == [0, expected], cmd
+
+
+def test_parser_defaults_load_neither_flaps_nor_counting():
+    """The parser's cap defaults come from ``errors``: parsing gives
+    ``--cap`` 16 and ``--work-cap`` 10**9 with neither module loaded."""
+    found = fresh_python("""
+import sys
+from surfcount.cli import build_parser
+parser = build_parser()
+print(parser.parse_args(["flap-number", "g"]).cap,
+      parser.parse_args(["count", "h", "g"]).work_cap,
+      sorted(m for m in sys.modules if m.startswith("surfcount.")))
+""")
+    assert found == f"16 {10**9} ['surfcount.cli', 'surfcount.errors', 'surfcount.graph']\n"

@@ -20,7 +20,7 @@ from support import (
     slow_flap_sides,
     slow_max_packing,
 )
-from surfcount import flaps
+from surfcount import flaps, graph
 from surfcount.cli import main
 from surfcount.constructions import lower_bound_graph
 from surfcount.errors import CapExceeded, PreconditionError, SurfcountError
@@ -234,15 +234,17 @@ def test_one_candidate_search_per_call(monkeypatch, tmp_path):
     """The family CLI, flap_reduction and lower_bound_graph each walk the
     cut sets once, and test only the pending sides the answer depends on;
     enumerate_candidate_flaps decides every side. The counts are planarity
-    tests: of H's blocks that counts do not settle, of sides, of
-    flap_reduction's is_flap check of each member it is given, and, for
-    two K5s sharing an edge, which have no flap, of the whole graph."""
+    tests: of H's blocks that counts do not settle, except a block of all
+    of H, which no side holds (so none of the 2-connected 8-vertex graph),
+    of sides, of flap_reduction's is_flap check of each member it is
+    given, and, for two K5s sharing an edge, which have no flap, of the
+    whole graph."""
     calls = []
     monkeypatch.setattr(flaps, "is_planar", lambda g: calls.append(g.n) or is_planar(g))
     path = tmp_path / "g.g"
     # per graph: enumeration, family CLI, flap_reduction, lower_bound_graph
     pinned = ((path_graph(5), (0, 0, 3, 0)), (K5_PENDANT, (0, 0, 1, 0)),
-              (random_connected_graph(random.Random(5), 8, 0.2), (3, 3, 5, 3)),
+              (random_connected_graph(random.Random(5), 8, 0.2), (2, 2, 4, 2)),
               (TWO_K5, (0, 1, None, 1)))
     for g, counts in pinned:
         path.write_text(serialize_graph(g))
@@ -428,6 +430,37 @@ def test_planarity_calls_follow_the_blocks(monkeypatch):
     assert not is_strongly_non_planar(K5_PENDANT)
     assert calls == [6]
     assert passes == [(1 << 6) - 1]
+
+
+def test_no_planarity_test_of_a_block_of_every_vertex(monkeypatch):
+    """K5 with one edge subdivided is 2-connected: its one block is all of
+    it, and every side leaves a far side, so the search tests no block.
+    The strongly-non-planar test tests only H itself, and the flap number
+    none, since counts settle the subdividing vertex's side."""
+    g = Graph.build(6, [e for e in complete_graph(5).edges if e != (0, 1)] + [(0, 5), (1, 5)])
+    assert blocks(g) == [tuple(range(6))]
+    calls = []
+    monkeypatch.setattr(flaps, "is_planar", lambda g: calls.append(g.n) or is_planar(g))
+    assert not is_strongly_non_planar(g)
+    assert calls == [6]
+    calls.clear()
+    assert flap_number(g) == 1
+    assert calls == []
+
+
+def test_search_takes_the_blocks_from_its_pass_of_h(monkeypatch):
+    """The search reads H's blocks from its own pass of H, so on K5 plus a
+    pendant 3-vertex path it runs 8 lowpoint searches in all, counted both
+    in ``graph``, where a ``blocks`` call of its own would run one more,
+    and in ``flaps``."""
+    searches = []
+    for module in (graph, flaps):
+        run = module.lowpoints
+        monkeypatch.setattr(module, "lowpoints", lambda adj, removed=(), run=run:
+                            searches.append(removed) or run(adj, removed))
+    g = Graph.build(8, list(complete_graph(5).edges) + [(4, 5), (5, 6), (6, 7)])
+    flaps._search(g)
+    assert len(searches) == 8
 
 
 def _tree_plus_edges(n):

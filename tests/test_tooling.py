@@ -3,10 +3,12 @@
 import ast
 import importlib.util
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
 import surfcount
+from support import fresh_python
 from surfcount.embedding import serialize_embedding
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +127,34 @@ def test_every_private_function_has_a_caller_in_src():
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert private
     assert [f.name for f in private if everywhere[f.name] == named(f)[f.name]] == []
+
+
+LAZY_PACKAGE = """
+import json, sys
+import surfcount
+loaded = sorted(m for m in sys.modules if m.startswith("surfcount."))
+values = {name: getattr(surfcount, name) for name in surfcount.__all__}
+star = {}
+exec("from surfcount import *", star)
+print(json.dumps({
+    "loaded": loaded,
+    "star": sorted(name for name in values if star.get(name) is not values[name]),
+    "own module": sorted(name for name, value in values.items()
+                         if getattr(sys.modules[value.__module__], name) is not value),
+    "dir": sorted(set(surfcount.__all__) - set(dir(surfcount))),
+    "unknown": hasattr(surfcount, "no_such_name"),
+}))
+"""
+
+
+def test_package_loads_each_module_on_first_use():
+    """In a fresh interpreter, ``import surfcount`` loads none of its
+    modules; every name of ``__all__`` then resolves to the object of that
+    name in the module that defines it, ``from surfcount import *`` binds
+    them all, ``dir`` lists them, and an unknown name is an
+    AttributeError."""
+    found = json.loads(fresh_python(LAZY_PACKAGE))
+    assert found == {"loaded": [], "star": [], "own module": [], "dir": [], "unknown": False}
 
 
 def test_derive_tool_rebuilds_its_data_file():
